@@ -294,7 +294,7 @@ def verify_embedding(h: Graph, g: Graph, m: MinorEmbedding) -> bool:
             if not ((a in bu and b in bw) or (a in bw and b in bu)):
                 return False
         return True
-    except Exception:
+    except (TypeError, ValueError):  # unhashable or mistyped parts
         return False
 
 

@@ -13,6 +13,7 @@ import json
 import random
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 from math import comb
@@ -22,7 +23,8 @@ from typing import Iterable, Iterator, Mapping
 from .graph import Edge, Graph, GraphError, delete_edges, edge
 from .decompose import MinorPredicate, branch_vertices
 from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, EmbeddingConstraints,
-                    MinorEmbedding, NodeCounter, SearchStatus, find_expansion,
+                    MinorEmbedding, NodeCounter, SearchResult, SearchStatus,
+                    _check_constraints, find_expansion,
                     iter_expansion_footprints)
 from .gadgets import CoreSpec, segment_blowup
 
@@ -36,7 +38,7 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1729
-_CHUNK = 64  # deletion sets handed to a worker at a time
+_CHUNK = 64  # deletion sets decided together, in this process or a worker
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,8 @@ def min_edge_hitting_set(pattern: Graph, host: Graph,
     """Minimum edge set whose deletion destroys every pattern expansion.
 
     Subset sizes are tried in increasing order, subsets of each size in
-    label order, so the witness is canonical.
+    label order, so the witness is canonical.  A subset missing the
+    footprint of an earlier model keeps it, so it needs no search.
     """
     if not pattern.edges:
         raise GraphError("hitting needs a pattern with at least one edge")
@@ -199,6 +202,7 @@ def min_edge_hitting_set(pattern: Graph, host: Graph,
     m = len(host.edges)
     top = m if bound is None else min(bound, m)
     edges_sorted = host.sorted_edges()
+    known: list[frozenset[Edge]] = []
     nodes = 0
     checked = 0
     for s in range(top + 1):
@@ -206,8 +210,9 @@ def min_edge_hitting_set(pattern: Graph, host: Graph,
             if checked >= budget.subsets:
                 return HitResult(None, None, False, nodes, checked)
             checked += 1
-            res = find_expansion(pattern, delete_edges(host, X),
-                                 node_budget=budget.nodes)
+            res = _probe(pattern, host, X, None, budget.nodes, known)
+            if res is None:
+                continue
             nodes += res.nodes
             if res.status is SearchStatus.NONE:
                 return HitResult(s, tuple(X), True, nodes, checked)
@@ -218,13 +223,50 @@ def min_edge_hitting_set(pattern: Graph, host: Graph,
 
 # -- deletion scans ----------------------------------------------------------
 
-def _probe_chunk(args) -> list[tuple[str, int]]:
+def _footprint(g: Graph, emb: MinorEmbedding) -> frozenset[Edge]:
+    """Edges a model needs in g: a BFS spanning tree of each branch set
+    plus the edge images.  Deleting edges outside it keeps the model."""
+    adj = g.adjacency()
+    out = set(emb.edge_images.values())
+    for bs in emb.branch_sets.values():
+        todo = [min(bs)]
+        seen = set(todo)
+        for a in todo:
+            for b in sorted(adj[a] & bs - seen):
+                seen.add(b)
+                todo.append(b)
+                out.add(edge(a, b))
+    return frozenset(out)
+
+
+def _probe(pattern: Graph, host: Graph, X: tuple[Edge, ...],
+           constraints: EmbeddingConstraints | None,
+           node_budget: int | None, known: list[frozenset[Edge]]
+           ) -> SearchResult | None:
+    """Search host - X, or None when X misses a known footprint, whose
+    model then survives.  A model found adds its footprint to known."""
+    if any(fp.isdisjoint(X) for fp in known):
+        return None
+    g = delete_edges(host, X)
+    res = find_expansion(pattern, g, constraints, node_budget=node_budget)
+    if res.status is SearchStatus.FOUND:
+        known.append(_footprint(g, res.embedding))
+    return res
+
+
+def _probe_chunk(args) -> list[tuple[str, int, bool]]:
+    """(status, nodes, searched) per deletion set of one block, up to
+    the first set without a model.  Footprints are kept for the block
+    only, so the searches made do not depend on the worker count."""
     pattern, host, constraints, node_budget, block = args
+    known: list[frozenset[Edge]] = []
     out = []
     for X in block:
-        res = find_expansion(pattern, delete_edges(host, X), constraints,
-                             node_budget=node_budget)
-        out.append((res.status.value, res.nodes))
+        res = _probe(pattern, host, X, constraints, node_budget, known)
+        out.append((SearchStatus.FOUND.value, 0, False) if res is None
+                   else (res.status.value, res.nodes, True))
+        if out[-1][0] != SearchStatus.FOUND.value:
+            break
     return out
 
 
@@ -234,6 +276,29 @@ def _chunks(it: Iterator, size: int) -> Iterator[list]:
         if not block:
             return
         yield block
+
+
+def _decided(args: tuple, blocks: Iterator[list], jobs: int
+             ) -> Iterator[tuple[list, list]]:
+    """(block, _probe_chunk results) in scan order, computed here for
+    one job or by jobs worker processes, a few blocks ahead."""
+    if jobs == 1:
+        yield from ((b, _probe_chunk(args + (b,))) for b in blocks)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as ex:
+        pending = deque((b, ex.submit(_probe_chunk, args + (b,)))
+                        for b in islice(blocks, jobs * 2))
+        try:
+            while pending:
+                block, fut = pending.popleft()
+                nxt = next(blocks, None)
+                if nxt is not None:
+                    pending.append((nxt, ex.submit(_probe_chunk,
+                                                   args + (nxt,))))
+                yield block, fut.result()
+        finally:
+            for _, fut in pending:
+                fut.cancel()
 
 
 def _scan_deletions(check: str, pattern: Graph, host: Graph, r: int,
@@ -246,8 +311,9 @@ def _scan_deletions(check: str, pattern: Graph, host: Graph, r: int,
     By monotonicity only deletion sets of the maximum size r-1 are
     scanned.  When their number exceeds the subset budget (or sampling
     is forced) a seeded sample is scanned instead and a passing outcome
-    only reports that no violation was sampled.  Scanning order, and
-    therefore the report, is identical for any worker count.
+    only reports that no violation was sampled.  Sets are decided in
+    fixed blocks of _CHUNK, each reusing the models found within it, so
+    the report is identical for any worker count.
     """
     t0 = perf_counter()
     if r < 1:
@@ -256,11 +322,7 @@ def _scan_deletions(check: str, pattern: Graph, host: Graph, r: int,
         raise GraphError("worker count must be at least 1")
     budget = budget or Budget()
     if constraints is not None:
-        for u, v in constraints.must_contain.items():
-            if u not in pattern.vertices:
-                raise GraphError(f"root on unknown pattern vertex {u!r}")
-            if v not in host.vertices:
-                raise GraphError(f"root pins unknown host vertex {v!r}")
+        _check_constraints(pattern, host, constraints)
 
     m = len(host.edges)
     s = min(r - 1, m)
@@ -285,64 +347,34 @@ def _scan_deletions(check: str, pattern: Graph, host: Graph, r: int,
                             sorted(constraints.must_contain.items())}
 
     checked = 0
+    searches = 0
     nodes = 0
     outcome = Outcome.HOLDS
     witness: tuple[Edge, ...] | None = None
     stopped: tuple[Edge, ...] | None = None
 
-    def account(X: tuple[Edge, ...], status: str, spent: int) -> bool:
-        """Fold one probe into the tallies; True means keep scanning."""
-        nonlocal checked, nodes, outcome, witness, stopped
-        checked += 1
-        nodes += spent
-        if status == SearchStatus.FOUND.value:
-            return True
-        if status == SearchStatus.NONE.value:
-            outcome = Outcome.REFUTED
-            witness = X
-        else:
-            outcome = Outcome.BUDGET
-            stopped = X
-        return False
-
-    if jobs == 1:
-        for X in subsets:
-            res = find_expansion(pattern, delete_edges(host, X), constraints,
-                                 node_budget=budget.nodes)
-            if not account(X, res.status.value, res.nodes):
+    args = (pattern, host, constraints, budget.nodes)
+    with closing(_decided(args, _chunks(subsets, _CHUNK), jobs)) as decided:
+        for block, out in decided:
+            for X, (status, spent, searched) in zip(block, out):
+                checked += 1
+                searches += searched
+                nodes += spent
+                if status == SearchStatus.NONE.value:
+                    outcome = Outcome.REFUTED
+                    witness = X
+                elif status != SearchStatus.FOUND.value:
+                    outcome = Outcome.BUDGET
+                    stopped = X
+            if outcome is not Outcome.HOLDS:
                 break
-    else:
-        pending: deque = deque()
-        scanning = True
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            blocks = _chunks(subsets, _CHUNK)
-            exhausted = False
-            while scanning and (pending or not exhausted):
-                while not exhausted and len(pending) < jobs * 2:
-                    block = next(blocks, None)
-                    if block is None:
-                        exhausted = True
-                        break
-                    fut = ex.submit(_probe_chunk,
-                                    (pattern, host, constraints,
-                                     budget.nodes, block))
-                    pending.append((fut, block))
-                if not pending:
-                    break
-                fut, block = pending.popleft()
-                for X, (status, spent) in zip(block, fut.result()):
-                    if not account(X, status, spent):
-                        scanning = False
-                        break
-            for fut, _ in pending:
-                fut.cancel()
 
     if outcome is Outcome.REFUTED:
         details["witness_deletion"] = [[u, v] for u, v in witness]
     if outcome is Outcome.BUDGET:
         details["stopped_at"] = [[u, v] for u, v in stopped]
     stats = {"subsets_checked": checked, "subsets_planned": planned,
-             "nodes": nodes}
+             "searches": searches, "nodes": nodes}
     return Report(check, outcome, details, stats, perf_counter() - t0)
 
 
@@ -411,11 +443,13 @@ def check_generic_counterexample(anchor: Graph, spec: CoreSpec,
                                       for fp in pack.witness]
         return Report("generic-counterexample", Outcome.REFUTED, details,
                       {"nodes": pack.nodes, "subsets_checked": 0,
-                       "subsets_planned": 0}, perf_counter() - t0)
+                       "subsets_planned": 0, "searches": 0},
+                      perf_counter() - t0)
     if not pack.exact:
         return Report("generic-counterexample", Outcome.BUDGET, details,
                       {"nodes": pack.nodes, "subsets_checked": 0,
-                       "subsets_planned": 0}, perf_counter() - t0)
+                       "subsets_planned": 0, "searches": 0},
+                      perf_counter() - t0)
     inner = _scan_deletions("generic-counterexample", anchor, spec.core,
                             spec.r,
                             EmbeddingConstraints(must_contain=dict(spec.roots))

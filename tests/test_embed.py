@@ -186,6 +186,21 @@ class TestVerifyEmbedding:
                            {("a", "z"): ("p", "q")})
         assert not verify_embedding(self.h, self.g, m)
 
+    def test_rejects_list_branch_set(self):
+        m = MinorEmbedding({"a": ["p"], "b": frozenset("q")},
+                           {("a", "b"): ("p", "q")})
+        assert not verify_embedding(self.h, self.g, m)
+
+    def test_rejects_three_tuple_image(self):
+        m = MinorEmbedding({"a": frozenset("p"), "b": frozenset("q")},
+                           {("a", "b"): ("p", "q", "r")})
+        assert not verify_embedding(self.h, self.g, m)
+
+    def test_rejects_unhashable_image(self):
+        m = MinorEmbedding({"a": frozenset("p"), "b": frozenset("q")},
+                           {("a", "b"): ["p", "q"]})
+        assert not verify_embedding(self.h, self.g, m)
+
 
 class TestEnumerate:
     def test_single_edge_in_triangle_model_count(self):

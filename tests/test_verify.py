@@ -1,12 +1,13 @@
 """Packing, hitting, deletion scans, locality, and report determinism."""
 
 import random
+from itertools import combinations
 
 import pytest
 
-from minorbench import (Budget, CoreSpec, Graph, GraphError, MinorEmbedding,
-                        MinorPredicate, Outcome, Report, SearchStatus,
-                        assemble_block_counterexample,
+from minorbench import (Budget, CoreSpec, EmbeddingConstraints, Graph,
+                        GraphError, MinorEmbedding, MinorPredicate, Outcome,
+                        Report, SearchStatus, assemble_block_counterexample,
                         assemble_component_counterexample, canonical_json,
                         check_assembly_robustness, check_branch_count,
                         check_expansion_locality, check_gadget_robustness,
@@ -15,11 +16,12 @@ from minorbench import (Budget, CoreSpec, Graph, GraphError, MinorEmbedding,
                         core_region, delete_edges, find_expansion, graph_json,
                         is_minor, max_edge_disjoint_packing,
                         min_edge_hitting_set, naive_is_minor_oracle,
-                        verify_embedding)
-from helpers import (complete, graphs_up_to_iso, k5_spec, oracle_min_hitting,
-                     p3_star, path_graph, random_connected_graph, random_graph,
-                     rooted_spec, tailed_square, triangle_with_tail,
-                     two_part_host)
+                        segment_blowup, verify_embedding)
+from minorbench.verify import _footprint
+from helpers import (complete, cycle_graph, graphs_up_to_iso, k5_spec,
+                     oracle_min_hitting, p3_star, path_graph,
+                     random_connected_graph, random_graph, rooted_spec,
+                     tailed_square, triangle_with_tail, two_part_host)
 
 
 class TestReportPlumbing:
@@ -222,6 +224,168 @@ class TestAssemblyRobustness:
             check_assembly_robustness(path_graph("ab"), path_graph("pq"),
                                       2, roots={"a": "zz"})
 
+    def test_rejects_unknown_root_names_with_workers(self):
+        with pytest.raises(GraphError):
+            check_assembly_robustness(path_graph("ab"), path_graph("pq"),
+                                      2, roots={"zz": "p"}, jobs=2)
+
+
+# -- model reuse against a per-probe oracle -------------------------------------
+
+def per_probe_scan(pattern, host, r, roots=None, budget=Budget()):
+    """Outcome, witness or stop set, and sets decided of an exhaustive
+    scan, by one find_expansion per deletion set and no reuse."""
+    constraints = EmbeddingConstraints(must_contain=roots) if roots else None
+    checked = 0
+    for X in combinations(host.sorted_edges(), min(r - 1, len(host.edges))):
+        checked += 1
+        res = find_expansion(pattern, delete_edges(host, X), constraints,
+                             node_budget=budget.nodes)
+        if res.status is not SearchStatus.FOUND:
+            key = ("witness_deletion" if res.status is SearchStatus.NONE
+                   else "stopped_at")
+            return res.status, {key: [list(e) for e in X]}, checked
+    return SearchStatus.FOUND, {}, checked
+
+
+def per_probe_hitting(pattern, host):
+    """Size, witness and subsets tested of the smallest hitting set, by
+    one find_expansion per subset and no reuse."""
+    checked = 0
+    for s in range(len(host.edges) + 1):
+        for X in combinations(host.sorted_edges(), s):
+            checked += 1
+            res = find_expansion(pattern, delete_edges(host, X))
+            if res.status is SearchStatus.NONE:
+                return s, X, checked
+    return None, None, checked
+
+
+def renamed(g, old, new):
+    f = {old: new}.get
+    return Graph.build([f(v, v) for v in g.vertices],
+                       [(f(a, a), f(b, b)) for a, b in g.edges])
+
+
+def scan_cases():
+    """name -> (pattern, host, r, roots, budget, expected outcome)"""
+    g, ctx = tailed_square()
+    for r in (3, 4):
+        yield f"tailed-square-r{r}", (g, segment_blowup(g, ctx, r), r, None,
+                                      Budget(), Outcome.HOLDS)
+    h = triangle_with_tail()
+    pred = MinorPredicate("contains-K3", complete("xyz"))
+    hstar, _ = assemble_block_counterexample(h, pred, rooted_spec(), 2)
+    for r in (2, 3):
+        yield f"rooted-assembly-r{r}", (h, hstar, r, {"s": "s#1"}, Budget(),
+                                        Outcome.HOLDS)
+    thinned = renamed(segment_blowup(g, ctx, 2), "v", "zv")
+    yield "thinned-refuted", (g, thinned, 4, None, Budget(), Outcome.REFUTED)
+    yield "node-budget-1", (g, segment_blowup(g, ctx, 2), 2, None,
+                            Budget(nodes=1), Outcome.BUDGET)
+    yield "node-budget-5", (g, segment_blowup(g, ctx, 3), 3, None,
+                            Budget(nodes=5), Outcome.BUDGET)
+
+
+SCAN_CASES = dict(scan_cases())
+OUTCOME_OF = {SearchStatus.FOUND: Outcome.HOLDS,
+              SearchStatus.NONE: Outcome.REFUTED,
+              SearchStatus.BUDGET: Outcome.BUDGET}
+
+
+class TestModelReuse:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_footprint_keeps_the_model(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(10, 25)
+        labels = [f"v{i}" for i in range(n)]
+        tree = [(v, rng.choice(labels[:i])) for i, v in enumerate(labels)
+                if i]
+        chords = [e for e in combinations(labels, 2)
+                  if e not in tree and e[::-1] not in tree]
+        host = Graph.build(labels, tree + rng.sample(chords,
+                                                     rng.randint(2, 8)))
+        found = 0
+        for pattern in (complete("xyz"), cycle_graph("wxyz"),
+                        path_graph("wxyz"), tailed_square()[0]):
+            res = find_expansion(pattern, host, node_budget=20000)
+            if res.status is not SearchStatus.FOUND:
+                continue
+            found += 1
+            fp = _footprint(host, res.embedding)
+            assert fp <= host.edges
+            assert len(fp) == (len(res.embedding.used_vertices())
+                               - len(pattern.vertices) + len(pattern.edges))
+            spare = sorted(host.edges - fp)
+            for X in [spare] + [rng.sample(spare, rng.randint(0, len(spare)))
+                                for _ in range(10)]:
+                assert verify_embedding(pattern, delete_edges(host, X),
+                                        res.embedding)
+        assert found >= 1  # every host has a cycle, so a triangle model
+
+    def test_footprint_spans_each_branch_set(self):
+        host = cycle_graph("abcdef")
+        emb = MinorEmbedding({"x": frozenset("abc"), "y": frozenset("def")},
+                             {("x", "y"): ("c", "d")})
+        assert _footprint(host, emb) == {("a", "b"), ("b", "c"),
+                                         ("c", "d"), ("d", "e"), ("e", "f")}
+
+    @pytest.mark.parametrize("name", sorted(SCAN_CASES))
+    def test_scan_matches_per_probe_oracle(self, name):
+        pattern, host, r, roots, budget, expected = SCAN_CASES[name]
+        rep = check_assembly_robustness(pattern, host, r, roots=roots,
+                                        budget=budget)
+        status, witness, checked = per_probe_scan(pattern, host, r, roots,
+                                                  budget)
+        assert rep.details["mode"] == "exhaustive"
+        assert rep.outcome is OUTCOME_OF[status] is expected
+        for key in ("witness_deletion", "stopped_at"):
+            assert rep.details.get(key) == witness.get(key)
+        assert rep.stats["subsets_checked"] == checked
+        assert rep.stats["searches"] <= checked
+
+    def test_scan_reuse_counts(self):
+        g, ctx = tailed_square()
+        searches = [check_gadget_robustness(g, ctx, r).stats["searches"]
+                    for r in (3, 4)]
+        assert searches == [20, 172]
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_hitting_complete_hosts_match_per_probe_oracle(self, n):
+        pattern, host = complete("xyz"), complete("123456"[:n])
+        res = min_edge_hitting_set(pattern, host)
+        assert (res.size, res.hitting_edges, res.subsets) == \
+            per_probe_hitting(pattern, host)
+
+    def test_hitting_corpus_sample_matches_per_probe_oracle(self):
+        rng = random.Random(7)
+        patterns = [h for n in range(1, 5) for h in graphs_up_to_iso(n)
+                    if h.edges]
+        hosts = [g for n in range(1, 6) for g in graphs_up_to_iso(n)]
+        pairs = rng.sample([(h, g) for h in patterns for g in hosts], 120)
+        for pattern, host in pairs:
+            res = min_edge_hitting_set(pattern, host)
+            assert res.exact
+            assert (res.size, res.hitting_edges, res.subsets) == \
+                per_probe_hitting(pattern, host)
+
+    def test_worker_count_does_not_change_a_32_chunk_scan(self):
+        g, ctx = tailed_square()
+        serial = check_gadget_robustness(g, ctx, 4)
+        assert serial.stats["subsets_checked"] == 2024
+        assert serial.to_json() == check_gadget_robustness(g, ctx, 4,
+                                                           jobs=2).to_json()
+
+    def test_worker_count_does_not_change_a_late_refutation(self):
+        # v renamed so that the first refuting set is the 666th in order
+        g, ctx = tailed_square()
+        host = renamed(segment_blowup(g, ctx, 3), "v", "zv")
+        serial = check_gadget_robustness(g, ctx, 6, gadget=host)
+        assert serial.outcome is Outcome.REFUTED
+        assert serial.stats["subsets_checked"] == 666
+        parallel = check_gadget_robustness(g, ctx, 6, gadget=host, jobs=2)
+        assert serial.to_json() == parallel.to_json()
+
 
 class TestGenericCounterexample:
     def test_k4_against_k5_core_holds(self):
@@ -243,6 +407,18 @@ class TestGenericCounterexample:
         rep = check_generic_counterexample(complete("pqst"), spec,
                                            budget=Budget(nodes=2))
         assert rep.outcome is Outcome.BUDGET
+
+    def test_every_outcome_reports_the_scan_stats(self):
+        keys = {"nodes", "searches", "subsets_checked", "subsets_planned"}
+        scanned = check_generic_counterexample(complete("pqst"), k5_spec())
+        packed = check_generic_counterexample(
+            complete("xyz"), CoreSpec(complete("12345"), {}, k=3, r=2))
+        short = check_generic_counterexample(
+            complete("pqst"), CoreSpec(complete("12345"), {}, k=4, r=2),
+            budget=Budget(nodes=2))
+        for rep in (scanned, packed, short):
+            assert set(rep.stats) == keys
+        assert packed.stats["searches"] == short.stats["searches"] == 0
 
     def test_rejects_roots_outside_anchor(self):
         spec = CoreSpec(complete("12345"), {"zz": "1"}, k=4, r=2)
