@@ -8,8 +8,8 @@ desk scale with deterministic, machine-readable reports.
 """
 
 from .graph import (Edge, Graph, GraphError, ParseError, connected_components,
-                    delete_edges, disjoint_union_with_identifications, edge,
-                    parse_graph, parse_graph6, relabeled_union, serialize)
+                    contract_edge, delete_edges, edge, parse_graph,
+                    parse_graph6, relabeled_union, serialize)
 from .decompose import (Block, BlockCutTree, MinorPredicate, Segment, Shape,
                         block_cut_tree, branch_vertices, choose_leaf_block,
                         classify_shape, minimal_subtree, segment_decomposition)
@@ -43,8 +43,7 @@ __all__ = [
     "check_expansion_locality", "check_gadget_robustness",
     "check_generic_counterexample", "check_hereditary_sampled",
     "choose_leaf_block", "classify_shape", "connected_components",
-    "core_region", "delete_edges", "disjoint_union_with_identifications",
-    "edge", "enumerate_expansions", "find_expansion", "graph_json",
+    "contract_edge", "core_region", "delete_edges", "edge", "enumerate_expansions", "find_expansion", "graph_json",
     "is_minor", "iter_expansion_footprints", "load_core_spec",
     "max_edge_disjoint_packing", "min_edge_hitting_set", "minimal_subtree",
     "naive_is_minor_oracle", "parse_graph", "parse_graph6",

@@ -76,24 +76,18 @@ def _parse_budget(text: str) -> Budget:
                   nums[2] if len(nums) > 2 else base.trials)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be positive")
-    return n
-
-
-def _nonneg_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
-    return n
+def _int_at_least(low: int):
+    """argparse type for integers no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return n
+    return parse
 
 
 def _parse_roots(text: str) -> dict[str, str]:
@@ -116,6 +110,12 @@ def _parse_region(text: str) -> list[str]:
         return [ln.strip() for ln in _read_text(text[1:]).splitlines()
                 if ln.strip()]
     return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+def _json_object(obj):
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _write_out(text: str, args) -> None:
@@ -254,15 +254,16 @@ def cmd_minor(args) -> int:
     if args.verify:
         with open(args.verify, encoding="utf-8") as fh:
             obj = json.load(fh)
-        if "branch_sets" not in obj:
-            details = obj.get("details", {})
-            obj = details.get("embedding") or details.get("witness_embedding")
-            if obj is None:
-                raise GraphError("no embedding found in the witness file")
         try:
-            emb = MinorEmbedding.from_json_obj(obj)
-        except (KeyError, TypeError, ValueError) as exc:
+            if "branch_sets" not in _json_object(obj):
+                details = _json_object(obj.get("details", {}))
+                obj = details.get("embedding") or details.get("witness_embedding")
+            emb = (None if obj is None
+                   else MinorEmbedding.from_json_obj(_json_object(obj)))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"malformed witness: {exc}") from None
+        if emb is None:
+            raise GraphError("no embedding found in the witness file")
         ok = verify_embedding(h, g, emb)
         rep = Report("witness-verify",
                      Outcome.HOLDS if ok else Outcome.REFUTED,
@@ -380,7 +381,7 @@ def _add_scan_flags(p: argparse.ArgumentParser) -> None:
     _add_budget(p)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="sampling seed (default %(default)s)")
-    p.add_argument("--jobs", type=_positive_int, default=1,
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="parallel scan workers (default 1)")
     p.add_argument("--force-sample", action="store_true",
                    help="sample even when exhaustive scanning is feasible")
@@ -428,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="replace every segment by r parallel copies")
     p.add_argument("file")
     p.add_argument("--ctx", required=True, metavar="CTXFILE")
-    p.add_argument("-r", type=_positive_int, required=True,
+    p.add_argument("-r", type=_int_at_least(1), required=True,
                    help="replication count")
     p.add_argument("--format", choices=["edge-list", "dot"],
                    default="edge-list")
@@ -443,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="core spec document")
     p.add_argument("--anchor", required=True, metavar="VERTEX",
                    help="any vertex of the anchor component")
-    p.add_argument("-r", type=_positive_int, required=True)
+    p.add_argument("-r", type=_int_at_least(1), required=True)
     p.add_argument("--force", action="store_true",
                    help="lift the exact-search size guard")
     p.add_argument("--format", choices=["edge-list", "dot"],
@@ -457,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="core spec document")
     p.add_argument("--predicate", required=True, metavar="TARGETFILE",
                    help="block predicate: contains this graph as a minor")
-    p.add_argument("-r", type=_positive_int, required=True)
+    p.add_argument("-r", type=_int_at_least(1), required=True)
     p.add_argument("--force", action="store_true",
                    help="lift the exact-search size guard")
     p.add_argument("--trace", metavar="PATH",
@@ -480,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="maximum edge-disjoint expansion packing")
     p.add_argument("pattern")
     p.add_argument("host")
-    p.add_argument("--cap", type=_positive_int, default=None,
+    p.add_argument("--cap", type=_int_at_least(1), default=None,
                    help="stop once this many disjoint copies are found")
     _add_budget(p)
     _add_output(p)
@@ -489,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hit", help="minimum expansion-hitting edge set")
     p.add_argument("pattern")
     p.add_argument("host")
-    p.add_argument("--bound", type=_nonneg_int, default=None,
+    p.add_argument("--bound", type=_int_at_least(0), default=None,
                    help="largest hitting-set size to try")
     _add_budget(p)
     _add_output(p)
@@ -503,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="scan the blowup of the pattern in this context")
     mode.add_argument("--host", metavar="HOSTFILE",
                       help="scan this host graph directly")
-    p.add_argument("-r", type=_positive_int, required=True,
+    p.add_argument("-r", type=_int_at_least(1), required=True,
                    help="deletion radius: all deletions of fewer edges")
     p.add_argument("--gadget", metavar="HOSTFILE",
                    help="with --ctx: scan this prebuilt gadget instead")
@@ -537,8 +538,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="minor steps never create the target minor")
     p.add_argument("target", help="target pattern graph")
     p.add_argument("corpus", nargs="+", help="corpus graph files")
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--steps", type=_positive_int, default=4,
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
+    p.add_argument("--steps", type=_int_at_least(1), default=4,
                    help="maximum minor operations per trial")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output(p)

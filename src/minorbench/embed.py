@@ -158,10 +158,9 @@ def enumerate_expansions(h: Graph, g: Graph,
     if len(h.vertices) > len(g.vertices):
         return
 
-    adj = {v: frozenset(ns) for v, ns in g.adjacency().items()}
-    gdeg = {v: len(adj[v]) for v in g.vertices}
+    adj = g.adjacency()
     h_adj = h.adjacency()
-    order = sorted(h.vertices, key=lambda u: (-h.degree(u), u))
+    order = sorted(h.vertices, key=lambda u: (-len(h_adj[u]), u))
     pos = {u: i for i, u in enumerate(order)}
 
     allowed: dict[str, frozenset[str]] = {}
@@ -217,7 +216,7 @@ def enumerate_expansions(h: Graph, g: Graph,
         if must is not None:
             yield from _connected_sets_from(must, free, adj, max_size)
             return
-        roots = sorted(free, key=lambda v: (-gdeg[v], v))
+        roots = sorted(free, key=lambda v: (-len(adj[v]), v))
         shrink = set(free)
         for r in roots:
             yield from _connected_sets_from(r, frozenset(shrink), adj, max_size)

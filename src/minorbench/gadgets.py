@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .graph import (Graph, GraphError, ParseError, connected_components,
-                    parse_graph, relabeled_union)
+from .graph import (Graph, GraphError, ParseError, _parse_edge_block,
+                    connected_components, relabeled_union)
 from .decompose import (Shape, MinorPredicate, block_cut_tree, branch_vertices,
                         choose_leaf_block, classify_shape, minimal_subtree,
                         segment_decomposition)
@@ -57,37 +57,21 @@ def segment_blowup(g: Graph, ctx: Graph, r: int) -> Graph:
         return lab
 
     for j, seg in enumerate(segments):
-        if seg.kind == "between":
-            a, b = seg.ends
-            span = max(seg.length, 2)
-            for i in range(r):
-                prev = a
-                for k in range(1, span):
-                    cur = fresh(f"{a}~{b}.{j}.{i}.{k}",
-                                f"path:{a}~{b}.{j}:copy{i}:pos{k}")
-                    edges.append((prev, cur))
-                    prev = cur
-                edges.append((prev, b))
-        elif seg.kind == "closed":
-            (a,) = seg.ends
-            span = max(seg.length, 3)
-            for i in range(r):
-                prev = a
-                for k in range(1, span):
-                    cur = fresh(f"{a}~{a}.{j}.{i}.{k}",
-                                f"path:{a}~{a}.{j}:copy{i}:pos{k}")
-                    edges.append((prev, cur))
-                    prev = cur
-                edges.append((prev, a))
-        else:  # pendant
-            a, tip = seg.ends
-            for i in range(r):
-                prev = a
-                for k in range(1, seg.length + 1):
-                    cur = fresh(f"{a}~{tip}.{j}.{i}.{k}",
-                                f"path:{a}~{tip}.{j}:copy{i}:pos{k}")
-                    edges.append((prev, cur))
-                    prev = cur
+        a, end = seg.ends[0], seg.ends[-1]
+        # each copy runs from a through span - 1 fresh vertices; between
+        # and closed copies then close at their end vertex
+        span, closes = {"between": (max(seg.length, 2), True),
+                        "closed": (max(seg.length, 3), True),
+                        "pendant": (seg.length + 1, False)}[seg.kind]
+        for i in range(r):
+            prev = a
+            for k in range(1, span):
+                cur = fresh(f"{a}~{end}.{j}.{i}.{k}",
+                            f"path:{a}~{end}.{j}:copy{i}:pos{k}")
+                edges.append((prev, cur))
+                prev = cur
+            if closes:
+                edges.append((prev, end))
     return Graph.build(used, edges, prov)
 
 
@@ -120,28 +104,11 @@ def load_core_spec(text: str) -> CoreSpec:
     remaining lines are ``root s -> s'`` mappings and the two parameter
     lines ``k <int>`` and ``r <int>``, in any order.
     """
-    lines: list[tuple[int, str]] = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            lines.append((i, stripped))
-    if not lines:
-        raise ParseError("empty spec document")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
-        raise ParseError(f"expected 'n m' header, got {header!r}", lineno)
-    n, m = int(parts[0]), int(parts[1])
-    graph_end = 1 + n + m
-    if len(lines) < graph_end:
-        raise ParseError("spec graph block is truncated", lineno)
-    graph_text = "\n".join(ln for _, ln in lines[:graph_end])
-    core = parse_graph(graph_text)
-
+    core, rest = _parse_edge_block(text)
     roots: dict[str, str] = {}
     k: int | None = None
     r: int | None = None
-    for lineno, ln in lines[graph_end:]:
+    for lineno, ln in rest:
         toks = ln.split()
         if toks[0] == "root":
             if len(toks) != 4 or toks[2] != "->":

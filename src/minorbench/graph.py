@@ -12,6 +12,7 @@ equal regardless of it.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -84,22 +85,26 @@ class Graph:
 
     # -- basic queries -------------------------------------------------
 
-    def adjacency(self) -> dict[str, set[str]]:
+    @functools.cached_property
+    def _adj(self) -> dict[str, frozenset[str]]:
         adj: dict[str, set[str]] = {v: set() for v in self.vertices}
         for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        return adj
+        return {v: frozenset(ns) for v, ns in adj.items()}
 
-    def neighbors(self, v: str) -> set[str]:
+    def adjacency(self) -> dict[str, frozenset[str]]:
+        """Neighbour set of every vertex, built on first use and cached
+        on the graph; callers share it and must not modify the dict."""
+        return self._adj
+
+    def neighbors(self, v: str) -> frozenset[str]:
         if v not in self.vertices:
             raise GraphError(f"unknown vertex {v!r}")
-        return {w for e in self.edges if v in e for w in e if w != v}
+        return self._adj[v]
 
     def degree(self, v: str) -> int:
-        if v not in self.vertices:
-            raise GraphError(f"unknown vertex {v!r}")
-        return sum(1 for e in self.edges if v in e)
+        return len(self.neighbors(v))
 
     def has_edge(self, u: str, v: str) -> bool:
         return edge(u, v) in self.edges
@@ -132,35 +137,31 @@ class Graph:
         vs = {x for e in keep for x in e}
         return Graph(frozenset(vs), frozenset(keep), None)
 
-    def is_connected(self) -> bool:
-        if len(self.vertices) <= 1:
-            return True
-        adj = self.adjacency()
-        start = min(self.vertices)
+    def _reach(self, start: str) -> set[str]:
+        """Vertices connected to start."""
         seen = {start}
         stack = [start]
         while stack:
-            for w in adj[stack.pop()]:
+            for w in self._adj[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return len(seen) == len(self.vertices)
+        return seen
+
+    def is_connected(self) -> bool:
+        return (len(self.vertices) <= 1
+                or len(self._reach(min(self.vertices))) == len(self.vertices))
 
 
 # -- external formats ---------------------------------------------------
 
-def parse_graph(text: str) -> Graph:
-    """Parse the plain edge-list format.
-
-    First significant line is ``n m``, followed by n vertex-label lines
-    and m ``u v`` edge lines.  Blank lines and lines starting with ``#``
-    are ignored; ``#`` elsewhere is part of a label, never a comment.
-    """
-    lines: list[tuple[int, str]] = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            lines.append((i, stripped))
+def _parse_edge_block(text: str) -> tuple[Graph, list[tuple[int, str]]]:
+    """Parse the edge list at the head of text: an ``n m`` header, n
+    vertex labels and m ``u v`` edges.  Blank lines and lines starting
+    with ``#`` are skipped.  Returns the graph and the significant lines
+    after the block as (line number, stripped text) pairs."""
+    lines = [(i, ln) for i, ln in enumerate(map(str.strip, text.splitlines()), 1)
+             if ln and not ln.startswith("#")]
     if not lines:
         raise ParseError("empty input")
     lineno, header = lines[0]
@@ -168,7 +169,7 @@ def parse_graph(text: str) -> Graph:
     if len(parts) != 2 or not all(p.isdigit() for p in parts):
         raise ParseError(f"expected 'n m' header, got {header!r}", lineno)
     n, m = int(parts[0]), int(parts[1])
-    if len(lines) != 1 + n + m:
+    if len(lines) < 1 + n + m:
         raise ParseError(
             f"expected {n} vertex lines and {m} edge lines, got {len(lines) - 1}",
             lineno)
@@ -182,7 +183,7 @@ def parse_graph(text: str) -> Graph:
         seen.add(tok)
         vertices.append(tok)
     edges: set[Edge] = set()
-    for lineno, ln in lines[1 + n:]:
+    for lineno, ln in lines[1 + n:1 + n + m]:
         toks = ln.split()
         if len(toks) != 2:
             raise ParseError(f"expected 'u v', got {ln!r}", lineno)
@@ -195,7 +196,21 @@ def parse_graph(text: str) -> Graph:
         if e in edges:
             raise ParseError(f"duplicate edge {ln!r}", lineno)
         edges.add(e)
-    return Graph(frozenset(vertices), frozenset(edges))
+    return Graph(frozenset(vertices), frozenset(edges)), lines[1 + n + m:]
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse the plain edge-list format.
+
+    First significant line is ``n m``, followed by n vertex-label lines
+    and m ``u v`` edge lines.  Blank lines and lines starting with ``#``
+    are ignored; ``#`` elsewhere is part of a label, never a comment.
+    """
+    g, rest = _parse_edge_block(text)
+    if rest:
+        raise ParseError(f"unexpected line after the edge list: {rest[0][1]!r}",
+                         rest[0][0])
+    return g
 
 
 def serialize(g: Graph, format: str = "edge-list") -> str:
@@ -272,25 +287,19 @@ def derived_label(base: str, i: int) -> str:
     return f"{base}#{i}"
 
 
-def disjoint_union_with_identifications(
+def relabeled_union(
         parts: list[Graph],
-        identify: Iterable[frozenset[str]] = ()) -> Graph:
+        identify: Iterable[frozenset[str]] = ()
+) -> tuple[Graph, dict[tuple[int, str], str]]:
     """Disjoint union of the parts, then merge each identification group.
 
     Part i is relabeled by appending ``#i`` to every vertex first; the
     identification groups refer to these relabeled names.  Each group is
     merged to a single vertex (its lexicographically smallest member)
     inheriting all incident edges.  Groups must be pairwise disjoint.
-    Accidental parallel edges are collapsed with a warning.
+    Accidental parallel edges are collapsed with a warning.  Returns the
+    union and the map (part index, old label) -> final label.
     """
-    return relabeled_union(parts, identify)[0]
-
-
-def relabeled_union(
-        parts: list[Graph],
-        identify: Iterable[frozenset[str]] = ()
-) -> tuple[Graph, dict[tuple[int, str], str]]:
-    """Union as above, plus the map (part index, old label) -> final label."""
     if not parts:
         raise GraphError("need at least one part")
     vertices: set[str] = set()
@@ -351,19 +360,21 @@ def relabeled_union(
 
 def connected_components(g: Graph) -> list[Graph]:
     """Induced connected components, sorted by smallest vertex label."""
-    adj = g.adjacency()
     unseen = set(g.vertices)
     comps = []
     while unseen:
-        start = min(unseen)
-        comp = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
+        comp = g._reach(min(unseen))
         unseen -= comp
         comps.append(g.induced(comp))
-    comps.sort(key=lambda c: min(c.vertices))
     return comps
+
+
+def contract_edge(g: Graph, e: Edge) -> Graph:
+    """Contract edge e: its larger endpoint merges into the smaller one,
+    which takes over the other's neighbours; the edge itself is dropped."""
+    u, v = edge(*e)
+    if (u, v) not in g.edges:
+        raise GraphError(f"cannot contract absent edge {e!r}")
+    es = {x for x in g.edges if v not in x}
+    es.update(edge(u, w) for w in g.neighbors(v) if w != u)
+    return Graph(g.vertices - {v}, frozenset(es))

@@ -20,7 +20,8 @@ from math import comb
 from time import perf_counter
 from typing import Iterable, Iterator, Mapping
 
-from .graph import Edge, Graph, GraphError, delete_edges, edge
+from .graph import (Edge, Graph, GraphError, contract_edge, delete_edges,
+                    edge)
 from .decompose import MinorPredicate, branch_vertices
 from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, EmbeddingConstraints,
                     MinorEmbedding, NodeCounter, SearchResult, SearchStatus,
@@ -438,15 +439,13 @@ def check_generic_counterexample(anchor: Graph, spec: CoreSpec,
     details: dict = {"pattern": graph_json(anchor),
                      "core_vertices": len(spec.core.vertices),
                      "packing_bound": spec.k, "packing_found": pack.count}
-    if pack.count >= spec.k:
+    refuted = pack.count >= spec.k
+    if refuted:
         details["packing_witness"] = [_sorted_footprint(fp)
                                       for fp in pack.witness]
-        return Report("generic-counterexample", Outcome.REFUTED, details,
-                      {"nodes": pack.nodes, "subsets_checked": 0,
-                       "subsets_planned": 0, "searches": 0},
-                      perf_counter() - t0)
-    if not pack.exact:
-        return Report("generic-counterexample", Outcome.BUDGET, details,
+    if refuted or not pack.exact:
+        return Report("generic-counterexample",
+                      Outcome.REFUTED if refuted else Outcome.BUDGET, details,
                       {"nodes": pack.nodes, "subsets_checked": 0,
                        "subsets_planned": 0, "searches": 0},
                       perf_counter() - t0)
@@ -541,19 +540,6 @@ def check_branch_count(g: Graph, ctx: Graph, r: int) -> Report:
                   perf_counter() - t0)
 
 
-def _contract_edge(g: Graph, e: Edge) -> Graph:
-    u, v = edge(*e)
-    if (u, v) not in g.edges:
-        raise GraphError(f"cannot contract absent edge {e!r}")
-    es = set()
-    for a, b in g.edges:
-        na = u if a == v else a
-        nb = u if b == v else b
-        if na != nb:
-            es.add(edge(na, nb))
-    return Graph(frozenset(g.vertices - {v}), frozenset(es))
-
-
 def check_hereditary_sampled(predicate: MinorPredicate,
                              corpus: list[Graph], trials: int = 100,
                              steps: int = 4,
@@ -594,7 +580,7 @@ def check_hereditary_sampled(predicate: MinorPredicate,
             else:
                 u, v = rng.choice(cur.sorted_edges())
                 ops.append(f"{kind} {u} {v}")
-                cur = (_contract_edge(cur, (u, v)) if kind == "contract-edge"
+                cur = (contract_edge(cur, (u, v)) if kind == "contract-edge"
                        else delete_edges(cur, [(u, v)]))
             if predicate.holds(cur):
                 details = {"predicate": predicate.name,

@@ -237,6 +237,19 @@ class TestQueries:
         code, _, err = run(capsys, "minor", TRI, K4, "--verify", str(empty))
         assert code == 65 and "no embedding" in err
 
+    @pytest.mark.parametrize("text", [
+        '[1]',
+        '{"branch_sets": [], "edge_images": []}',
+        '{"details": {"embedding": [1]}}',
+        '{"details": [1]}',
+    ])
+    def test_minor_verify_wrong_typed_witness(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "minor", TRI, K4, "--verify", str(bad))
+        assert code == 65 and out == ""
+        assert "error: malformed witness" in err
+
     def test_minor_verify_malformed_json(self, capsys, tmp_path):
         broken = tmp_path / "broken.json"
         broken.write_text("{nope")

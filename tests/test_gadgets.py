@@ -136,6 +136,16 @@ class TestLoadCoreSpec:
         with pytest.raises(ParseError):
             load_core_spec(text)
 
+    def test_errors_name_the_file_line(self):
+        # comment on line 1, blank line 2: the duplicate edge is on line 9
+        text = "# core\n\n3 3\na\nb\nc\na b\nb c\nb a\nk 4\nr 2\n"
+        assert text.splitlines()[8] == "b a"
+        with pytest.raises(ParseError, match="line 9: duplicate edge") as exc:
+            load_core_spec(text)
+        assert exc.value.line == 9
+        with pytest.raises(ParseError, match="line 12: unrecognized"):
+            load_core_spec(text.replace("b a", "a c") + "what now\n")
+
 
 class TestComponentAssembly:
     def test_two_part_host_frozen(self):

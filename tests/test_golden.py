@@ -1,0 +1,127 @@
+"""Byte-identity guard: CLI output against stored golden files.
+
+Each case runs ``minorbench.cli.main`` from the repository root with
+relative paths and compares its exit code, its stdout and every file it
+writes into the scratch directory (``{tmp}`` in the arguments) with the
+files under ``tests/golden/``.  Later cases read hosts and witnesses
+from the golden outputs of earlier ones, as the README tour does with
+``built.el`` and ``model.json``.
+
+After an intended output change, regenerate the files with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from minorbench.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path("tests/golden")
+
+SQ = "samples/square-with-tail.el"
+SQ_CTX = "samples/square-with-tail-context.el"
+TRI = "samples/triangle.el"
+K4 = "samples/k4.el"
+HOST2 = "samples/two-part-host.el"
+TWT = "samples/triangle-with-tail.el"
+CORE = "samples/complete-core.txt"
+RCORE = "samples/rooted-core.txt"
+BUILT = str(GOLDEN / "hstar1.out")
+BUILT2 = str(GOLDEN / "hstar2.out")
+
+# (golden name, expected exit code, argv); several cases may share a name
+CASES = [
+    # the README quick tour
+    ("blocks", 0, ["blocks", SQ]),
+    ("segments", 0, ["segments", SQ, "--ctx", SQ_CTX]),
+    ("gtimes", 0, ["gtimes", SQ, "--ctx", SQ_CTX, "-r", "3"]),
+    ("gtimes-branch-count", 0,
+     ["gtimes", SQ, "--ctx", SQ_CTX, "-r", "3", "--check-branch-count"]),
+    ("robust-ctx-r3", 0, ["robust", SQ, "--ctx", SQ_CTX, "-r", "3"]),
+    ("minor", 0, ["minor", TRI, K4]),
+    ("minor-verify", 0,
+     ["minor", TRI, K4, "--verify", str(GOLDEN / "minor.out")]),
+    ("hstar1", 0, ["hstar1", HOST2, CORE, "--anchor", "p", "-r", "2"]),
+    ("robust-hstar1", 0, ["robust", HOST2, "--host", BUILT, "-r", "2"]),
+    ("pack-hstar1", 0, ["pack", HOST2, BUILT, "--cap", "4"]),
+    ("gencheck-complete", 0, ["gencheck", K4, CORE]),
+    ("hstar2", 0, ["hstar2", TWT, RCORE, "--predicate", TRI, "-r", "2",
+                   "--trace", "{tmp}/trace.json"]),
+    ("robust-hstar2", 0,
+     ["robust", TWT, "--host", BUILT2, "-r", "2", "--roots", "s=s#1"]),
+    ("locality", 0, ["locality", TWT, BUILT2, "samples/anchor-triangle.el",
+                     "--region", "c1#0,c2#0,c3#0,c4#0,s#1"]),
+    # the same scan with one and two workers must print the same bytes
+    ("robust-ctx-r4", 0,
+     ["robust", SQ, "--ctx", SQ_CTX, "-r", "4", "--jobs", "1"]),
+    ("robust-ctx-r4", 0,
+     ["robust", SQ, "--ctx", SQ_CTX, "-r", "4", "--jobs", "2"]),
+    ("hit", 0, ["hit", TRI, K4]),
+    ("pack-k4", 0, ["pack", TRI, K4]),
+    ("gencheck-rooted", 0, ["gencheck", "samples/anchor-triangle.el", RCORE]),
+    ("hereditary", 0, ["hereditary", TRI, "samples/path3.el", K4, SQ,
+                       "--trials", "20"]),
+    # further graph and text outputs
+    ("components-json", 0, ["components", HOST2, "--format", "json"]),
+    ("blocks-json", 0, ["blocks", SQ, "--format", "json"]),
+    ("segments-json", 0,
+     ["segments", SQ, "--ctx", SQ_CTX, "--format", "json"]),
+    ("classify", 0, ["classify", HOST2]),
+    ("gtimes-dot", 0,
+     ["gtimes", SQ, "--ctx", SQ_CTX, "-r", "2", "--format", "dot"]),
+    ("hstar1-dot", 0, ["hstar1", HOST2, CORE, "--anchor", "p", "-r", "2",
+                       "--format", "dot"]),
+]
+
+
+def run_case(argv: list[str], tmp: Path) -> tuple[int, str, dict[str, str]]:
+    """Exit code, stdout and the files written under tmp, by name."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main([a.replace("{tmp}", str(tmp)) for a in argv])
+    files = {p.name: p.read_text(encoding="utf-8")
+             for p in sorted(tmp.iterdir())}
+    return code, out.getvalue(), files
+
+
+@pytest.mark.parametrize(
+    "name,code,argv", CASES,
+    ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(CASES)])
+def test_output_matches_golden(name, code, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    got_code, out, files = run_case(argv, tmp_path)
+    assert got_code == code
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    for fname, text in files.items():
+        assert text == (GOLDEN / f"{name}.{fname}").read_text(encoding="utf-8")
+
+
+def regenerate() -> None:
+    os.chdir(ROOT)
+    GOLDEN.mkdir(exist_ok=True)
+    written: dict[str, str] = {}
+    for name, code, argv in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            got_code, out, files = run_case(argv, Path(tmp))
+        if got_code != code:
+            sys.exit(f"{name}: exit code {got_code}, expected {code}")
+        if written.setdefault(name, out) != out:
+            sys.exit(f"{name}: cases sharing this name print different bytes")
+        (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
+        for fname, text in files.items():
+            (GOLDEN / f"{name}.{fname}").write_text(text, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -1,6 +1,7 @@
 """Core graph type, formats, and combining operations."""
 
 import logging
+import pickle
 import random
 
 import pytest
@@ -8,9 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from minorbench import (Graph, GraphError, ParseError, connected_components,
-                        delete_edges, disjoint_union_with_identifications,
-                        edge, parse_graph, parse_graph6, relabeled_union,
-                        serialize)
+                        contract_edge, delete_edges, edge, parse_graph,
+                        parse_graph6, relabeled_union, serialize)
 from helpers import complete, cycle_graph, path_graph, random_graph
 
 PROPERTY = settings(max_examples=60, deadline=None,
@@ -84,6 +84,77 @@ class TestGraph:
         assert Graph.build("a", []).is_connected()
 
 
+def scan_neighbors(g: Graph, v: str) -> set[str]:
+    """Neighbours of v by a scan over every edge."""
+    return {w for e in g.edges if v in e for w in e if w != v}
+
+
+class TestAdjacency:
+    @PROPERTY
+    @given(small_graphs())
+    def test_matches_edge_scan(self, g):
+        adj = g.adjacency()
+        assert set(adj) == g.vertices
+        for v in g.vertices:
+            assert adj[v] == scan_neighbors(g, v)
+            assert g.neighbors(v) == scan_neighbors(g, v)
+            assert g.degree(v) == sum(1 for e in g.edges if v in e)
+
+    def test_unknown_vertex_rejected(self):
+        with pytest.raises(GraphError):
+            path_graph("abc").neighbors("z")
+
+    def test_neighbour_sets_are_frozen(self):
+        g = path_graph("abc")
+        assert all(type(ns) is frozenset for ns in g.adjacency().values())
+        assert type(g.neighbors("b")) is frozenset
+        with pytest.raises(AttributeError):
+            g.neighbors("b").add("z")
+        assert g.adjacency()["b"] == {"a", "c"}
+
+    def test_built_once_per_graph(self):
+        g = cycle_graph("abcd")
+        assert g.adjacency() is g.adjacency()
+
+    def test_cache_is_not_part_of_equality(self):
+        g = complete("abc")
+        g.adjacency()
+        assert g == complete("abc") and hash(g) == hash(complete("abc"))
+
+    def test_pickle_round_trip(self):
+        g = Graph(frozenset("abc"), frozenset([("a", "b"), ("b", "c")]),
+                  {"a": "x", "b": "y", "c": "z"})
+        fresh = pickle.loads(pickle.dumps(g))
+        assert fresh == g and fresh.adjacency() == g.adjacency()
+        cached = pickle.loads(pickle.dumps(g))
+        assert cached == g and cached.adjacency() == g.adjacency()
+        assert cached.provenance == g.provenance
+
+
+class TestContractEdge:
+    def test_merges_neighbourhoods(self):
+        g = Graph.build([], [("a", "b"), ("a", "c"), ("b", "c"), ("b", "d")])
+        out = contract_edge(g, ("b", "a"))
+        assert out.vertices == {"a", "c", "d"}
+        assert out.edges == {("a", "c"), ("a", "d")}
+        assert out.neighbors("a") == {"c", "d"}
+
+    def test_absent_edge_rejected(self):
+        with pytest.raises(GraphError):
+            contract_edge(path_graph("abc"), ("a", "c"))
+
+    @PROPERTY
+    @given(small_graphs())
+    def test_matches_relabeling(self, g):
+        for u, v in g.sorted_edges():
+            out = contract_edge(g, (v, u))
+            merge = {v: u}
+            expect = {edge(merge.get(a, a), merge.get(b, b))
+                      for a, b in g.edges if (a, b) != (u, v)}
+            assert out.vertices == g.vertices - {v}
+            assert out.edges == expect
+
+
 class TestParse:
     def test_round_trip_fixed(self):
         g = cycle_graph("abcd")
@@ -105,6 +176,10 @@ class TestParse:
     def test_errors_carry_line_numbers(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_graph("2 1\na\na\na b\n")
+
+    def test_trailing_line_is_named(self):
+        with pytest.raises(ParseError, match="line 4: unexpected line"):
+            parse_graph("1 0\na\n\nb\n")
 
     @pytest.mark.parametrize("text", [
         "",
@@ -168,41 +243,41 @@ class TestOperations:
 
     def test_union_relabels_apart(self):
         g = Graph.build("ab", [("a", "b")])
-        out = disjoint_union_with_identifications([g, g])
+        out = relabeled_union([g, g])[0]
         assert out.vertices == {"a#0", "b#0", "a#1", "b#1"}
         assert len(out.edges) == 2
 
     def test_union_identifies_to_min_label(self):
         g = Graph.build("ab", [("a", "b")])
-        out = disjoint_union_with_identifications(
-            [g, g], [frozenset({"b#0", "b#1"})])
+        out = relabeled_union(
+            [g, g], [frozenset({"b#0", "b#1"})])[0]
         assert "b#0" in out.vertices and "b#1" not in out.vertices
         assert out.degree("b#0") == 2
 
     def test_union_rejects_unknown_member(self):
         g = Graph.build("ab", [("a", "b")])
         with pytest.raises(GraphError):
-            disjoint_union_with_identifications([g], [frozenset({"a#0", "z#9"})])
+            relabeled_union([g], [frozenset({"a#0", "z#9"})])[0]
 
     def test_union_rejects_overlapping_groups(self):
         g = Graph.build("abc", [("a", "b"), ("b", "c")])
         with pytest.raises(GraphError):
-            disjoint_union_with_identifications(
+            relabeled_union(
                 [g, g],
-                [frozenset({"a#0", "a#1"}), frozenset({"a#0", "b#1"})])
+                [frozenset({"a#0", "a#1"}), frozenset({"a#0", "b#1"})])[0]
 
     def test_union_rejects_collapsing_edge_to_loop(self):
         g = Graph.build("ab", [("a", "b")])
         with pytest.raises(GraphError):
-            disjoint_union_with_identifications(
-                [g], [frozenset({"a#0", "b#0"})])
+            relabeled_union(
+                [g], [frozenset({"a#0", "b#0"})])[0]
 
     def test_union_warns_on_parallel_collapse(self, caplog):
         g = Graph.build("ab", [("a", "b")])
         with caplog.at_level(logging.WARNING, logger="minorbench"):
-            out = disjoint_union_with_identifications(
+            out = relabeled_union(
                 [g, g],
-                [frozenset({"a#0", "a#1"}), frozenset({"b#0", "b#1"})])
+                [frozenset({"a#0", "a#1"}), frozenset({"b#0", "b#1"})])[0]
         assert len(out.edges) == 1
         assert any("parallel" in r.getMessage() for r in caplog.records)
 
@@ -216,15 +291,15 @@ class TestOperations:
     def test_union_merges_provenance_tags(self):
         g1 = Graph(frozenset("a"), frozenset(), {"a": "core:a"})
         g2 = Graph(frozenset("a"), frozenset(), {"a": "copy0:a"})
-        out = disjoint_union_with_identifications(
-            [g1, g2], [frozenset({"a#0", "a#1"})])
+        out = relabeled_union(
+            [g1, g2], [frozenset({"a#0", "a#1"})])[0]
         (v,) = out.vertices
         assert out.provenance[v] == "copy0:a&core:a"
 
     @PROPERTY
     @given(small_graphs(), small_graphs())
     def test_union_counts(self, g1, g2):
-        out = disjoint_union_with_identifications([g1, g2])
+        out = relabeled_union([g1, g2])[0]
         assert len(out.vertices) == len(g1.vertices) + len(g2.vertices)
         assert len(out.edges) == len(g1.edges) + len(g2.edges)
 
