@@ -20,17 +20,16 @@ from .graph import (Graph, GraphError, connected_components, parse_graph,
                     parse_graph6, serialize)
 from .decompose import (MinorPredicate, block_cut_tree, branch_vertices,
                         classify_shape, segment_decomposition)
-from .embed import (MinorEmbedding, SearchStatus, find_expansion,
-                    verify_embedding)
+from .embed import MinorEmbedding, find_expansion, verify_embedding
 from .gadgets import (assemble_block_counterexample,
                       assemble_component_counterexample, load_core_spec,
                       segment_blowup)
-from .verify import (DEFAULT_SEED, Budget, Outcome, Report, canonical_json,
-                     check_assembly_robustness, check_branch_count,
-                     check_expansion_locality, check_gadget_robustness,
-                     check_generic_counterexample, check_hereditary_sampled,
-                     graph_json, max_edge_disjoint_packing,
-                     min_edge_hitting_set)
+from .verify import (_OUTCOME, DEFAULT_SEED, Budget, Outcome, Report,
+                     canonical_json, check_assembly_robustness,
+                     check_branch_count, check_expansion_locality,
+                     check_gadget_robustness, check_generic_counterexample,
+                     check_hereditary_sampled, graph_json,
+                     max_edge_disjoint_packing, min_edge_hitting_set)
 
 USAGE_EXIT = 64
 DATA_EXIT = 65
@@ -271,13 +270,11 @@ def cmd_minor(args) -> int:
                      perf_counter() - t0)
         return _emit_report(rep, args)
     res = find_expansion(h, g, node_budget=args.budget.nodes)
-    outcome = {SearchStatus.FOUND: Outcome.HOLDS,
-               SearchStatus.NONE: Outcome.REFUTED,
-               SearchStatus.BUDGET: Outcome.BUDGET}[res.status]
     details: dict = {"pattern": graph_json(h), "host_vertices": len(g.vertices)}
     if res.embedding is not None:
         details["embedding"] = res.embedding.to_json_obj()
-    rep = Report("minor-test", outcome, details, {"nodes": res.nodes},
+    rep = Report("minor-test", _OUTCOME[res.status], details,
+                 {"nodes": res.nodes},
                  perf_counter() - t0)
     return _emit_report(rep, args)
 

@@ -71,23 +71,24 @@ class MinorEmbedding:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "MinorEmbedding":
-        bs = {u: frozenset(vs) for u, vs in obj["branch_sets"].items()}
-        ei = {(he[0], he[1]): (ge[0], ge[1]) for he, ge in obj["edge_images"]}
+        """Inverse of to_json_obj; either endpoint order is accepted."""
+        bs = {}
+        for u, vs in obj["branch_sets"].items():
+            if not isinstance(vs, list):
+                raise TypeError(f"branch set of {u!r} is not a list")
+            bs[u] = frozenset(vs)
+        ei = {}
+        for (a, b), (x, y) in obj["edge_images"]:
+            ei[edge(a, b)] = edge(x, y)
         return MinorEmbedding(bs, ei)
 
 
 @dataclass(frozen=True)
 class EmbeddingConstraints:
-    """Optional restrictions on where branch sets may live.
-
-    must_contain pins a host vertex into a pattern vertex's branch set;
-    allowed_region confines a branch set; forbidden_region excludes
-    host vertices from it.
-    """
+    """Root pins: must_contain puts a host vertex into a pattern
+    vertex's branch set."""
 
     must_contain: Mapping[str, str] = field(default_factory=dict)
-    allowed_region: Mapping[str, frozenset[str]] = field(default_factory=dict)
-    forbidden_region: Mapping[str, frozenset[str]] = field(default_factory=dict)
 
 
 class SearchStatus(enum.Enum):
@@ -109,13 +110,6 @@ def _check_constraints(h: Graph, g: Graph, c: EmbeddingConstraints):
             raise GraphError(f"constraint on unknown pattern vertex {u!r}")
         if c.must_contain[u] not in g.vertices:
             raise GraphError(f"constraint pins unknown host vertex {c.must_contain[u]!r}")
-    for m in (c.allowed_region, c.forbidden_region):
-        for u, region in m.items():
-            if u not in h.vertices:
-                raise GraphError(f"constraint on unknown pattern vertex {u!r}")
-            unknown = set(region) - g.vertices
-            if unknown:
-                raise GraphError(f"constraint region outside host: {sorted(unknown)!r}")
 
 
 def _connected_sets_from(root: str, allowed: frozenset[str],
@@ -161,16 +155,6 @@ def enumerate_expansions(h: Graph, g: Graph,
     adj = g.adjacency()
     h_adj = h.adjacency()
     order = sorted(h.vertices, key=lambda u: (-len(h_adj[u]), u))
-    pos = {u: i for i, u in enumerate(order)}
-
-    allowed: dict[str, frozenset[str]] = {}
-    for u in order:
-        region = frozenset(c.allowed_region.get(u, g.vertices))
-        region -= frozenset(c.forbidden_region.get(u, frozenset()))
-        must = c.must_contain.get(u)
-        if must is not None and must not in region:
-            return  # pinned vertex outside its own region: unsatisfiable
-        allowed[u] = region
 
     placed: dict[str, frozenset[str]] = {}
     used: set[str] = set()
@@ -205,9 +189,6 @@ def enumerate_expansions(h: Graph, g: Graph,
             reach -= B
             if len(reach) < len(unplaced):
                 return False
-            for w in unplaced:
-                if not (reach & allowed[w]):
-                    return False
         return True
 
     def candidates(u: str, free: frozenset[str], max_size: int
@@ -237,7 +218,7 @@ def enumerate_expansions(h: Graph, g: Graph,
         max_size = ng - len(used) - (nh - i - 1)
         if max_size < 1:
             return
-        free = allowed[u] - frozenset(used)
+        free = g.vertices - used
         for B in candidates(u, free, max_size):
             counter.spend()
             if not candidate_ok(u, B):
@@ -433,8 +414,7 @@ def _spanning_trees(vs: frozenset[str], g: Graph) -> list[frozenset[Edge]]:
     return out
 
 
-def iter_expansion_footprints(h: Graph, g: Graph, counter: NodeCounter,
-                              constraints: EmbeddingConstraints | None = None
+def iter_expansion_footprints(h: Graph, g: Graph, counter: NodeCounter
                               ) -> Iterator[tuple[MinorEmbedding, frozenset[Edge]]]:
     """Yield (model, edge footprint) for every minimal expansion subgraph.
 
@@ -443,7 +423,7 @@ def iter_expansion_footprints(h: Graph, g: Graph, counter: NodeCounter,
     h minor contains one of these.  Footprints are deduplicated.
     """
     seen: set[frozenset[Edge]] = set()
-    for emb in enumerate_expansions(h, g, constraints, counter):
+    for emb in enumerate_expansions(h, g, None, counter):
         hverts = sorted(emb.branch_sets)
         tree_choices = [_spanning_trees(emb.branch_sets[u], g) for u in hverts]
         hedges = h.sorted_edges()

@@ -106,8 +106,7 @@ def load_core_spec(text: str) -> CoreSpec:
     """
     core, rest = _parse_edge_block(text)
     roots: dict[str, str] = {}
-    k: int | None = None
-    r: int | None = None
+    params: dict[str, int] = {}
     for lineno, ln in rest:
         toks = ln.split()
         if toks[0] == "root":
@@ -119,15 +118,15 @@ def load_core_spec(text: str) -> CoreSpec:
             if t not in core.vertices:
                 raise ParseError(f"dangling root target {t!r}", lineno)
             roots[s] = t
-        elif toks[0] == "k" and len(toks) == 2 and toks[1].isdigit():
-            k = int(toks[1])
-        elif toks[0] == "r" and len(toks) == 2 and toks[1].isdigit():
-            r = int(toks[1])
+        elif toks[0] in ("k", "r") and len(toks) == 2 and toks[1].isdigit():
+            if toks[0] in params:
+                raise ParseError(f"duplicate {toks[0]!r} line", lineno)
+            params[toks[0]] = int(toks[1])
         else:
             raise ParseError(f"unrecognized spec line {ln!r}", lineno)
-    if k is None or r is None:
+    if len(params) < 2:
         raise ParseError("spec must define both k and r")
-    return CoreSpec(core, roots, k, r)
+    return CoreSpec(core, roots, params["k"], params["r"])
 
 
 def _with_tag(g: Graph, prefix: str) -> Graph:

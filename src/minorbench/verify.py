@@ -12,10 +12,9 @@ import enum
 import json
 import random
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb
 from time import perf_counter
 from typing import Iterable, Iterator, Mapping
@@ -24,7 +23,7 @@ from .graph import (Edge, Graph, GraphError, contract_edge, delete_edges,
                     edge)
 from .decompose import MinorPredicate, branch_vertices
 from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, EmbeddingConstraints,
-                    MinorEmbedding, NodeCounter, SearchResult, SearchStatus,
+                    MinorEmbedding, NodeCounter, SearchStatus,
                     _check_constraints, find_expansion,
                     iter_expansion_footprints)
 from .gadgets import CoreSpec, segment_blowup
@@ -59,6 +58,9 @@ class Outcome(enum.Enum):
 
 
 _EXIT = {Outcome.HOLDS: 0, Outcome.REFUTED: 1, Outcome.BUDGET: 2}
+_OUTCOME = {SearchStatus.FOUND: Outcome.HOLDS,
+            SearchStatus.NONE: Outcome.REFUTED,
+            SearchStatus.BUDGET: Outcome.BUDGET}
 
 
 def canonical_json(obj) -> str:
@@ -194,8 +196,8 @@ def min_edge_hitting_set(pattern: Graph, host: Graph,
     """Minimum edge set whose deletion destroys every pattern expansion.
 
     Subset sizes are tried in increasing order, subsets of each size in
-    label order, so the witness is canonical.  A subset missing the
-    footprint of an earlier model keeps it, so it needs no search.
+    label order, so the witness is canonical.  The models found are
+    reused for the whole run.
     """
     if not pattern.edges:
         raise GraphError("hitting needs a pattern with at least one edge")
@@ -203,23 +205,15 @@ def min_edge_hitting_set(pattern: Graph, host: Graph,
     m = len(host.edges)
     top = m if bound is None else min(bound, m)
     edges_sorted = host.sorted_edges()
-    known: list[frozenset[Edge]] = []
-    nodes = 0
-    checked = 0
-    for s in range(top + 1):
-        for X in combinations(edges_sorted, s):
-            if checked >= budget.subsets:
-                return HitResult(None, None, False, nodes, checked)
-            checked += 1
-            res = _probe(pattern, host, X, None, budget.nodes, known)
-            if res is None:
-                continue
-            nodes += res.nodes
-            if res.status is SearchStatus.NONE:
-                return HitResult(s, tuple(X), True, nodes, checked)
-            if res.status is SearchStatus.BUDGET:
-                return HitResult(None, None, False, nodes, checked)
-    return HitResult(None, None, True, nodes, checked)
+    subsets = chain.from_iterable(combinations(edges_sorted, s)
+                                  for s in range(top + 1))
+    checked, _, nodes, X, status = _probe_sets(
+        pattern, host, None, budget.nodes, islice(subsets, budget.subsets),
+        [])
+    if status is SearchStatus.NONE:
+        return HitResult(len(X), X, True, nodes, checked)
+    exact = status is SearchStatus.FOUND and next(subsets, None) is None
+    return HitResult(None, None, exact, nodes, checked)
 
 
 # -- deletion scans ----------------------------------------------------------
@@ -240,65 +234,57 @@ def _footprint(g: Graph, emb: MinorEmbedding) -> frozenset[Edge]:
     return frozenset(out)
 
 
-def _probe(pattern: Graph, host: Graph, X: tuple[Edge, ...],
-           constraints: EmbeddingConstraints | None,
-           node_budget: int | None, known: list[frozenset[Edge]]
-           ) -> SearchResult | None:
-    """Search host - X, or None when X misses a known footprint, whose
-    model then survives.  A model found adds its footprint to known."""
-    if any(fp.isdisjoint(X) for fp in known):
-        return None
-    g = delete_edges(host, X)
-    res = find_expansion(pattern, g, constraints, node_budget=node_budget)
-    if res.status is SearchStatus.FOUND:
-        known.append(_footprint(g, res.embedding))
-    return res
+def _probe_sets(pattern: Graph, host: Graph,
+                constraints: EmbeddingConstraints | None,
+                node_budget: int | None, sets: Iterable[tuple[Edge, ...]],
+                known: list[frozenset[Edge]]
+                ) -> tuple[int, int, int, tuple[Edge, ...] | None,
+                           SearchStatus]:
+    """Decide whether host - X keeps a pattern model for each X in sets,
+    in order, stopping at the first X without one.
 
-
-def _probe_chunk(args) -> list[tuple[str, int, bool]]:
-    """(status, nodes, searched) per deletion set of one block, up to
-    the first set without a model.  Footprints are kept for the block
-    only, so the searches made do not depend on the worker count."""
-    pattern, host, constraints, node_budget, block = args
-    known: list[frozenset[Edge]] = []
-    out = []
-    for X in block:
-        res = _probe(pattern, host, X, constraints, node_budget, known)
-        out.append((SearchStatus.FOUND.value, 0, False) if res is None
-                   else (res.status.value, res.nodes, True))
-        if out[-1][0] != SearchStatus.FOUND.value:
+    Returns (sets decided, searches, nodes, last set, its status).  An X
+    that misses a known footprint keeps that model, so it needs no
+    search; every model found adds its footprint to known.
+    """
+    decided = searches = nodes = 0
+    X = None
+    status = SearchStatus.FOUND
+    for X in sets:
+        decided += 1
+        if any(fp.isdisjoint(X) for fp in known):
+            continue
+        g = delete_edges(host, X)
+        res = find_expansion(pattern, g, constraints, node_budget=node_budget)
+        searches += 1
+        nodes += res.nodes
+        status = res.status
+        if status is not SearchStatus.FOUND:
             break
-    return out
+        known.append(_footprint(g, res.embedding))
+    return decided, searches, nodes, X, status
 
 
-def _chunks(it: Iterator, size: int) -> Iterator[list]:
-    while True:
-        block = list(islice(it, size))
-        if not block:
-            return
-        yield block
-
-
-def _decided(args: tuple, blocks: Iterator[list], jobs: int
-             ) -> Iterator[tuple[list, list]]:
-    """(block, _probe_chunk results) in scan order, computed here for
-    one job or by jobs worker processes, a few blocks ahead."""
+def _decided(args: tuple, blocks: Iterator[list], jobs: int) -> Iterator:
+    """_probe_sets of each block with its own footprints, in scan order,
+    computed here for one job or by jobs worker processes, a few blocks
+    ahead.  The searches made do not depend on the worker count."""
     if jobs == 1:
-        yield from ((b, _probe_chunk(args + (b,))) for b in blocks)
+        yield from (_probe_sets(*args, b, []) for b in blocks)
         return
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as ex:
-        pending = deque((b, ex.submit(_probe_chunk, args + (b,)))
+        pending = deque(ex.submit(_probe_sets, *args, b, [])
                         for b in islice(blocks, jobs * 2))
         try:
             while pending:
-                block, fut = pending.popleft()
+                fut = pending.popleft()
                 nxt = next(blocks, None)
                 if nxt is not None:
-                    pending.append((nxt, ex.submit(_probe_chunk,
-                                                   args + (nxt,))))
-                yield block, fut.result()
+                    pending.append(ex.submit(_probe_sets, *args, nxt, []))
+                yield fut.result()
         finally:
-            for _, fut in pending:
+            for fut in pending:
                 fut.cancel()
 
 
@@ -347,36 +333,25 @@ def _scan_deletions(check: str, pattern: Graph, host: Graph, r: int,
         details["roots"] = {u: v for u, v in
                             sorted(constraints.must_contain.items())}
 
-    checked = 0
-    searches = 0
-    nodes = 0
-    outcome = Outcome.HOLDS
-    witness: tuple[Edge, ...] | None = None
-    stopped: tuple[Edge, ...] | None = None
-
+    checked = searches = nodes = 0
+    status = SearchStatus.FOUND
     args = (pattern, host, constraints, budget.nodes)
-    with closing(_decided(args, _chunks(subsets, _CHUNK), jobs)) as decided:
-        for block, out in decided:
-            for X, (status, spent, searched) in zip(block, out):
-                checked += 1
-                searches += searched
-                nodes += spent
-                if status == SearchStatus.NONE.value:
-                    outcome = Outcome.REFUTED
-                    witness = X
-                elif status != SearchStatus.FOUND.value:
-                    outcome = Outcome.BUDGET
-                    stopped = X
-            if outcome is not Outcome.HOLDS:
+    # blocks of _CHUNK sets, until islice comes back empty
+    blocks = iter(lambda: list(islice(subsets, _CHUNK)), [])
+    with closing(_decided(args, blocks, jobs)) as decided:
+        for n_sets, n_searches, spent, X, status in decided:
+            checked += n_sets
+            searches += n_searches
+            nodes += spent
+            if status is not SearchStatus.FOUND:
+                key = ("witness_deletion" if status is SearchStatus.NONE
+                       else "stopped_at")
+                details[key] = [[u, v] for u, v in X]
                 break
-
-    if outcome is Outcome.REFUTED:
-        details["witness_deletion"] = [[u, v] for u, v in witness]
-    if outcome is Outcome.BUDGET:
-        details["stopped_at"] = [[u, v] for u, v in stopped]
     stats = {"subsets_checked": checked, "subsets_planned": planned,
              "searches": searches, "nodes": nodes}
-    return Report(check, outcome, details, stats, perf_counter() - t0)
+    return Report(check, _OUTCOME[status], details, stats,
+                  perf_counter() - t0)
 
 
 # -- the named checks --------------------------------------------------------

@@ -250,6 +250,32 @@ class TestQueries:
         assert code == 65 and out == ""
         assert "error: malformed witness" in err
 
+    WITNESS = {"branch_sets": {"x": ["p"], "y": ["q"], "z": ["s"]},
+               "edge_images": [[["x", "y"], ["p", "q"]],
+                               [["x", "z"], ["p", "s"]],
+                               [["y", "z"], ["q", "s"]]]}
+
+    def test_minor_verify_accepts_reversed_endpoints(self, capsys, tmp_path):
+        emb = dict(self.WITNESS,
+                   edge_images=[[["y", "x"], ["q", "p"]]]
+                   + self.WITNESS["edge_images"][1:])
+        wit = tmp_path / "wit.json"
+        wit.write_text(json.dumps(emb))
+        code, obj, _ = run_json(capsys, "minor", TRI, K4,
+                                "--verify", str(wit))
+        assert code == 0 and obj["outcome"] == "holds"
+
+    @pytest.mark.parametrize("change", [
+        {"edge_images": [[["x"], ["p", "q"]]]},
+        {"branch_sets": {"x": "pq", "y": ["s"], "z": ["t"]}},
+    ])
+    def test_minor_verify_misshapen_witness(self, capsys, tmp_path, change):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(self.WITNESS, **change)))
+        code, out, err = run(capsys, "minor", TRI, K4, "--verify", str(bad))
+        assert code == 65 and out == ""
+        assert "error: malformed witness" in err
+
     def test_minor_verify_malformed_json(self, capsys, tmp_path):
         broken = tmp_path / "broken.json"
         broken.write_text("{nope")
@@ -400,6 +426,16 @@ class TestTopLevel:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == "Cycle\n"
+
+    def test_import_loads_no_process_pool(self):
+        # worker processes are set up only when a scan asks for them
+        code = ("import sys, minorbench.cli; print([m for m in "
+                "('multiprocessing', 'concurrent.futures.process') "
+                "if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_console_script(self, tmp_path):
         # Run the command declared in this checkout's pyproject.toml through

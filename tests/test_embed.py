@@ -99,34 +99,12 @@ class TestConstraints:
         assert res.status is SearchStatus.FOUND
         assert "p" in res.embedding.branch_sets["x"]
 
-    def test_allowed_region_too_small(self):
-        h, g = complete("xyz"), complete("pqst")
-        c = EmbeddingConstraints(allowed_region={
-            u: frozenset("pq") for u in "xyz"})
-        assert find_expansion(h, g, c).status is SearchStatus.NONE
-
-    def test_forbidden_region_steers_placement(self):
-        h, g = complete("xyz"), complete("pqst")
-        c = EmbeddingConstraints(forbidden_region={"x": frozenset("pqs")})
-        res = find_expansion(h, g, c)
-        assert res.status is SearchStatus.FOUND
-        assert res.embedding.branch_sets["x"] == {"t"}
-
-    def test_pin_inside_forbidden_region_unsatisfiable(self):
-        h, g = complete("xyz"), complete("pqst")
-        c = EmbeddingConstraints(must_contain={"x": "p"},
-                                 forbidden_region={"x": frozenset("p")})
-        assert find_expansion(h, g, c).status is SearchStatus.NONE
-
     def test_rejects_unknown_names(self):
         h, g = complete("xy"), complete("pq")
         with pytest.raises(GraphError):
             find_expansion(h, g, EmbeddingConstraints(must_contain={"zz": "p"}))
         with pytest.raises(GraphError):
             find_expansion(h, g, EmbeddingConstraints(must_contain={"x": "zz"}))
-        with pytest.raises(GraphError):
-            find_expansion(h, g, EmbeddingConstraints(
-                allowed_region={"x": frozenset(["zz"])}))
 
 
 class TestVerifyEmbedding:

@@ -146,6 +146,14 @@ class TestLoadCoreSpec:
         with pytest.raises(ParseError, match="line 12: unrecognized"):
             load_core_spec(text.replace("b a", "a c") + "what now\n")
 
+    @pytest.mark.parametrize("key", ["k", "r"])
+    def test_rejects_a_repeated_parameter(self, key):
+        text = "2 1\na\nb\na b\nk 4\nr 2\n" + f"{key} 9\n"
+        with pytest.raises(ParseError,
+                           match=f"line 7: duplicate '{key}' line") as exc:
+            load_core_spec(text)
+        assert exc.value.line == 7
+
 
 class TestComponentAssembly:
     def test_two_part_host_frozen(self):

@@ -113,6 +113,27 @@ class TestHitting:
                                    budget=Budget(subsets=2))
         assert res.size is None and not res.exact
 
+    @pytest.mark.parametrize("subsets, exact", [(7, True), (6, False)])
+    def test_subset_budget_boundary_with_bound(self, subsets, exact):
+        # bound 1 leaves 1 + 6 subsets, every one keeping a triangle
+        res = min_edge_hitting_set(complete("xyz"), complete("pqst"),
+                                   bound=1, budget=Budget(subsets=subsets))
+        assert res.size is None and res.exact is exact
+        assert res.subsets == subsets
+
+    @pytest.mark.parametrize("subsets, exact", [(24, True), (23, False)])
+    def test_subset_budget_boundary_at_the_answer(self, subsets, exact):
+        # the witness is subset 1 + 6 + 15 + 2 = 24
+        res = min_edge_hitting_set(complete("xyz"), complete("pqst"),
+                                   budget=Budget(subsets=subsets))
+        assert res.exact is exact
+        assert res.subsets == subsets
+        if exact:
+            assert res.size == 3
+            assert res.hitting_edges == (("p", "q"), ("p", "s"), ("q", "s"))
+        else:
+            assert res.size is None and res.hitting_edges is None
+
     def test_deterministic(self):
         a = min_edge_hitting_set(complete("xyz"), complete("pqst"))
         b = min_edge_hitting_set(complete("xyz"), complete("pqst"))
