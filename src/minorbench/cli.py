@@ -58,21 +58,15 @@ def _load_graph(path: str) -> Graph:
 
 
 def _parse_budget(text: str) -> Budget:
-    parts = text.split(":")
-    if not 1 <= len(parts) <= 3:
-        raise argparse.ArgumentTypeError(
-            "budget is NODES[:SUBSETS[:TRIALS]]")
     try:
-        nums = [int(p) for p in parts]
+        nums = [int(p) for p in text.split(":")]
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            "budget is NODES[:SUBSETS[:TRIALS]]") from None
+        nums = []
+    if not 1 <= len(nums) <= 2:
+        raise argparse.ArgumentTypeError("budget is NODES[:SUBSETS]")
     if any(n < 1 for n in nums):
         raise argparse.ArgumentTypeError("budget parts must be positive")
-    base = Budget()
-    return Budget(nums[0],
-                  nums[1] if len(nums) > 1 else base.subsets,
-                  nums[2] if len(nums) > 2 else base.trials)
+    return Budget(*nums)
 
 
 def _int_at_least(low: int):
@@ -137,10 +131,6 @@ def _emit_graph(g: Graph, args) -> int:
     fmt = getattr(args, "format", None) or "edge-list"
     _write_out(serialize(g, fmt), args)
     return 0
-
-
-def _print_seed(args) -> None:
-    print(f"seed: {args.seed}", file=sys.stderr)
 
 
 # -- inspection commands -----------------------------------------------------
@@ -317,7 +307,6 @@ def cmd_hit(args) -> int:
 # -- verification commands ---------------------------------------------------
 
 def cmd_robust(args) -> int:
-    _print_seed(args)
     if args.gadget and not args.ctx:
         raise GraphError("--gadget only applies together with --ctx")
     if args.roots and not args.host:
@@ -326,15 +315,13 @@ def cmd_robust(args) -> int:
         g = _load_graph(args.file)
         ctx = _load_graph(args.ctx)
         gadget = _load_graph(args.gadget) if args.gadget else None
-        rep = check_gadget_robustness(g, ctx, args.r, args.budget, args.seed,
-                                      args.jobs, args.force_sample, gadget)
+        rep = check_gadget_robustness(g, ctx, args.r, args.budget, gadget)
     else:
         pattern = _load_graph(args.file)
         host = _load_graph(args.host)
         roots = _parse_roots(args.roots) if args.roots else None
         rep = check_assembly_robustness(pattern, host, args.r, roots,
-                                        args.budget, args.seed, args.jobs,
-                                        args.force_sample)
+                                        args.budget)
     return _emit_report(rep, args)
 
 
@@ -348,16 +335,14 @@ def cmd_locality(args) -> int:
 
 
 def cmd_gencheck(args) -> int:
-    _print_seed(args)
     anchor = _load_graph(args.anchor)
     spec = load_core_spec(_read_text(args.spec))
-    rep = check_generic_counterexample(anchor, spec, args.budget, args.seed,
-                                       args.jobs, args.force_sample)
+    rep = check_generic_counterexample(anchor, spec, args.budget)
     return _emit_report(rep, args)
 
 
 def cmd_hereditary(args) -> int:
-    _print_seed(args)
+    print(f"seed: {args.seed}", file=sys.stderr)
     target = _load_graph(args.target)
     corpus = [_load_graph(p) for p in args.corpus]
     pred = MinorPredicate(f"contains-minor:{args.target}", target)
@@ -370,18 +355,14 @@ def cmd_hereditary(args) -> int:
 
 def _add_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=_parse_budget, default=Budget(),
-                   metavar="NODES[:SUBSETS[:TRIALS]]",
-                   help="search-node / subset-scan / sample limits")
+                   metavar="NODES[:SUBSETS]",
+                   help="search nodes per query / deletion sets decided")
 
 
 def _add_scan_flags(p: argparse.ArgumentParser) -> None:
     _add_budget(p)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="sampling seed (default %(default)s)")
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help="parallel scan workers (default 1)")
-    p.add_argument("--force-sample", action="store_true",
-                   help="sample even when exhaustive scanning is feasible")
+                   help="accepted for compatibility; has no effect")
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:

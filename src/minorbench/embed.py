@@ -49,6 +49,10 @@ class NodeCounter:
             raise BudgetExceeded(self.nodes)
 
 
+def _is_pair(x) -> bool:
+    return isinstance(x, list) and len(x) == 2
+
+
 @dataclass(frozen=True)
 class MinorEmbedding:
     """Branch sets plus an injective pattern-edge to host-edge map."""
@@ -78,7 +82,11 @@ class MinorEmbedding:
                 raise TypeError(f"branch set of {u!r} is not a list")
             bs[u] = frozenset(vs)
         ei = {}
-        for (a, b), (x, y) in obj["edge_images"]:
+        for item in obj["edge_images"]:
+            if not (_is_pair(item) and all(map(_is_pair, item))):
+                raise TypeError(f"edge image {item!r} is not a pair of "
+                                f"two-label lists")
+            (a, b), (x, y) = item
             ei[edge(a, b)] = edge(x, y)
         return MinorEmbedding(bs, ei)
 

@@ -3,7 +3,7 @@
 Every check returns a Report whose canonical JSON form is deterministic:
 dictionaries are key-sorted, every list is explicitly ordered, and wall
 time is kept out of it, so identical inputs give byte-identical output
-regardless of the machine, the run, or the worker count.
+regardless of the machine or the run.
 """
 
 from __future__ import annotations
@@ -11,13 +11,10 @@ from __future__ import annotations
 import enum
 import json
 import random
-from collections import deque
-from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice
 from math import comb
 from time import perf_counter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .graph import (Edge, Graph, GraphError, contract_edge, delete_edges,
                     edge)
@@ -38,17 +35,15 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1729
-_CHUNK = 64  # deletion sets decided together, in this process or a worker
 
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource limits: search nodes per expansion query, deletion sets
-    scanned exhaustively before switching to sampling, and sample count."""
+    """Resource limits: search nodes per expansion query, and how many
+    deletion sets, in scan order, a verdict may rest on."""
 
     nodes: int | None = DEFAULT_NODE_BUDGET
     subsets: int = 10**6
-    trials: int = 500
 
 
 class Outcome(enum.Enum):
@@ -196,27 +191,22 @@ def min_edge_hitting_set(pattern: Graph, host: Graph,
     """Minimum edge set whose deletion destroys every pattern expansion.
 
     Subset sizes are tried in increasing order, subsets of each size in
-    label order, so the witness is canonical.  The models found are
-    reused for the whole run.
+    label order, so the witness is canonical.  subsets counts the sets
+    decided: all of them, or those up to the witness or the stop.
     """
     if not pattern.edges:
         raise GraphError("hitting needs a pattern with at least one edge")
     budget = budget or Budget()
     m = len(host.edges)
     top = m if bound is None else min(bound, m)
-    edges_sorted = host.sorted_edges()
-    subsets = chain.from_iterable(combinations(edges_sorted, s)
-                                  for s in range(top + 1))
-    checked, _, nodes, X, status = _probe_sets(
-        pattern, host, None, budget.nodes, islice(subsets, budget.subsets),
-        [])
+    status, X, checked, _, nodes = _first_without_model(
+        pattern, host, None, budget.nodes, range(top + 1), budget.subsets)
     if status is SearchStatus.NONE:
         return HitResult(len(X), X, True, nodes, checked)
-    exact = status is SearchStatus.FOUND and next(subsets, None) is None
-    return HitResult(None, None, exact, nodes, checked)
+    return HitResult(None, None, status is SearchStatus.FOUND, nodes, checked)
 
 
-# -- deletion scans ----------------------------------------------------------
+# -- the hitting-set loop ----------------------------------------------------
 
 def _footprint(g: Graph, emb: MinorEmbedding) -> frozenset[Edge]:
     """Edges a model needs in g: a BFS spanning tree of each branch set
@@ -234,121 +224,130 @@ def _footprint(g: Graph, emb: MinorEmbedding) -> frozenset[Edge]:
     return frozenset(out)
 
 
-def _probe_sets(pattern: Graph, host: Graph,
-                constraints: EmbeddingConstraints | None,
-                node_budget: int | None, sets: Iterable[tuple[Edge, ...]],
-                known: list[frozenset[Edge]]
-                ) -> tuple[int, int, int, tuple[Edge, ...] | None,
-                           SearchStatus]:
-    """Decide whether host - X keeps a pattern model for each X in sets,
-    in order, stopping at the first X without one.
+def _rank(X: tuple[int, ...], m: int) -> int:
+    """1-based position of X in combinations(range(m), len(X))."""
+    s = len(X)
+    return comb(m, s) - sum(comb(m - 1 - i, s - d) for d, i in enumerate(X))
 
-    Returns (sets decided, searches, nodes, last set, its status).  An X
-    that misses a known footprint keeps that model, so it needs no
-    search; every model found adds its footprint to known.
+
+def _first_meeting(m: int, s: int, known: list[int],
+                   after: tuple[int, ...] | None = None
+                   ) -> tuple[int, ...] | None:
+    """The first s-subset of range(m) after `after`, in combinations()
+    order, that meets every bitmask in known; None if there is none.
+
+    A depth-first search in that order.  A prefix is dropped when the
+    masks it leaves unmet, cut to the indices still open, include an
+    empty mask or more pairwise-disjoint masks than there are slots.
     """
+    chosen: list[int] = []
+
+    def first(lo: int, unmet: list[int], tight: bool):
+        # tight: chosen is a prefix of after, so only later sets count
+        slots = s - len(chosen)
+        taken = disjoint = 0
+        for fp in unmet:
+            cut = fp >> lo
+            if not cut:
+                return None
+            if not cut & taken:
+                taken |= cut
+                disjoint += 1
+                if disjoint > slots:
+                    return None
+        if not slots:
+            return None if tight else tuple(chosen)
+        start = after[len(chosen)] if tight else lo
+        for i in range(start, m - slots + 1):
+            chosen.append(i)
+            got = first(i + 1, [fp for fp in unmet if not fp >> i & 1],
+                        tight and i == start)
+            chosen.pop()
+            if got is not None:
+                return got
+        return None
+
+    return first(0, known, after is not None)
+
+
+def _first_without_model(pattern: Graph, host: Graph,
+                         constraints: EmbeddingConstraints | None,
+                         node_budget: int | None, sizes: Iterable[int],
+                         limit: int
+                         ) -> tuple[SearchStatus, tuple[Edge, ...] | None,
+                                    int, int, int]:
+    """The first edge set X, by size in sizes and then in
+    combinations(host.sorted_edges(), size) order, such that host - X
+    keeps no pattern model; only the first limit sets may decide it.
+
+    Returns (status, X, sets decided, searches, nodes).  FOUND: every
+    set keeps a model.  NONE or BUDGET with X: the search on host - X
+    found no model or ran out of nodes.  BUDGET without X: the first
+    limit sets keep models and more sets remain.
+
+    Every model found keeps its footprint as a bitmask over the sorted
+    edges.  A set that misses a known footprint keeps that model, so
+    only the first set meeting every known footprint is searched.
+    """
+    edges = host.sorted_edges()
+    m = len(edges)
+    bit = {e: 1 << i for i, e in enumerate(edges)}
+    known: list[int] = []
     decided = searches = nodes = 0
-    X = None
-    status = SearchStatus.FOUND
-    for X in sets:
-        decided += 1
-        if any(fp.isdisjoint(X) for fp in known):
-            continue
-        g = delete_edges(host, X)
-        res = find_expansion(pattern, g, constraints, node_budget=node_budget)
-        searches += 1
-        nodes += res.nodes
-        status = res.status
-        if status is not SearchStatus.FOUND:
-            break
-        known.append(_footprint(g, res.embedding))
-    return decided, searches, nodes, X, status
-
-
-def _decided(args: tuple, blocks: Iterator[list], jobs: int) -> Iterator:
-    """_probe_sets of each block with its own footprints, in scan order,
-    computed here for one job or by jobs worker processes, a few blocks
-    ahead.  The searches made do not depend on the worker count."""
-    if jobs == 1:
-        yield from (_probe_sets(*args, b, []) for b in blocks)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        pending = deque(ex.submit(_probe_sets, *args, b, [])
-                        for b in islice(blocks, jobs * 2))
-        try:
-            while pending:
-                fut = pending.popleft()
-                nxt = next(blocks, None)
-                if nxt is not None:
-                    pending.append(ex.submit(_probe_sets, *args, nxt, []))
-                yield fut.result()
-        finally:
-            for fut in pending:
-                fut.cancel()
+    for s in sizes:
+        X = _first_meeting(m, s, known)
+        while X is not None:
+            rank = decided + _rank(X, m)
+            if rank > limit:
+                break
+            g = delete_edges(host, [edges[i] for i in X])
+            res = find_expansion(pattern, g, constraints,
+                                 node_budget=node_budget)
+            searches += 1
+            nodes += res.nodes
+            if res.status is not SearchStatus.FOUND:
+                return (res.status, tuple(edges[i] for i in X), rank,
+                        searches, nodes)
+            known.append(sum(bit[e] for e in _footprint(g, res.embedding)))
+            X = _first_meeting(m, s, known, X)
+        decided += comb(m, s)
+        if decided > limit:
+            return SearchStatus.BUDGET, None, limit, searches, nodes
+    return SearchStatus.FOUND, None, decided, searches, nodes
 
 
 def _scan_deletions(check: str, pattern: Graph, host: Graph, r: int,
                     constraints: EmbeddingConstraints | None = None,
-                    budget: Budget | None = None, seed: int = DEFAULT_SEED,
-                    jobs: int = 1, force_sample: bool = False,
+                    budget: Budget | None = None,
                     extra_details: Mapping | None = None) -> Report:
     """Check that pattern expansions survive every deletion of < r edges.
 
-    By monotonicity only deletion sets of the maximum size r-1 are
-    scanned.  When their number exceeds the subset budget (or sampling
-    is forced) a seeded sample is scanned instead and a passing outcome
-    only reports that no violation was sampled.  Sets are decided in
-    fixed blocks of _CHUNK, each reusing the models found within it, so
-    the report is identical for any worker count.
+    By monotonicity only deletion sets of the maximum size r-1 count.
+    The verdict is the one a scan of them in label order would give,
+    but only sets meeting every known model footprint are searched.
     """
     t0 = perf_counter()
     if r < 1:
         raise GraphError("deletion radius must be at least 1")
-    if jobs < 1:
-        raise GraphError("worker count must be at least 1")
     budget = budget or Budget()
     if constraints is not None:
         _check_constraints(pattern, host, constraints)
 
     m = len(host.edges)
     s = min(r - 1, m)
-    total = comb(m, s)
-    edges_sorted = host.sorted_edges()
-    if not force_sample and total <= budget.subsets:
-        mode = "exhaustive"
-        planned = total
-        subsets: Iterator[tuple[Edge, ...]] = combinations(edges_sorted, s)
-    else:
-        mode = "sampled"
-        planned = budget.trials
-        rng = random.Random(seed)
-        subsets = iter([tuple(sorted(rng.sample(edges_sorted, s)))
-                        for _ in range(budget.trials)])
-
     details = dict(extra_details or {})
-    details.update({"mode": mode, "deletion_size": s,
+    details.update({"mode": "exhaustive", "deletion_size": s,
                     "host_edges": m, "radius": r})
     if constraints is not None and constraints.must_contain:
         details["roots"] = {u: v for u, v in
                             sorted(constraints.must_contain.items())}
-
-    checked = searches = nodes = 0
-    status = SearchStatus.FOUND
-    args = (pattern, host, constraints, budget.nodes)
-    # blocks of _CHUNK sets, until islice comes back empty
-    blocks = iter(lambda: list(islice(subsets, _CHUNK)), [])
-    with closing(_decided(args, blocks, jobs)) as decided:
-        for n_sets, n_searches, spent, X, status in decided:
-            checked += n_sets
-            searches += n_searches
-            nodes += spent
-            if status is not SearchStatus.FOUND:
-                key = ("witness_deletion" if status is SearchStatus.NONE
-                       else "stopped_at")
-                details[key] = [[u, v] for u, v in X]
-                break
-    stats = {"subsets_checked": checked, "subsets_planned": planned,
+    status, X, checked, searches, nodes = _first_without_model(
+        pattern, host, constraints, budget.nodes, [s], budget.subsets)
+    if X is not None:
+        key = ("witness_deletion" if status is SearchStatus.NONE
+               else "stopped_at")
+        details[key] = [[u, v] for u, v in X]
+    stats = {"subsets_checked": checked, "subsets_planned": comb(m, s),
              "searches": searches, "nodes": nodes}
     return Report(check, _OUTCOME[status], details, stats,
                   perf_counter() - t0)
@@ -358,8 +357,6 @@ def _scan_deletions(check: str, pattern: Graph, host: Graph, r: int,
 
 def check_gadget_robustness(g: Graph, ctx: Graph, r: int,
                             budget: Budget | None = None,
-                            seed: int = DEFAULT_SEED, jobs: int = 1,
-                            force_sample: bool = False,
                             gadget: Graph | None = None) -> Report:
     """The blowup of g keeps a g expansion after any < r edge deletions.
 
@@ -370,14 +367,12 @@ def check_gadget_robustness(g: Graph, ctx: Graph, r: int,
     extra = {"pattern": graph_json(g),
              "host_vertices": len(host.vertices)}
     return _scan_deletions("gadget-robustness", g, host, r, None, budget,
-                           seed, jobs, force_sample, extra)
+                           extra)
 
 
 def check_assembly_robustness(pattern: Graph, host: Graph, r: int,
                               roots: Mapping[str, str] | None = None,
-                              budget: Budget | None = None,
-                              seed: int = DEFAULT_SEED, jobs: int = 1,
-                              force_sample: bool = False) -> Report:
+                              budget: Budget | None = None) -> Report:
     """A host keeps a pattern expansion after any < r edge deletions.
 
     roots pins pattern vertices to host vertices, giving the rooted
@@ -389,14 +384,11 @@ def check_assembly_robustness(pattern: Graph, host: Graph, r: int,
     extra = {"pattern": graph_json(pattern),
              "host_vertices": len(host.vertices)}
     return _scan_deletions("assembly-robustness", pattern, host, r,
-                           constraints, budget, seed, jobs, force_sample,
-                           extra)
+                           constraints, budget, extra)
 
 
 def check_generic_counterexample(anchor: Graph, spec: CoreSpec,
-                                 budget: Budget | None = None,
-                                 seed: int = DEFAULT_SEED, jobs: int = 1,
-                                 force_sample: bool = False) -> Report:
+                                 budget: Budget | None = None) -> Report:
     """The supplied core beats the packing bound yet resists deletions.
 
     Two halves: fewer than k edge-disjoint anchor expansions fit in the
@@ -428,7 +420,7 @@ def check_generic_counterexample(anchor: Graph, spec: CoreSpec,
                             spec.r,
                             EmbeddingConstraints(must_contain=dict(spec.roots))
                             if spec.roots else None,
-                            budget, seed, jobs, force_sample, details)
+                            budget, details)
     stats = dict(inner.stats)
     stats["nodes"] = stats["nodes"] + pack.nodes
     return Report(inner.check, inner.outcome, inner.details, stats,

@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minorbench import (Budget, CoreSpec, EmbeddingConstraints, Graph,
                         GraphError, MinorEmbedding, MinorPredicate, Outcome,
@@ -17,7 +19,7 @@ from minorbench import (Budget, CoreSpec, EmbeddingConstraints, Graph,
                         is_minor, max_edge_disjoint_packing,
                         min_edge_hitting_set, naive_is_minor_oracle,
                         segment_blowup, verify_embedding)
-from minorbench.verify import _footprint
+from minorbench.verify import _first_meeting, _footprint, _rank
 from helpers import (complete, cycle_graph, graphs_up_to_iso, k5_spec,
                      oracle_min_hitting, p3_star, path_graph,
                      random_connected_graph, random_graph, rooted_spec,
@@ -175,27 +177,27 @@ class TestGadgetRobustness:
         res = find_expansion(g, delete_edges(thinned, X))
         assert res.status is SearchStatus.NONE
 
-    def test_sampled_mode_is_seed_deterministic(self):
+    def test_tailed_square_r6_searches_few_of_many_sets(self):
         g, ctx = tailed_square()
-        b = Budget(subsets=10, trials=15)
-        rep1 = check_gadget_robustness(g, ctx, 3, budget=b, seed=7)
-        rep2 = check_gadget_robustness(g, ctx, 3, budget=b, seed=7)
-        assert rep1.details["mode"] == "sampled"
-        assert rep1.stats["subsets_planned"] == 15
-        assert rep1.outcome is Outcome.HOLDS
-        assert rep1.to_json() == rep2.to_json()
+        rep = check_gadget_robustness(g, ctx, 6)
+        assert rep.outcome is Outcome.HOLDS
+        assert rep.stats["subsets_checked"] == 376992
+        assert rep.stats["subsets_planned"] == 376992
+        assert rep.stats["searches"] == 56
 
-    def test_force_sample_flag(self):
+    @pytest.mark.parametrize("subsets, outcome", [
+        (1, Outcome.BUDGET), (50, Outcome.BUDGET), (2023, Outcome.BUDGET),
+        (2024, Outcome.HOLDS)])
+    def test_subset_budget_boundary(self, subsets, outcome):
+        # a verdict rests on the first `subsets` sets only; 2,024 in all
         g, ctx = tailed_square()
-        rep = check_gadget_robustness(g, ctx, 2, budget=Budget(trials=5),
-                                      force_sample=True)
-        assert rep.details["mode"] == "sampled"
-
-    def test_worker_count_does_not_change_the_report(self):
-        g, ctx = tailed_square()
-        serial = check_gadget_robustness(g, ctx, 2)
-        parallel = check_gadget_robustness(g, ctx, 2, jobs=2)
-        assert serial.to_json() == parallel.to_json()
+        rep = check_gadget_robustness(g, ctx, 4,
+                                      budget=Budget(subsets=subsets))
+        assert rep.outcome is outcome
+        assert rep.details["mode"] == "exhaustive"
+        assert "stopped_at" not in rep.details
+        assert rep.stats["subsets_checked"] == subsets
+        assert rep.stats["subsets_planned"] == 2024
 
     def test_node_budget_exhaustion(self):
         g, ctx = tailed_square()
@@ -208,8 +210,6 @@ class TestGadgetRobustness:
         g, ctx = tailed_square()
         with pytest.raises(GraphError):
             check_gadget_robustness(g, ctx, 0)
-        with pytest.raises(GraphError):
-            check_gadget_robustness(g, ctx, 2, jobs=0)
 
 
 class TestAssemblyRobustness:
@@ -245,11 +245,6 @@ class TestAssemblyRobustness:
             check_assembly_robustness(path_graph("ab"), path_graph("pq"),
                                       2, roots={"a": "zz"})
 
-    def test_rejects_unknown_root_names_with_workers(self):
-        with pytest.raises(GraphError):
-            check_assembly_robustness(path_graph("ab"), path_graph("pq"),
-                                      2, roots={"zz": "p"}, jobs=2)
-
 
 # -- model reuse against a per-probe oracle -------------------------------------
 
@@ -267,6 +262,31 @@ def per_probe_scan(pattern, host, r, roots=None, budget=Budget()):
                    else "stopped_at")
             return res.status, {key: [list(e) for e in X]}, checked
     return SearchStatus.FOUND, {}, checked
+
+
+def lexicographic_loop(pattern, host, sizes, roots=None, node_budget=None):
+    """The deletion loop that the hitting-set search replaces: every edge
+    set, by size in sizes and then in combinations() order, one footprint
+    list for the whole run, and a search only for a set that meets every
+    known footprint.  Returns (status, last set, sets decided, searches,
+    nodes)."""
+    constraints = EmbeddingConstraints(must_contain=roots) if roots else None
+    known = []
+    checked = searches = nodes = 0
+    for s in sizes:
+        for X in combinations(host.sorted_edges(), s):
+            checked += 1
+            if any(fp.isdisjoint(X) for fp in known):
+                continue
+            g = delete_edges(host, X)
+            res = find_expansion(pattern, g, constraints,
+                                 node_budget=node_budget)
+            searches += 1
+            nodes += res.nodes
+            if res.status is not SearchStatus.FOUND:
+                return res.status, X, checked, searches, nodes
+            known.append(_footprint(g, res.embedding))
+    return SearchStatus.FOUND, None, checked, searches, nodes
 
 
 def per_probe_hitting(pattern, host):
@@ -306,6 +326,9 @@ def scan_cases():
                             Budget(nodes=1), Outcome.BUDGET)
     yield "node-budget-5", (g, segment_blowup(g, ctx, 3), 3, None,
                             Budget(nodes=5), Outcome.BUDGET)
+    # v renamed so that the first refuting set is the 666th in order
+    yield "late-refutation", (g, renamed(segment_blowup(g, ctx, 3), "v", "zv"),
+                              6, None, Budget(), Outcome.REFUTED)
 
 
 SCAN_CASES = dict(scan_cases())
@@ -314,18 +337,22 @@ OUTCOME_OF = {SearchStatus.FOUND: Outcome.HOLDS,
               SearchStatus.BUDGET: Outcome.BUDGET}
 
 
+def seeded_host(rng, chords=(2, 8)):
+    """A connected host of 10-25 vertices: a random tree plus a number of
+    chords drawn from the range chords."""
+    n = rng.randint(10, 25)
+    labels = [f"v{i}" for i in range(n)]
+    tree = [(v, rng.choice(labels[:i])) for i, v in enumerate(labels) if i]
+    spare = [e for e in combinations(labels, 2)
+             if e not in tree and e[::-1] not in tree]
+    return Graph.build(labels, tree + rng.sample(spare, rng.randint(*chords)))
+
+
 class TestModelReuse:
     @pytest.mark.parametrize("seed", range(30))
     def test_footprint_keeps_the_model(self, seed):
         rng = random.Random(seed)
-        n = rng.randint(10, 25)
-        labels = [f"v{i}" for i in range(n)]
-        tree = [(v, rng.choice(labels[:i])) for i, v in enumerate(labels)
-                if i]
-        chords = [e for e in combinations(labels, 2)
-                  if e not in tree and e[::-1] not in tree]
-        host = Graph.build(labels, tree + rng.sample(chords,
-                                                     rng.randint(2, 8)))
+        host = seeded_host(rng)
         found = 0
         for pattern in (complete("xyz"), cycle_graph("wxyz"),
                         path_graph("wxyz"), tailed_square()[0]):
@@ -365,11 +392,42 @@ class TestModelReuse:
         assert rep.stats["subsets_checked"] == checked
         assert rep.stats["searches"] <= checked
 
+    @pytest.mark.parametrize("name", sorted(SCAN_CASES))
+    def test_scan_matches_lexicographic_loop(self, name):
+        pattern, host, r, roots, budget, _ = SCAN_CASES[name]
+        self.assert_scan_matches(pattern, host, r, roots, budget.nodes)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_scan_matches_lexicographic_loop_on_seeded_hosts(self, seed):
+        # 5-12 chords: an unbounded search that proves a sparse host has
+        # no model can take millions of nodes
+        rng = random.Random(seed)
+        host = seeded_host(rng, chords=(5, 12))
+        r = rng.choice([2, 3])
+        for pattern in (complete("xyz"), cycle_graph("wxyz")):
+            for node_budget in (None, 1, 5, 20):
+                self.assert_scan_matches(pattern, host, r, None, node_budget)
+
+    @staticmethod
+    def assert_scan_matches(pattern, host, r, roots, node_budget):
+        rep = check_assembly_robustness(pattern, host, r, roots=roots,
+                                        budget=Budget(nodes=node_budget))
+        status, X, checked, searches, nodes = lexicographic_loop(
+            pattern, host, [min(r - 1, len(host.edges))], roots, node_budget)
+        assert rep.outcome is OUTCOME_OF[status]
+        stop = None if X is None else [list(e) for e in X]
+        assert rep.details.get("witness_deletion") == (
+            stop if status is SearchStatus.NONE else None)
+        assert rep.details.get("stopped_at") == (
+            stop if status is SearchStatus.BUDGET else None)
+        assert (rep.stats["subsets_checked"], rep.stats["searches"],
+                rep.stats["nodes"]) == (checked, searches, nodes)
+
     def test_scan_reuse_counts(self):
         g, ctx = tailed_square()
         searches = [check_gadget_robustness(g, ctx, r).stats["searches"]
                     for r in (3, 4)]
-        assert searches == [20, 172]
+        assert searches == [10, 20]
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_hitting_complete_hosts_match_per_probe_oracle(self, n):
@@ -390,22 +448,49 @@ class TestModelReuse:
             assert (res.size, res.hitting_edges, res.subsets) == \
                 per_probe_hitting(pattern, host)
 
-    def test_worker_count_does_not_change_a_32_chunk_scan(self):
-        g, ctx = tailed_square()
-        serial = check_gadget_robustness(g, ctx, 4)
-        assert serial.stats["subsets_checked"] == 2024
-        assert serial.to_json() == check_gadget_robustness(g, ctx, 4,
-                                                           jobs=2).to_json()
+    @pytest.mark.parametrize("name, checked", [("tailed-square-r4", 2024),
+                                               ("late-refutation", 666)])
+    def test_scan_case_sizes(self, name, checked):
+        pattern, host, r, roots, budget, _ = SCAN_CASES[name]
+        rep = check_assembly_robustness(pattern, host, r, roots=roots,
+                                        budget=budget)
+        assert rep.stats["subsets_checked"] == checked
 
-    def test_worker_count_does_not_change_a_late_refutation(self):
-        # v renamed so that the first refuting set is the 666th in order
-        g, ctx = tailed_square()
-        host = renamed(segment_blowup(g, ctx, 3), "v", "zv")
-        serial = check_gadget_robustness(g, ctx, 6, gadget=host)
-        assert serial.outcome is Outcome.REFUTED
-        assert serial.stats["subsets_checked"] == 666
-        parallel = check_gadget_robustness(g, ctx, 6, gadget=host, jobs=2)
-        assert serial.to_json() == parallel.to_json()
+    @pytest.mark.parametrize("n, bound", [(4, None), (5, None), (5, 5),
+                                          (6, None)])
+    def test_hitting_matches_lexicographic_loop(self, n, bound):
+        pattern, host = complete("xyz"), complete("123456"[:n])
+        res = min_edge_hitting_set(pattern, host, bound=bound)
+        top = len(host.edges) if bound is None else bound
+        _, X, checked, _, nodes = lexicographic_loop(
+            pattern, host, range(top + 1))
+        assert res.exact
+        assert res.hitting_edges == X
+        assert (res.subsets, res.nodes) == (checked, nodes)
+
+
+class TestFirstMeeting:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10).flatmap(lambda m: st.tuples(
+        st.just(m), st.integers(0, m),
+        st.lists(st.integers(0, 2**m - 1), max_size=6), st.randoms())))
+    def test_matches_brute_force(self, args):
+        m, s, known, rng = args
+        sets = list(combinations(range(m), s))
+        after = rng.choice([None] + sets)
+        later = sets if after is None else sets[sets.index(after) + 1:]
+        expected = next((X for X in later
+                         if all(any(fp >> i & 1 for i in X) for fp in known)),
+                        None)
+        assert _first_meeting(m, s, known, after) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10).flatmap(
+        lambda m: st.tuples(st.just(m), st.integers(0, m))))
+    def test_rank_is_the_position_in_combinations(self, args):
+        m, s = args
+        for pos, X in enumerate(combinations(range(m), s), start=1):
+            assert _rank(X, m) == pos
 
 
 class TestGenericCounterexample:
