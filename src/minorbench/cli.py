@@ -12,6 +12,7 @@ output; a one-line human summary with wall time goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from time import perf_counter
@@ -370,7 +371,10 @@ def _add_output(p: argparse.ArgumentParser) -> None:
                    help="write to PATH instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main() call, not at
+    import, and shared by later calls in the same process."""
     parser = _Parser(prog="minorbench",
                      description="graph-minor gadget construction and "
                                  "verification workbench")
@@ -527,8 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except GraphError as exc:

@@ -240,10 +240,12 @@ def enumerate_expansions(h: Graph, g: Graph,
     yield from rec(0)
 
 
-def find_expansion(h: Graph, g: Graph,
-                   constraints: EmbeddingConstraints | None = None,
-                   node_budget: int | None = DEFAULT_NODE_BUDGET) -> SearchResult:
-    """First expansion model of h in g, or proof of absence, or budget stop."""
+def _search(h: Graph, g: Graph,
+            constraints: EmbeddingConstraints | None = None,
+            node_budget: int | None = DEFAULT_NODE_BUDGET) -> SearchResult:
+    """First model in enumeration order on the host as given: the
+    unreduced search, kept as the reference find_expansion is tested
+    against."""
     counter = NodeCounter(cap=node_budget)
     gen = enumerate_expansions(h, g, constraints, counter)
     try:
@@ -253,6 +255,96 @@ def find_expansion(h: Graph, g: Graph,
     except BudgetExceeded:
         return SearchResult(SearchStatus.BUDGET, None, counter.nodes)
     return SearchResult(SearchStatus.FOUND, emb, counter.nodes)
+
+
+def _reduce_host(h: Graph, g: Graph, keep: frozenset[str]
+                 ) -> tuple[Graph, dict[Edge, tuple[str, ...]]]:
+    """Shrink g without changing whether h is a minor of it.
+
+    If h has minimum degree 2 or more, vertices of degree at most 1 are
+    deleted; if 3 or more, vertices of degree 2 are also suppressed:
+    their two edges become one edge, or are dropped when the two
+    neighbours are already adjacent.  Neither rule touches a vertex in
+    keep.  Returns the reduced host and, for each of its edges that is
+    not a host edge, the host path it stands for, from the edge's first
+    end to its second.  The host itself comes back when nothing applies.
+    """
+    low = min((len(ns) for ns in h.adjacency().values()), default=0)
+    if low < 2:
+        return g, {}
+    top = 2 if low >= 3 else 1
+    adj = {v: set(ns) for v, ns in g.adjacency().items()}
+    paths: dict[Edge, tuple[str, ...]] = {}
+
+    def walk(a: str, b: str) -> tuple[str, ...]:
+        p = paths.pop(edge(a, b), (a, b))
+        return p if p[0] == a else p[::-1]
+
+    todo = sorted(adj)
+    while todo:
+        v = todo.pop()
+        if v in keep or v not in adj or len(adj[v]) > top:
+            continue
+        ns = sorted(adj.pop(v))
+        legs = [walk(v, w) for w in ns]
+        for w in ns:
+            adj[w].discard(v)
+            todo.append(w)
+        if len(ns) == 2 and ns[1] not in adj[ns[0]]:
+            a, b = ns
+            adj[a].add(b)
+            adj[b].add(a)
+            paths[(a, b)] = legs[0][::-1] + legs[1][1:]
+    if len(adj) == len(g.vertices):
+        return g, {}
+    return Graph(frozenset(adj),
+                 frozenset(edge(a, b) for a in adj for b in adj[a] if a < b)
+                 ), paths
+
+
+def _lift(m: MinorEmbedding, paths: Mapping[Edge, tuple[str, ...]]
+          ) -> MinorEmbedding:
+    """A model on the reduced host, carried back to the host: a path
+    inside a branch set joins it whole; an edge image's path gives its
+    inner vertices to the branch set at its first end, and its last
+    edge becomes the image."""
+    owner = {v: u for u, bs in m.branch_sets.items() for v in bs}
+    grown = {u: set(bs) for u, bs in m.branch_sets.items()}
+    for (a, b), p in paths.items():
+        if a in owner and owner[a] == owner.get(b):
+            grown[owner[a]].update(p[1:-1])
+    images = {}
+    for he, ge in m.edge_images.items():
+        p = paths.get(ge)
+        if p is not None:
+            grown[owner[p[0]]].update(p[1:-1])
+            ge = edge(p[-2], p[-1])
+        images[he] = ge
+    return MinorEmbedding({u: frozenset(bs) for u, bs in grown.items()},
+                          images)
+
+
+def find_expansion(h: Graph, g: Graph,
+                   constraints: EmbeddingConstraints | None = None,
+                   node_budget: int | None = DEFAULT_NODE_BUDGET) -> SearchResult:
+    """First expansion model of h in g, or proof of absence, or budget stop.
+
+    The search runs on g reduced by _reduce_host, root-pinned vertices
+    kept, and nodes counts that search.  A model found there is lifted
+    back to g and checked with verify_embedding.
+    """
+    c = constraints or EmbeddingConstraints()
+    # pinned vertices stay, so the search's own check of c on the
+    # reduced host rejects exactly what it would reject on g
+    small, paths = _reduce_host(h, g, frozenset(c.must_contain.values()))
+    res = _search(h, small, c, node_budget)
+    if res.embedding is None or small is g:
+        return res
+    lifted = _lift(res.embedding, paths)
+    if not verify_embedding(h, g, lifted):
+        raise RuntimeError("a model lifted from the reduced host fails "
+                           "verification")
+    return SearchResult(res.status, lifted, res.nodes)
 
 
 def verify_embedding(h: Graph, g: Graph, m: MinorEmbedding) -> bool:

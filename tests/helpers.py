@@ -34,6 +34,23 @@ def cycle_graph(labels) -> Graph:
     return Graph.build(labels, es)
 
 
+def wheel_graph(hub, rim) -> Graph:
+    """A cycle on rim plus a hub joined to every rim vertex."""
+    return Graph.build([], list(cycle_graph(rim).edges) +
+                       [(hub, v) for v in rim])
+
+
+def subdivided(g: Graph, k: int, edges=None) -> Graph:
+    """g with each of the given edges (all by default) replaced by a
+    path through k new vertices."""
+    es = set(g.edges)
+    for a, b in sorted(g.edges if edges is None else edges):
+        chain = [a, *(f"{a}~{b}.{j}" for j in range(k)), b]
+        es.discard((a, b))
+        es.update(zip(chain, chain[1:]))
+    return Graph.build(g.vertices, es)
+
+
 def star_graph(center, leaves) -> Graph:
     return Graph.build([center], [(center, leaf) for leaf in leaves])
 
@@ -106,6 +123,17 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     labels = SAFE_LABELS[:n]
     es = [(a, b) for a, b in combinations(labels, 2) if rng.random() < p]
     return Graph.build(labels, es)
+
+
+def seeded_host(rng: random.Random, chords=(2, 8)) -> Graph:
+    """A connected host of 10-25 vertices: a random tree plus a number of
+    chords drawn from the range chords."""
+    n = rng.randint(10, 25)
+    labels = [f"v{i}" for i in range(n)]
+    tree = [(v, rng.choice(labels[:i])) for i, v in enumerate(labels) if i]
+    spare = [e for e in combinations(labels, 2)
+             if e not in tree and e[::-1] not in tree]
+    return Graph.build(labels, tree + rng.sample(spare, rng.randint(*chords)))
 
 
 def random_connected_graph(rng: random.Random, n: int,

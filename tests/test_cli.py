@@ -441,6 +441,45 @@ class TestTopLevel:
         assert proc.returncode == 0
         assert proc.stdout == "Cycle\n"
 
+    def test_parser_reuse_matches_a_fresh_process(self):
+        # the parser is built on the first main() call and then shared;
+        # a usage error must leave it as a fresh process would find it
+        code = ("import contextlib, io, json, sys\n"
+                "from minorbench import cli\n"
+                "built = cli._build_parser.cache_info().currsize\n"
+                "def call(argv):\n"
+                "    out = io.StringIO()\n"
+                "    try:\n"
+                "        with contextlib.redirect_stdout(out), "
+                "contextlib.redirect_stderr(io.StringIO()):\n"
+                "            got = cli.main(argv)\n"
+                "    except SystemExit as exc:\n"
+                "        got = exc.code\n"
+                "    return [got, out.getvalue()]\n"
+                "calls = [call(json.loads(a)) for a in sys.argv[1:]]\n"
+                "print(json.dumps([built, calls]))")
+        env = dict(os.environ, COLUMNS="80")
+
+        def calls(*argvs):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *map(json.dumps, argvs)],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            built, got = json.loads(proc.stdout)
+            assert built == 0
+            return got
+
+        minor = ["minor", TRI, K4]
+        reused = calls(["minor", "--budget", "0", TRI, K4], minor,
+                       ["--help"], ["robust", "--help"])
+        assert reused[0] == [64, ""]
+        assert reused[1] == calls(minor)[0]
+        assert reused[1][0] == 0
+        assert reused[2] == calls(["--help"])[0]
+        assert reused[3] == calls(["robust", "--help"])[0]
+        assert reused[2][0] == reused[3][0] == 0
+        assert "usage: minorbench" in reused[2][1]
+
     def test_import_loads_no_process_pool(self):
         # scans run in process, also when --jobs asks for workers
         code = ("import io, sys, contextlib\n"

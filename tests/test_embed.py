@@ -11,8 +11,11 @@ from minorbench import (BudgetExceeded, EmbeddingConstraints, Graph,
                         connected_components, delete_edges, enumerate_expansions,
                         find_expansion, is_minor, iter_expansion_footprints,
                         naive_is_minor_oracle, partition_components,
-                        verify_embedding)
-from helpers import complete, cycle_graph, path_graph, random_graph
+                        segment_blowup, verify_embedding)
+from minorbench import embed
+from minorbench.embed import _lift, _reduce_host, _search
+from helpers import (complete, cycle_graph, path_graph, random_connected_graph,
+                     random_graph, seeded_host, subdivided, wheel_graph)
 
 PROPERTY = settings(max_examples=50, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -75,11 +78,18 @@ class TestFindExpansion:
         assert res.embedding == MinorEmbedding({}, {})
 
     def test_budget_exhaustion_reported(self):
-        res = find_expansion(complete("wxyz"), cycle_graph("pqrstuvo"),
-                             node_budget=5)
+        # the unreduced search; find_expansion suppresses the whole cycle
+        res = _search(complete("wxyz"), cycle_graph("pqrstuvo"),
+                      node_budget=5)
         assert res.status is SearchStatus.BUDGET
         assert res.embedding is None
         assert res.nodes == 6
+
+    def test_reduced_cycle_refutes_k4_without_search(self):
+        res = find_expansion(complete("wxyz"), cycle_graph("pqrstuvo"),
+                             node_budget=5)
+        assert res.status is SearchStatus.NONE
+        assert res.nodes == 0
 
     def test_contraction_only_minor(self):
         # wheel on 5 vertices has a K4 minor only after contracting a rim edge
@@ -283,3 +293,134 @@ class TestFootprints:
         h, g = complete("xyz"), complete("pqst")
         with pytest.raises(BudgetExceeded):
             list(iter_expansion_footprints(h, g, NodeCounter(cap=3)))
+
+
+# -- host reduction against the unreduced search -------------------------------
+
+REDUCTION_PATTERNS = {"K3": complete("xyz"), "C4": cycle_graph("wxyz"),
+                      "K4": complete("wxyz"), "W4": wheel_graph("h", "wxyz")}
+UNREDUCED_CAP = 10000
+
+
+def gadget(base, k, r, cut, seed):
+    """The r-fold blowup of base with every edge subdivided k times, so
+    that suppression chains k + 1 edges, less cut random edges."""
+    g = subdivided(base, k)
+    host = segment_blowup(g, g, r)
+    return delete_edges(host, random.Random(seed).sample(host.sorted_edges(),
+                                                         cut))
+
+
+def reduction_hosts():
+    """name -> (host, root pins or None)"""
+    for seed in range(8):
+        yield f"seeded-{seed}", (seeded_host(random.Random(seed), (1, 12)),
+                                 None)
+    for seed in range(8):
+        rng = random.Random(seed)
+        yield f"sparse-{seed}", (random_connected_graph(
+            rng, rng.randint(10, 12), rng.randint(0, 3)), None)
+    for name, base in (("K4", complete("pqst")),
+                       ("W4", wheel_graph("h", "pqst"))):
+        for k, r in ((1, 2), (2, 2), (1, 3)):
+            yield f"{name}-gadget-{k}-{r}", (gadget(base, k, r, r, 10 * k + r),
+                                             None)
+    for seed in range(8):
+        rng = random.Random(100 + seed)
+        host = seeded_host(rng, (1, 12))
+        low = sorted(v for v in host.vertices if host.degree(v) <= 2)
+        yield f"rooted-{seed}", (host, {"x": rng.choice(low)})
+
+
+REDUCTION_HOSTS = dict(reduction_hosts())
+
+
+def small_host(seed):
+    """A host of at most 8 vertices with some edges subdivided once."""
+    rng = random.Random(seed)
+    base = random_graph(rng, rng.randint(4, 6), rng.uniform(0.5, 1.0))
+    es = base.sorted_edges()
+    return subdivided(base, 1, rng.sample(es, min(len(es),
+                                                  8 - len(base.vertices))))
+
+
+class TestHostReduction:
+    @pytest.mark.parametrize("name", sorted(REDUCTION_HOSTS))
+    def test_matches_unreduced_search(self, name):
+        host, pins = REDUCTION_HOSTS[name]
+        c = EmbeddingConstraints(must_contain=pins) if pins else None
+        for pattern in REDUCTION_PATTERNS.values():
+            ref = _search(pattern, host, c, node_budget=UNREDUCED_CAP)
+            got = find_expansion(pattern, host, c, node_budget=None)
+            if ref.status is not SearchStatus.BUDGET:
+                assert got.status is ref.status
+            if got.embedding is not None:
+                assert verify_embedding(pattern, host, got.embedding)
+                for u, v in (pins or {}).items():
+                    assert v in got.embedding.branch_sets[u]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_agrees_with_oracle_on_small_hosts(self, seed):
+        host = small_host(seed)
+        assert len(host.vertices) <= 8
+        for pattern in REDUCTION_PATTERNS.values():
+            res = find_expansion(pattern, host, node_budget=None)
+            assert ((res.status is SearchStatus.FOUND)
+                    == naive_is_minor_oracle(pattern, host))
+
+    def test_gadget_reduces_to_its_pattern(self):
+        host = gadget(complete("pqst"), 2, 2, 0, 0)
+        small, paths = _reduce_host(complete("wxyz"), host, frozenset())
+        assert small == complete("pqst")
+        inner = [v for p in paths.values() for v in p[1:-1]]
+        assert sorted(paths) == small.sorted_edges()
+        assert len(inner) == len(set(inner)) == 12
+        for p in paths.values():
+            assert all(host.has_edge(a, b) for a, b in zip(p, p[1:]))
+
+    def test_pinned_vertex_is_kept(self):
+        cycle = cycle_graph("pqrstuvo")
+        small, _ = _reduce_host(complete("wxyz"), cycle, frozenset("r"))
+        assert small.vertices == {"r"}
+        res = find_expansion(path_graph("wx"), cycle,
+                             EmbeddingConstraints(must_contain={"w": "r"}))
+        assert "r" in res.embedding.branch_sets["w"]
+
+    def test_patterns_with_a_leaf_keep_the_host(self):
+        host = seeded_host(random.Random(0))
+        assert _reduce_host(path_graph("xyz"), host, frozenset())[0] is host
+
+    @PROPERTY
+    @given(st.integers(min_value=0, max_value=2**20), st.data())
+    def test_dropping_an_image_path_vertex_is_caught(self, seed, data):
+        # a lift that leaves an inner vertex of an edge image's path out
+        # of every branch set must fail verify_embedding
+        rng = random.Random(seed)
+        name = rng.choice(["K4", "W4"])
+        base = {"K4": complete("pqst"), "W4": wheel_graph("h", "pqst")}[name]
+        r = rng.choice([2, 3])
+        host = gadget(base, rng.choice([1, 2]), r, r - 1, seed)
+        pattern = REDUCTION_PATTERNS[name]
+        small, paths = _reduce_host(pattern, host, frozenset())
+        model = _search(pattern, small, node_budget=None).embedding
+        lifted = _lift(model, paths)
+        assert verify_embedding(pattern, host, lifted)
+        inner = sorted(v for ge in model.edge_images.values()
+                       for v in paths.get(ge, ())[1:-1])
+        assert inner  # every pattern edge of the gadget runs over a path
+        v = data.draw(st.sampled_from(inner))
+        broken = MinorEmbedding({u: bs - {v} for u, bs in
+                                 lifted.branch_sets.items()},
+                                lifted.edge_images)
+        assert not verify_embedding(pattern, host, broken)
+
+    def test_find_expansion_rejects_a_broken_lift(self, monkeypatch):
+        def lossy(m, paths):
+            out = _lift(m, paths)
+            drop = {v for p in paths.values() for v in p[1:-1]}
+            return MinorEmbedding({u: bs - drop for u, bs in
+                                   out.branch_sets.items()}, out.edge_images)
+
+        monkeypatch.setattr(embed, "_lift", lossy)
+        with pytest.raises(RuntimeError):
+            find_expansion(complete("wxyz"), subdivided(complete("pqst"), 1))

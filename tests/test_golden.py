@@ -81,6 +81,9 @@ CASES = [
      ["gtimes", SQ, "--ctx", SQ_CTX, "-r", "2", "--format", "dot"]),
     ("hstar1-dot", 0, ["hstar1", HOST2, CORE, "--anchor", "p", "-r", "2",
                        "--format", "dot"]),
+    # the K4 gadget, reduced to K4 before every search
+    ("robust-k4-gadget-r3", 0, ["robust", K4, "--ctx", K4, "-r", "3"]),
+    ("robust-k4-gadget-r4", 0, ["robust", K4, "--ctx", K4, "-r", "4"]),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,8 @@ from minorbench.verify import _first_meeting, _footprint, _rank
 from helpers import (complete, cycle_graph, graphs_up_to_iso, k5_spec,
                      oracle_min_hitting, p3_star, path_graph,
                      random_connected_graph, random_graph, rooted_spec,
-                     tailed_square, triangle_with_tail, two_part_host)
+                     seeded_host, tailed_square, triangle_with_tail,
+                     two_part_host)
 
 
 class TestReportPlumbing:
@@ -337,17 +339,6 @@ OUTCOME_OF = {SearchStatus.FOUND: Outcome.HOLDS,
               SearchStatus.BUDGET: Outcome.BUDGET}
 
 
-def seeded_host(rng, chords=(2, 8)):
-    """A connected host of 10-25 vertices: a random tree plus a number of
-    chords drawn from the range chords."""
-    n = rng.randint(10, 25)
-    labels = [f"v{i}" for i in range(n)]
-    tree = [(v, rng.choice(labels[:i])) for i, v in enumerate(labels) if i]
-    spare = [e for e in combinations(labels, 2)
-             if e not in tree and e[::-1] not in tree]
-    return Graph.build(labels, tree + rng.sample(spare, rng.randint(*chords)))
-
-
 class TestModelReuse:
     @pytest.mark.parametrize("seed", range(30))
     def test_footprint_keeps_the_model(self, seed):
@@ -399,14 +390,24 @@ class TestModelReuse:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_scan_matches_lexicographic_loop_on_seeded_hosts(self, seed):
-        # 5-12 chords: an unbounded search that proves a sparse host has
-        # no model can take millions of nodes
         rng = random.Random(seed)
-        host = seeded_host(rng, chords=(5, 12))
+        host = seeded_host(rng, chords=(1, 12))
         r = rng.choice([2, 3])
         for pattern in (complete("xyz"), cycle_graph("wxyz")):
             for node_budget in (None, 1, 5, 20):
                 self.assert_scan_matches(pattern, host, r, None, node_budget)
+
+    def test_sparse_host_refuted_without_search(self):
+        # a tree plus one chord: deleting a cycle edge leaves a forest,
+        # which host reduction empties before the search starts
+        host = seeded_host(random.Random(11), chords=(1, 12))
+        assert len(host.edges) == len(host.vertices) == 24
+        t0 = perf_counter()
+        rep = check_assembly_robustness(complete("xyz"), host, 2,
+                                        budget=Budget(nodes=None))
+        assert perf_counter() - t0 < 1.0
+        assert rep.outcome is Outcome.REFUTED
+        assert rep.stats["nodes"] == 0
 
     @staticmethod
     def assert_scan_matches(pattern, host, r, roots, node_budget):
