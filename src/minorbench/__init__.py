@@ -10,12 +10,12 @@ desk scale with deterministic, machine-readable reports.
 from .graph import (Edge, Graph, GraphError, ParseError, connected_components,
                     contract_edge, delete_edges, edge, parse_graph,
                     parse_graph6, relabeled_union, serialize)
-from .decompose import (Block, BlockCutTree, MinorPredicate, Segment, Shape,
-                        block_cut_tree, branch_vertices, choose_leaf_block,
-                        classify_shape, minimal_subtree, segment_decomposition)
+from .decompose import (Block, BlockCutTree, Segment, Shape, block_cut_tree,
+                        branch_vertices, choose_leaf_block, classify_shape,
+                        minimal_subtree, segment_decomposition)
 from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, EmbeddingConstraints,
-                    MinorEmbedding, NodeCounter, SearchResult, SearchStatus,
-                    enumerate_expansions, find_expansion,
+                    MinorEmbedding, MinorPredicate, NodeCounter, SearchResult,
+                    SearchStatus, enumerate_expansions, find_expansion,
                     iter_expansion_footprints, is_minor,
                     naive_is_minor_oracle, partition_components,
                     verify_embedding)

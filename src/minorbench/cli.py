@@ -19,9 +19,10 @@ from time import perf_counter
 
 from .graph import (Graph, GraphError, connected_components, parse_graph,
                     parse_graph6, serialize)
-from .decompose import (MinorPredicate, block_cut_tree, branch_vertices,
-                        classify_shape, segment_decomposition)
-from .embed import MinorEmbedding, find_expansion, verify_embedding
+from .decompose import (block_cut_tree, branch_vertices, classify_shape,
+                        segment_decomposition)
+from .embed import (MinorEmbedding, MinorPredicate, find_expansion,
+                    verify_embedding)
 from .gadgets import (assemble_block_counterexample,
                       assemble_component_counterexample, load_core_spec,
                       segment_blowup)

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph import Edge, Graph, GraphError, connected_components, edge
-from .embed import is_minor
 
 __all__ = [
-    "Block", "BlockCutTree", "MinorPredicate", "Segment", "Shape",
+    "Block", "BlockCutTree", "Segment", "Shape",
     "block_cut_tree", "branch_vertices", "choose_leaf_block",
     "classify_shape", "connected_components", "minimal_subtree",
     "segment_decomposition",
@@ -280,14 +279,3 @@ def classify_shape(g: Graph) -> Shape:
     if all(d == 2 for d in degrees):
         return Shape.CYCLE
     return Shape.PATH
-
-
-@dataclass(frozen=True)
-class MinorPredicate:
-    """Hereditary-style property 'contains ``target`` as a minor'."""
-
-    name: str
-    target: Graph
-
-    def holds(self, g: Graph) -> bool:
-        return is_minor(self.target, g, force=True)

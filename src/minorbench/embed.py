@@ -15,6 +15,7 @@ searcher; it exists so the two can be played against each other.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 from typing import Iterator, Mapping
@@ -120,6 +121,12 @@ def _check_constraints(h: Graph, g: Graph, c: EmbeddingConstraints):
             raise GraphError(f"constraint pins unknown host vertex {c.must_contain[u]!r}")
 
 
+def _crossing_edges(adj: Mapping[str, frozenset[str]], A: frozenset[str],
+                    B: frozenset[str]) -> list[Edge]:
+    """Sorted edges with one end in A and the other in B."""
+    return sorted({edge(a, b) for a in A for b in adj[a] & B})
+
+
 def _connected_sets_from(root: str, allowed: frozenset[str],
                          adj: dict[str, frozenset[str]],
                          max_size: int) -> Iterator[frozenset[str]]:
@@ -169,13 +176,6 @@ def enumerate_expansions(h: Graph, g: Graph,
     ng = len(g.vertices)
     nh = len(order)
 
-    def crossing_edges(A: frozenset[str], B: frozenset[str]) -> list[Edge]:
-        out = []
-        for a in A:
-            for b in adj[a] & B:
-                out.append(edge(a, b))
-        return sorted(set(out))
-
     def candidate_ok(u: str, B: frozenset[str]) -> bool:
         unplaced = []
         for w in h_adj[u]:
@@ -215,7 +215,7 @@ def enumerate_expansions(h: Graph, g: Graph,
         images: dict[Edge, Edge] = {}
         for he in h.sorted_edges():
             u, w = he
-            images[he] = crossing_edges(placed[u], placed[w])[0]
+            images[he] = _crossing_edges(adj, placed[u], placed[w])[0]
         return MinorEmbedding(dict(placed), images)
 
     def rec(i: int) -> Iterator[MinorEmbedding]:
@@ -258,35 +258,32 @@ def _search(h: Graph, g: Graph,
 
 
 def _reduce_host(h: Graph, g: Graph, keep: frozenset[str]
-                 ) -> tuple[Graph, dict[Edge, tuple[str, ...]]]:
-    """Shrink g without changing whether h is a minor of it.
+                 ) -> tuple[Graph, dict[str, set[str]]]:
+    """Shrink g by deletions and contractions that keep whether h is a
+    minor of it.
 
     If h has minimum degree 2 or more, vertices of degree at most 1 are
-    deleted; if 3 or more, vertices of degree 2 are also suppressed:
-    their two edges become one edge, or are dropped when the two
-    neighbours are already adjacent.  Neither rule touches a vertex in
-    keep.  Returns the reduced host and, for each of its edges that is
-    not a host edge, the host path it stands for, from the edge's first
-    end to its second.  The host itself comes back when nothing applies.
+    deleted; if 3 or more, a vertex of degree 2 is also contracted into
+    its smaller-labelled neighbour, or deleted when its two neighbours
+    are already adjacent.  No vertex in keep is removed.  Returns the
+    reduced host and the merge map: every surviving vertex that absorbed
+    others, with the host vertices contracted into it.  A contracted
+    vertex takes its own group along; a deleted one drops it.  The host
+    itself comes back when nothing applies.
     """
     low = min((len(ns) for ns in h.adjacency().values()), default=0)
     if low < 2:
         return g, {}
     top = 2 if low >= 3 else 1
     adj = {v: set(ns) for v, ns in g.adjacency().items()}
-    paths: dict[Edge, tuple[str, ...]] = {}
-
-    def walk(a: str, b: str) -> tuple[str, ...]:
-        p = paths.pop(edge(a, b), (a, b))
-        return p if p[0] == a else p[::-1]
-
+    merged: dict[str, set[str]] = {}
     todo = sorted(adj)
     while todo:
         v = todo.pop()
         if v in keep or v not in adj or len(adj[v]) > top:
             continue
         ns = sorted(adj.pop(v))
-        legs = [walk(v, w) for w in ns]
+        group = merged.pop(v, set())
         for w in ns:
             adj[w].discard(v)
             todo.append(w)
@@ -294,34 +291,39 @@ def _reduce_host(h: Graph, g: Graph, keep: frozenset[str]
             a, b = ns
             adj[a].add(b)
             adj[b].add(a)
-            paths[(a, b)] = legs[0][::-1] + legs[1][1:]
+            group.add(v)
+            merged.setdefault(a, set()).update(group)
     if len(adj) == len(g.vertices):
         return g, {}
     return Graph(frozenset(adj),
                  frozenset(edge(a, b) for a in adj for b in adj[a] if a < b)
-                 ), paths
+                 ), merged
 
 
-def _lift(m: MinorEmbedding, paths: Mapping[Edge, tuple[str, ...]]
+def _lift(m: MinorEmbedding, g: Graph, merged: Mapping[str, set[str]]
           ) -> MinorEmbedding:
-    """A model on the reduced host, carried back to the host: a path
-    inside a branch set joins it whole; an edge image's path gives its
-    inner vertices to the branch set at its first end, and its last
-    edge becomes the image."""
-    owner = {v: u for u, bs in m.branch_sets.items() for v in bs}
-    grown = {u: set(bs) for u, bs in m.branch_sets.items()}
-    for (a, b), p in paths.items():
-        if a in owner and owner[a] == owner.get(b):
-            grown[owner[a]].update(p[1:-1])
-    images = {}
-    for he, ge in m.edge_images.items():
-        p = paths.get(ge)
-        if p is not None:
-            grown[owner[p[0]]].update(p[1:-1])
-            ge = edge(p[-2], p[-1])
-        images[he] = ge
-    return MinorEmbedding({u: frozenset(bs) for u, bs in grown.items()},
-                          images)
+    """A model on the reduced host, carried back to g by un-contracting.
+
+    An edge image becomes the host edge between the groups of its two
+    ends, and each branch set grows by its members' groups, less the
+    grown vertices left hanging: parts of paths the model does not use.
+    """
+    adj = g.adjacency()
+    images = {he: _crossing_edges(adj, merged.get(a, set()) | {a},
+                                  merged.get(b, set()) | {b})[0]
+              for he, (a, b) in m.edge_images.items()}
+    ends = {v for e in images.values() for v in e}
+    grown = {}
+    for u, bs in m.branch_sets.items():
+        vs = set(bs).union(*(merged.get(v, ()) for v in bs))
+        tips = list(vs - bs - ends)
+        while tips:
+            v = tips.pop()
+            if v in vs and len(adj[v] & vs) < 2:
+                vs.remove(v)
+                tips.extend(adj[v] & vs - bs - ends)
+        grown[u] = frozenset(vs)
+    return MinorEmbedding(grown, images)
 
 
 def find_expansion(h: Graph, g: Graph,
@@ -336,11 +338,11 @@ def find_expansion(h: Graph, g: Graph,
     c = constraints or EmbeddingConstraints()
     # pinned vertices stay, so the search's own check of c on the
     # reduced host rejects exactly what it would reject on g
-    small, paths = _reduce_host(h, g, frozenset(c.must_contain.values()))
+    small, merged = _reduce_host(h, g, frozenset(c.must_contain.values()))
     res = _search(h, small, c, node_budget)
     if res.embedding is None or small is g:
         return res
-    lifted = _lift(res.embedding, paths)
+    lifted = _lift(res.embedding, g, merged)
     if not verify_embedding(h, g, lifted):
         raise RuntimeError("a model lifted from the reduced host fails "
                            "verification")
@@ -359,7 +361,7 @@ def verify_embedding(h: Graph, g: Graph, m: MinorEmbedding) -> bool:
             if bs & seen:
                 return False
             seen |= bs
-            if not g.induced(bs).is_connected():
+            if len(g._reach(min(bs), bs)) != len(bs):
                 return False
         if set(m.edge_images) != set(h.edges):
             return False
@@ -386,6 +388,17 @@ def is_minor(h: Graph, g: Graph, force: bool = False) -> bool:
             f"({EXACT_HOST_GUARD}); pass force=True to run anyway")
     res = find_expansion(h, g, None, node_budget=None)
     return res.status is SearchStatus.FOUND
+
+
+@dataclass(frozen=True)
+class MinorPredicate:
+    """Hereditary-style property 'contains ``target`` as a minor'."""
+
+    name: str
+    target: Graph
+
+    def holds(self, g: Graph) -> bool:
+        return is_minor(self.target, g, force=True)
 
 
 def naive_is_minor_oracle(h: Graph, g: Graph) -> bool:
@@ -487,31 +500,11 @@ def partition_components(h: Graph, anchor: Graph,
 # -- expansion footprints (for packing and locality scans) ---------------
 
 def _spanning_trees(vs: frozenset[str], g: Graph) -> list[frozenset[Edge]]:
-    """Every spanning tree of the induced subgraph on vs."""
-    if len(vs) == 1:
-        return [frozenset()]
+    """Every spanning tree of the induced subgraph on vs: the sets of
+    len(vs) - 1 of its edges that connect vs, in combinations order."""
     inner = sorted(e for e in g.edges if e[0] in vs and e[1] in vs)
-    n = len(vs)
-    out = []
-    for combo in combinations(inner, n - 1):
-        parent = {v: v for v in vs}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
-        for u, v in combo:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                ok = False
-                break
-            parent[ru] = rv
-        if ok:
-            out.append(frozenset(combo))
-    return out
+    return [frozenset(combo) for combo in combinations(inner, len(vs) - 1)
+            if Graph(vs, frozenset(combo)).is_connected()]
 
 
 def iter_expansion_footprints(h: Graph, g: Graph, counter: NodeCounter
@@ -523,9 +516,10 @@ def iter_expansion_footprints(h: Graph, g: Graph, counter: NodeCounter
     h minor contains one of these.  Footprints are deduplicated.
     """
     seen: set[frozenset[Edge]] = set()
+    trees_of = functools.cache(lambda vs: _spanning_trees(vs, g))
     for emb in enumerate_expansions(h, g, None, counter):
         hverts = sorted(emb.branch_sets)
-        tree_choices = [_spanning_trees(emb.branch_sets[u], g) for u in hverts]
+        tree_choices = [trees_of(emb.branch_sets[u]) for u in hverts]
         hedges = h.sorted_edges()
         image_choices = []
         for u, w in hedges:

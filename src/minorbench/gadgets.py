@@ -18,10 +18,10 @@ from typing import Mapping
 
 from .graph import (Graph, GraphError, ParseError, _parse_edge_block,
                     connected_components, relabeled_union)
-from .decompose import (Shape, MinorPredicate, block_cut_tree, branch_vertices,
+from .decompose import (Shape, block_cut_tree, branch_vertices,
                         choose_leaf_block, classify_shape, minimal_subtree,
                         segment_decomposition)
-from .embed import is_minor, partition_components
+from .embed import MinorPredicate, is_minor, partition_components
 
 __all__ = [
     "BuildTrace", "CoreSpec", "assemble_block_counterexample",

@@ -137,12 +137,14 @@ class Graph:
         vs = {x for e in keep for x in e}
         return Graph(frozenset(vs), frozenset(keep), None)
 
-    def _reach(self, start: str) -> set[str]:
-        """Vertices connected to start."""
+    def _reach(self, start: str,
+               within: frozenset[str] | None = None) -> set[str]:
+        """Vertices connected to start, through within only if given."""
         seen = {start}
         stack = [start]
         while stack:
-            for w in self._adj[stack.pop()]:
+            ns = self._adj[stack.pop()]
+            for w in ns if within is None else ns & within:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)

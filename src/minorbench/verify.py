@@ -18,9 +18,9 @@ from typing import Iterable, Mapping
 
 from .graph import (Edge, Graph, GraphError, contract_edge, delete_edges,
                     edge)
-from .decompose import MinorPredicate, branch_vertices
+from .decompose import branch_vertices
 from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, EmbeddingConstraints,
-                    MinorEmbedding, NodeCounter, SearchStatus,
+                    MinorEmbedding, MinorPredicate, NodeCounter, SearchStatus,
                     _check_constraints, find_expansion,
                     iter_expansion_footprints)
 from .gadgets import CoreSpec, segment_blowup

@@ -369,14 +369,52 @@ class TestHostReduction:
                     == naive_is_minor_oracle(pattern, host))
 
     def test_gadget_reduces_to_its_pattern(self):
+        # each of the six K4 edges runs over two parallel 2-vertex paths:
+        # one is contracted into its ends, the other deleted whole
         host = gadget(complete("pqst"), 2, 2, 0, 0)
-        small, paths = _reduce_host(complete("wxyz"), host, frozenset())
+        small, merged = _reduce_host(complete("wxyz"), host, frozenset())
         assert small == complete("pqst")
-        inner = [v for p in paths.values() for v in p[1:-1]]
-        assert sorted(paths) == small.sorted_edges()
-        assert len(inner) == len(set(inner)) == 12
-        for p in paths.values():
-            assert all(host.has_edge(a, b) for a, b in zip(p, p[1:]))
+        absorbed = [v for group in merged.values() for v in group]
+        assert len(absorbed) == len(set(absorbed)) == 12
+        dropped = host.vertices - small.vertices - set(absorbed)
+        parts = connected_components(host.induced(dropped))
+        assert sorted(len(c.vertices) for c in parts) == [2] * 6
+        for c in parts:
+            ends = {w for v in c.vertices for w in host.neighbors(v)}
+            assert ends - c.vertices <= small.vertices
+
+    @pytest.mark.parametrize("name", sorted(REDUCTION_HOSTS))
+    def test_groups_are_disjoint_and_connected(self, name):
+        host, pins = REDUCTION_HOSTS[name]
+        small, merged = _reduce_host(complete("wxyz"), host,
+                                     frozenset((pins or {}).values()))
+        absorbed = [v for group in merged.values() for v in group]
+        assert len(absorbed) == len(set(absorbed))
+        assert not set(absorbed) & small.vertices
+        for v, group in merged.items():
+            assert v in small.vertices
+            assert host.induced(group | {v}).is_connected()
+        for pin in (pins or {}).values():
+            assert pin in small.vertices
+
+    def test_pin_absorbs_but_is_never_absorbed(self):
+        cycle = cycle_graph("abcdef")
+        small, merged = _reduce_host(complete("wxyz"), cycle, frozenset("a"))
+        assert small.vertices == {"a"}
+        assert merged == {"a": set("def")}
+        small, merged = _reduce_host(complete("wxyz"), cycle, frozenset("e"))
+        assert small.vertices == {"e"}
+        assert all("e" not in group for group in merged.values())
+
+    def test_lift_with_an_empty_map_keeps_the_model(self):
+        # a pattern of minimum degree 2 only deletes: the K4 keeps its
+        # tree, and the search's model is already a model in the host
+        host = Graph.build([], list(complete("pqst").edges) +
+                           [("t", "u"), ("u", "v"), ("u", "w")])
+        small, merged = _reduce_host(complete("xyz"), host, frozenset())
+        assert small == complete("pqst") and merged == {}
+        model = _search(complete("xyz"), small, node_budget=None).embedding
+        assert _lift(model, host, merged) == model
 
     def test_pinned_vertex_is_kept(self):
         cycle = cycle_graph("pqrstuvo")
@@ -390,34 +428,54 @@ class TestHostReduction:
         host = seeded_host(random.Random(0))
         assert _reduce_host(path_graph("xyz"), host, frozenset())[0] is host
 
+    @pytest.mark.parametrize("name", sorted(REDUCTION_HOSTS))
+    def test_lift_keeps_no_hanging_path(self, name):
+        # a lifted branch set holds an absorbed vertex only on a path it
+        # needs: inside the set, or leading to the vertex's edge image
+        host, pins = REDUCTION_HOSTS[name]
+        c = EmbeddingConstraints(must_contain=pins) if pins else None
+        for pattern in REDUCTION_PATTERNS.values():
+            small, merged = _reduce_host(pattern, host,
+                                         frozenset((pins or {}).values()))
+            model = _search(pattern, small, c, node_budget=None).embedding
+            if model is None:
+                continue
+            lifted = _lift(model, host, merged)
+            assert verify_embedding(pattern, host, lifted)
+            ends = {v for e in lifted.edge_images.values() for v in e}
+            for u, bs in lifted.branch_sets.items():
+                assert model.branch_sets[u] <= bs
+                for v in bs - model.branch_sets[u] - ends:
+                    assert len(host.neighbors(v) & bs) == 2
+
     @PROPERTY
     @given(st.integers(min_value=0, max_value=2**20), st.data())
     def test_dropping_an_image_path_vertex_is_caught(self, seed, data):
-        # a lift that leaves an inner vertex of an edge image's path out
-        # of every branch set must fail verify_embedding
+        # every vertex a gadget's reduction absorbs lies on a path that
+        # a lifted model needs, so a lift that leaves it out of its
+        # branch set must fail verify_embedding
         rng = random.Random(seed)
         name = rng.choice(["K4", "W4"])
         base = {"K4": complete("pqst"), "W4": wheel_graph("h", "pqst")}[name]
         r = rng.choice([2, 3])
         host = gadget(base, rng.choice([1, 2]), r, r - 1, seed)
         pattern = REDUCTION_PATTERNS[name]
-        small, paths = _reduce_host(pattern, host, frozenset())
+        small, merged = _reduce_host(pattern, host, frozenset())
         model = _search(pattern, small, node_budget=None).embedding
-        lifted = _lift(model, paths)
+        lifted = _lift(model, host, merged)
         assert verify_embedding(pattern, host, lifted)
-        inner = sorted(v for ge in model.edge_images.values()
-                       for v in paths.get(ge, ())[1:-1])
-        assert inner  # every pattern edge of the gadget runs over a path
-        v = data.draw(st.sampled_from(inner))
+        absorbed = sorted(set().union(*merged.values()))
+        assert absorbed  # every pattern edge of the gadget runs over a path
+        v = data.draw(st.sampled_from(absorbed))
         broken = MinorEmbedding({u: bs - {v} for u, bs in
                                  lifted.branch_sets.items()},
                                 lifted.edge_images)
         assert not verify_embedding(pattern, host, broken)
 
     def test_find_expansion_rejects_a_broken_lift(self, monkeypatch):
-        def lossy(m, paths):
-            out = _lift(m, paths)
-            drop = {v for p in paths.values() for v in p[1:-1]}
+        def lossy(m, g, merged):
+            out = _lift(m, g, merged)
+            drop = set().union(*merged.values())
             return MinorEmbedding({u: bs - drop for u, bs in
                                    out.branch_sets.items()}, out.edge_images)
 

@@ -470,6 +470,38 @@ class TestModelReuse:
         assert (res.subsets, res.nodes) == (checked, nodes)
 
 
+class TestSeededHosts:
+    """pack and hit on 10-25 vertex hosts, each answer checked again."""
+
+    # footprint enumeration grows exponentially with the host; on these
+    # seeds' 10-12 vertex hosts it finishes in well under a second
+    @pytest.mark.parametrize("seed", [2, 6, 10, 19])
+    def test_pack_witnesses_are_disjoint_models(self, seed):
+        host = seeded_host(random.Random(seed), chords=(1, 4))
+        pattern = complete("xyz")
+        res = max_edge_disjoint_packing(pattern, host, node_budget=None)
+        assert res.exact and res.count == len(res.witness) >= 1
+        for a, b in combinations(res.witness, 2):
+            assert not a & b
+        for fp in res.witness:
+            sub = host.edge_subgraph(fp)
+            got = find_expansion(pattern, sub, node_budget=None)
+            assert verify_embedding(pattern, sub, got.embedding)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_deleting_a_hit_witness_leaves_no_model(self, seed):
+        host = seeded_host(random.Random(seed), chords=(1, 6))
+        for pattern in (complete("xyz"), cycle_graph("wxyz")):
+            res = min_edge_hitting_set(pattern, host,
+                                       budget=Budget(nodes=None))
+            assert res.exact and res.size == len(res.hitting_edges)
+            if res.size:
+                assert is_minor(pattern, host, force=True)
+            rest = delete_edges(host, res.hitting_edges)
+            assert find_expansion(pattern, rest, node_budget=None).status \
+                is SearchStatus.NONE
+
+
 class TestFirstMeeting:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10).flatmap(lambda m: st.tuples(
