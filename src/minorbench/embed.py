@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
 from typing import Iterator, Mapping
@@ -499,44 +500,63 @@ def partition_components(h: Graph, anchor: Graph,
 
 # -- expansion footprints (for packing and locality scans) ---------------
 
-def _spanning_trees(vs: frozenset[str], g: Graph) -> list[frozenset[Edge]]:
-    """Every spanning tree of the induced subgraph on vs: the sets of
-    len(vs) - 1 of its edges that connect vs, in combinations order."""
-    inner = sorted(e for e in g.edges if e[0] in vs and e[1] in vs)
-    return [frozenset(combo) for combo in combinations(inner, len(vs) - 1)
-            if Graph(vs, frozenset(combo)).is_connected()]
+def _spanning_trees(vs: frozenset[str], adj: Mapping[str, frozenset[str]],
+                    most: int) -> list[tuple[frozenset[Edge], frozenset[str]]]:
+    """Spanning trees of the subgraph induced on vs with at most most
+    leaves, each with its leaves.  Grown from the smallest vertex, the
+    smallest edge leaving the tree is taken or banned, so each tree
+    comes once; a vertex of degree above most means too many leaves.
+    """
+    out = []
+
+    def grow(tree: frozenset[Edge], reached: frozenset[str],
+             banned: frozenset[Edge]):
+        deg = Counter(v for e in tree for v in e)
+        if len(reached) == len(vs):
+            leaves = frozenset(v for v in vs if deg[v] == 1)
+            if len(leaves) <= most:
+                out.append((tree, leaves))
+        elif max(deg.values(), default=0) <= most:
+            cut = min((edge(a, b) for a in reached for b in adj[a] & vs
+                       if b not in reached and edge(a, b) not in banned),
+                      default=None)
+            if cut is not None:
+                grow(tree | {cut}, reached.union(cut), banned)
+                grow(tree, reached, banned | {cut})
+
+    grow(frozenset(), frozenset([min(vs)]), frozenset())
+    return out
 
 
 def iter_expansion_footprints(h: Graph, g: Graph, counter: NodeCounter
                               ) -> Iterator[tuple[MinorEmbedding, frozenset[Edge]]]:
-    """Yield (model, edge footprint) for every minimal expansion subgraph.
-
-    A minimal expansion subgraph is a spanning tree per branch set plus
-    one host edge per pattern edge; every subgraph of g containing an
-    h minor contains one of these.  Footprints are deduplicated.
-    """
+    """Yield (model, edge footprint), deduplicated, for the expansion
+    subgraphs (a spanning tree per branch set plus one host edge per
+    pattern edge) whose tree leaves all end an edge image.  Dropping any
+    other leaf leaves a smaller one, so every inclusion-minimal one is
+    yielded, and every subgraph of g with an h minor contains one."""
     seen: set[frozenset[Edge]] = set()
-    trees_of = functools.cache(lambda vs: _spanning_trees(vs, g))
+    adj = g.adjacency()
+    hedges = h.sorted_edges()
+    trees_of = functools.cache(lambda vs, d: _spanning_trees(vs, adj, d))
+    cross = functools.cache(lambda A, B: _crossing_edges(adj, A, B))
     for emb in enumerate_expansions(h, g, None, counter):
-        hverts = sorted(emb.branch_sets)
-        tree_choices = [trees_of(emb.branch_sets[u]) for u in hverts]
-        hedges = h.sorted_edges()
-        image_choices = []
-        for u, w in hedges:
-            bu, bw = emb.branch_sets[u], emb.branch_sets[w]
-            cands = sorted(e for e in g.edges
-                           if (e[0] in bu and e[1] in bw) or (e[0] in bw and e[1] in bu))
-            image_choices.append(cands)
-        for trees in product(*tree_choices):
-            base: set[Edge] = set()
-            for t in trees:
-                base |= t
-            for images in product(*image_choices):
+        bs = emb.branch_sets
+        hverts = sorted(bs)
+        for trees in product(*(trees_of(bs[u], h.degree(u))
+                               for u in hverts)):
+            # with as many leaves as images, each image ends at a leaf
+            ends = {u: leaves if len(leaves) == h.degree(u) else bs[u]
+                    for u, (_, leaves) in zip(hverts, trees)}
+            base = frozenset().union(*(t for t, _ in trees))
+            leaves = frozenset().union(*(lv for _, lv in trees))
+            for images in product(*(cross(ends[u], ends[w])
+                                    for u, w in hedges)):
                 counter.spend()
-                usage = frozenset(base | set(images))
-                if usage in seen:
+                if leaves.difference(*images):
                     continue
-                seen.add(usage)
-                final = MinorEmbedding(dict(emb.branch_sets),
-                                       {he: im for he, im in zip(hedges, images)})
-                yield final, usage
+                usage = base.union(images)
+                if usage not in seen:
+                    seen.add(usage)
+                    yield (MinorEmbedding(dict(bs), dict(zip(hedges, images))),
+                           usage)

@@ -115,22 +115,26 @@ def max_edge_disjoint_packing(pattern: Graph, host: Graph,
                               ) -> PackingResult:
     """Maximum number of pairwise edge-disjoint pattern expansions in host.
 
-    Exact when it completes within the node budget: footprints of all
-    expansions are enumerated once, then greedily deepened with a memo
-    of failed (remaining-edges, still-needed) states.  cap stops the
-    deepening early once that many disjoint copies are found.
+    Exact when it completes within the node budget: footprints are
+    enumerated once, then greedily deepened, in (size, edges) order,
+    with a memo of failed (remaining-edges, still-needed) states.  A
+    footprint comes after, and succeeds only where, the minimal ones
+    inside it do, so all footprints would give the same witness.  Each
+    phase gets node_budget nodes; deepening uses what enumeration found
+    before running out.  cap stops once that many copies are found.
     """
     if not pattern.edges:
         raise GraphError("packing needs a pattern with at least one edge")
-    counter = NodeCounter(cap=node_budget)
+    listing = NodeCounter(cap=node_budget)
     exact = True
     footprints: list[frozenset[Edge]] = []
     try:
-        for _, usage in iter_expansion_footprints(pattern, host, counter):
+        for _, usage in iter_expansion_footprints(pattern, host, listing):
             footprints.append(usage)
     except BudgetExceeded:
         exact = False
     footprints.sort(key=lambda s: (len(s), sorted(s)))
+    counter = NodeCounter(cap=node_budget)
     per = len(pattern.edges)
 
     fail: set[tuple[frozenset[Edge], int]] = set()
@@ -168,7 +172,8 @@ def max_edge_disjoint_packing(pattern: Graph, host: Graph,
             break
         best = got
         t += 1
-    return PackingResult(len(best), tuple(best), exact, counter.nodes)
+    return PackingResult(len(best), tuple(best), exact,
+                         listing.nodes + counter.nodes)
 
 
 @dataclass(frozen=True)

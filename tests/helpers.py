@@ -1,17 +1,21 @@
 """Shared fixtures: graph builders, corpora, and brute-force oracles.
 
 The oracles here are deliberately slow and definition-shaped; none of
-them call into the package's search or decomposition code paths.
+them call into the package's search or decomposition code paths, except
+product_footprints, which shares the branch-set enumeration with the
+footprint enumerator it checks.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
-from itertools import combinations, permutations
+from collections import Counter
+from functools import cache, lru_cache
+from itertools import combinations, permutations, product
 from pathlib import Path
 
-from minorbench import Graph, edge, load_core_spec
+from minorbench import (Graph, MinorEmbedding, NodeCounter, edge,
+                        enumerate_expansions, load_core_spec)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -231,3 +235,102 @@ def oracle_min_hitting(h: Graph, g: Graph) -> int | None:
             if not naive_is_minor_oracle(h, delete_edges(g, X)):
                 return s
     return None
+
+
+# -- footprint oracle ----------------------------------------------------------
+
+def _all_spanning_trees(vs: frozenset, g: Graph) -> list[frozenset]:
+    """Every spanning tree of the induced subgraph on vs: the sets of
+    len(vs) - 1 of its edges that connect vs, in combinations order."""
+    inner = sorted(e for e in g.edges if e[0] in vs and e[1] in vs)
+    return [frozenset(combo) for combo in combinations(inner, len(vs) - 1)
+            if Graph(vs, frozenset(combo)).is_connected()]
+
+
+def product_footprints(h: Graph, g: Graph, counter: NodeCounter):
+    """Yield (model, edge footprint) for every expansion subgraph: each
+    model of enumerate_expansions with every choice of a spanning tree
+    per branch set and a host edge per pattern edge, footprints
+    deduplicated.  The full product that iter_expansion_footprints
+    prunes; it shares only the branch-set enumeration with it.
+    """
+    seen: set[frozenset] = set()
+    trees_of = cache(lambda vs: _all_spanning_trees(vs, g))
+    for emb in enumerate_expansions(h, g, None, counter):
+        hverts = sorted(emb.branch_sets)
+        tree_choices = [trees_of(emb.branch_sets[u]) for u in hverts]
+        hedges = h.sorted_edges()
+        image_choices = []
+        for u, w in hedges:
+            bu, bw = emb.branch_sets[u], emb.branch_sets[w]
+            cands = sorted(e for e in g.edges
+                           if (e[0] in bu and e[1] in bw) or (e[0] in bw and e[1] in bu))
+            image_choices.append(cands)
+        for trees in product(*tree_choices):
+            base: set = set()
+            for t in trees:
+                base |= t
+            for images in product(*image_choices):
+                counter.spend()
+                usage = frozenset(base | set(images))
+                if usage in seen:
+                    continue
+                seen.add(usage)
+                final = MinorEmbedding(dict(emb.branch_sets),
+                                       {he: im for he, im in zip(hedges, images)})
+                yield final, usage
+
+
+def satisfies_leaf_rule(emb: MinorEmbedding, usage: frozenset) -> bool:
+    """Every leaf of a branch set's spanning tree in usage ends an edge
+    image of emb."""
+    ends = {v for e in emb.edge_images.values() for v in e}
+    for bs in emb.branch_sets.values():
+        deg = Counter(v for e in usage if e[0] in bs and e[1] in bs
+                      for v in e)
+        if any(d == 1 and v not in ends for v, d in deg.items()):
+            return False
+    return True
+
+
+def inclusion_minimal(sets) -> set[frozenset]:
+    """The sets with no other set of the family as a proper subset.
+
+    Taken by size, as bitmasks: a set is minimal unless a smaller
+    minimal set, kept already, lies inside it.
+    """
+    sets = sorted(set(sets), key=len)
+    bit = {x: 1 << i for i, x in enumerate({x for s in sets for x in s})}
+    kept: list[int] = []
+    out = set()
+    for s in sets:
+        mask = sum(bit[x] for x in s)
+        if all(t & mask != t for t in kept):
+            kept.append(mask)
+            out.add(s)
+    return out
+
+
+@lru_cache(maxsize=None)
+def oracle_footprints(h: Graph, g: Graph) -> tuple:
+    """product_footprints of h in g, uncapped, kept for reuse."""
+    return tuple(product_footprints(h, g, NodeCounter(cap=None)))
+
+
+def footprint_cases() -> dict[str, tuple[Graph, Graph]]:
+    """name -> (pattern, host) for the footprint differential tests:
+    K3, C4, K4 and W4 in K4 and K5, K3 and K4 in K6, and K3 and C4
+    each in a seeded 10-vertex host.  Every pattern has minimum degree
+    2."""
+    patterns = {"K3": complete("xyz"), "C4": cycle_graph("wxyz"),
+                "K4": complete("wxyz"), "W4": wheel_graph("h", "wxyz")}
+    cases = {}
+    for n in (4, 5, 6):
+        host = complete(SAFE_LABELS[:n])
+        for name, pattern in patterns.items():
+            if len(pattern.vertices) <= n and (n < 6 or name[0] == "K"):
+                cases[f"{name}-K{n}"] = (pattern, host)
+    for name, seed in (("K3", 86), ("C4", 56)):
+        host = seeded_host(random.Random(seed), (1, 4))
+        cases[f"{name}-seeded-{seed}"] = (patterns[name], host)
+    return cases

@@ -20,9 +20,10 @@ from minorbench import (DEFAULT_SEED, Graph, MinorPredicate, Outcome,
                         max_edge_disjoint_packing, min_edge_hitting_set,
                         naive_is_minor_oracle, SearchStatus)
 from helpers import (complete, graphs_up_to_iso, k5_spec, oracle_blocks,
-                     oracle_cutvertices, p3_star, random_connected_graph,
-                     random_graph, rooted_spec, tailed_square,
-                     triangle_with_tail, two_part_host)
+                     oracle_cutvertices, oracle_footprints, p3_star,
+                     random_connected_graph, random_graph, rooted_spec,
+                     satisfies_leaf_rule, tailed_square, triangle_with_tail,
+                     two_part_host)
 
 
 @contextmanager
@@ -231,7 +232,11 @@ def test_criterion_5_component_counterexample():
 
         local = reports["locality"]
         assert local.outcome is Outcome.HOLDS
-        assert local.stats["footprints"] == 110
+        oracle = oracle_footprints(host, built)
+        assert len(oracle) == 110
+        assert local.stats["footprints"] == len(
+            {usage for emb, usage in oracle
+             if satisfies_leaf_rule(emb, usage)}) == 70
         assert local.stats["restricted_searches"] == 0
 
         packing = max_edge_disjoint_packing(host, built, cap=spec.k)
@@ -264,7 +269,9 @@ def test_criterion_6_block_counterexample():
 
         local = reports["locality"]
         assert local.outcome is Outcome.HOLDS
-        assert local.stats["restricted_searches"] > 0
+        # every leaf-rule footprint keeps the anchor block in the core;
+        # the full product needs 288 restricted searches (test_verify)
+        assert local.stats["restricted_searches"] == 0
 
         packing = max_edge_disjoint_packing(host, built, cap=spec.k)
         assert packing.exact

@@ -3,14 +3,15 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from minorbench import parse_graph
+from minorbench import parse_graph, serialize
 from minorbench.cli import main
-from helpers import SAMPLES
+from helpers import SAMPLES, seeded_host
 
 PYPROJECT = SAMPLES.parent / "pyproject.toml"
 
@@ -292,6 +293,16 @@ class TestQueries:
     def test_pack_cap(self, capsys):
         code, obj, _ = run_json(capsys, "pack", TRI, K4, "--cap", "1")
         assert code == 0 and obj["details"]["count"] == 1
+
+    def test_pack_budget_keeps_the_copies_found(self, capsys, tmp_path):
+        # the budget stops footprint enumeration on this 22-vertex host
+        # after some footprints (test_verify.TestSeededHosts)
+        host = tmp_path / "host.el"
+        host.write_text(serialize(seeded_host(random.Random(0), (1, 4))))
+        code, obj, _ = run_json(capsys, "pack", TRI, str(host),
+                                "--budget", "20000")
+        assert code == 2 and obj["outcome"] == "budget-exhausted"
+        assert obj["details"]["count"] == len(obj["details"]["witness"]) >= 1
 
     def test_hit(self, capsys):
         code, obj, _ = run_json(capsys, "hit", TRI, K4)

@@ -1,6 +1,7 @@
 """Expansion search engine, its verifier, and the independent oracle."""
 
 import random
+from math import comb, factorial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,8 +15,11 @@ from minorbench import (BudgetExceeded, EmbeddingConstraints, Graph,
                         segment_blowup, verify_embedding)
 from minorbench import embed
 from minorbench.embed import _lift, _reduce_host, _search
-from helpers import (complete, cycle_graph, path_graph, random_connected_graph,
-                     random_graph, seeded_host, subdivided, wheel_graph)
+from helpers import (complete, cycle_graph, footprint_cases,
+                     inclusion_minimal, oracle_footprints, path_graph,
+                     random_connected_graph, random_graph,
+                     satisfies_leaf_rule, seeded_host, subdivided,
+                     wheel_graph)
 
 PROPERTY = settings(max_examples=50, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -293,6 +297,42 @@ class TestFootprints:
         h, g = complete("xyz"), complete("pqst")
         with pytest.raises(BudgetExceeded):
             list(iter_expansion_footprints(h, g, NodeCounter(cap=3)))
+
+
+FOOTPRINT_CASES = footprint_cases()
+
+
+class TestLeafRuleFootprints:
+    """iter_expansion_footprints against the full trees x images
+    product, helpers.product_footprints."""
+
+    @pytest.mark.parametrize("name", sorted(FOOTPRINT_CASES))
+    def test_against_product_oracle(self, name):
+        h, g = FOOTPRINT_CASES[name]
+        oracle = oracle_footprints(h, g)
+        got = list(iter_expansion_footprints(h, g, NodeCounter(cap=None)))
+        kept = {usage for _, usage in got}
+        assert len(kept) == len(got)
+        assert inclusion_minimal(usage for _, usage in oracle) <= kept
+        assert kept <= {usage for _, usage in oracle}
+        for emb, usage in got:
+            assert satisfies_leaf_rule(emb, usage)
+            assert verify_embedding(h, g, emb)
+        # with minimum degree 2 a footprint breaks the rule under every
+        # model or none: exactly when one of its vertices has degree 1
+        assert kept == {usage for emb, usage in oracle
+                        if satisfies_leaf_rule(emb, usage)}
+
+    def test_triangles_in_k7_are_its_cycles(self):
+        g = complete("abcdefg")
+        got = [usage for _, usage in iter_expansion_footprints(
+            complete("xyz"), g, NodeCounter(cap=None))]
+        cycles = sum(comb(7, n) * factorial(n - 1) // 2 for n in range(3, 8))
+        assert len(got) == len(set(got)) == cycles == 1172
+        for usage in got:
+            sub = g.edge_subgraph(usage)
+            assert sub.is_connected()
+            assert all(sub.degree(v) == 2 for v in sub.vertices)
 
 
 # -- host reduction against the unreduced search -------------------------------

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minorbench import (Budget, CoreSpec, EmbeddingConstraints, Graph,
-                        GraphError, MinorEmbedding, MinorPredicate, Outcome,
+from minorbench import (Budget, BudgetExceeded, CoreSpec,
+                        EmbeddingConstraints, Graph, GraphError,
+                        MinorEmbedding, MinorPredicate, NodeCounter, Outcome,
                         Report, SearchStatus, assemble_block_counterexample,
                         assemble_component_counterexample, canonical_json,
                         check_assembly_robustness, check_branch_count,
@@ -17,15 +18,17 @@ from minorbench import (Budget, CoreSpec, EmbeddingConstraints, Graph,
                         check_generic_counterexample,
                         check_hereditary_sampled, connected_components,
                         core_region, delete_edges, find_expansion, graph_json,
-                        is_minor, max_edge_disjoint_packing,
-                        min_edge_hitting_set, naive_is_minor_oracle,
-                        segment_blowup, verify_embedding)
+                        is_minor, iter_expansion_footprints,
+                        max_edge_disjoint_packing, min_edge_hitting_set,
+                        naive_is_minor_oracle, segment_blowup,
+                        verify_embedding)
+from minorbench import verify
 from minorbench.verify import _first_meeting, _footprint, _rank
-from helpers import (complete, cycle_graph, graphs_up_to_iso, k5_spec,
-                     oracle_min_hitting, p3_star, path_graph,
-                     random_connected_graph, random_graph, rooted_spec,
-                     seeded_host, tailed_square, triangle_with_tail,
-                     two_part_host)
+from helpers import (complete, cycle_graph, footprint_cases, graphs_up_to_iso,
+                     k5_spec, oracle_footprints, oracle_min_hitting, p3_star,
+                     path_graph, random_connected_graph, random_graph,
+                     rooted_spec, satisfies_leaf_rule, seeded_host,
+                     tailed_square, triangle_with_tail, two_part_host)
 
 
 class TestReportPlumbing:
@@ -470,6 +473,10 @@ class TestModelReuse:
         assert (res.subsets, res.nodes) == (checked, nodes)
 
 
+# stops K3 footprint enumeration on seeded host 0 (22 vertices) early
+PACK_BUDGET = 20000
+
+
 class TestSeededHosts:
     """pack and hit on 10-25 vertex hosts, each answer checked again."""
 
@@ -481,6 +488,26 @@ class TestSeededHosts:
         pattern = complete("xyz")
         res = max_edge_disjoint_packing(pattern, host, node_budget=None)
         assert res.exact and res.count == len(res.witness) >= 1
+        for a, b in combinations(res.witness, 2):
+            assert not a & b
+        for fp in res.witness:
+            sub = host.edge_subgraph(fp)
+            got = find_expansion(pattern, sub, node_budget=None)
+            assert verify_embedding(pattern, sub, got.embedding)
+
+    def test_pack_keeps_the_copies_found_before_the_budget_ran_out(self):
+        host = seeded_host(random.Random(0), chords=(1, 4))
+        pattern = complete("xyz")
+        listed = []
+        with pytest.raises(BudgetExceeded):
+            for _, usage in iter_expansion_footprints(
+                    pattern, host, NodeCounter(cap=PACK_BUDGET)):
+                listed.append(usage)
+        assert listed  # the budget stops enumeration after a footprint
+        res = max_edge_disjoint_packing(pattern, host,
+                                        node_budget=PACK_BUDGET)
+        assert not res.exact and res.count == len(res.witness) >= 1
+        assert res.nodes > PACK_BUDGET
         for a, b in combinations(res.witness, 2):
             assert not a & b
         for fp in res.witness:
@@ -547,6 +574,24 @@ class TestGenericCounterexample:
                                            budget=Budget(nodes=2))
         assert rep.outcome is Outcome.BUDGET
 
+    def test_inexact_packing_refutes_only_at_the_bound(self):
+        core = seeded_host(random.Random(0), chords=(1, 4))
+        budget = Budget(nodes=PACK_BUDGET)
+        pack = max_edge_disjoint_packing(complete("xyz"), core,
+                                         node_budget=PACK_BUDGET)
+        assert not pack.exact and pack.count >= 1
+        short = check_generic_counterexample(
+            complete("xyz"), CoreSpec(core, {}, k=pack.count + 1, r=2),
+            budget)
+        assert short.outcome is Outcome.BUDGET
+        assert short.details["packing_found"] == pack.count
+        assert short.stats["searches"] == 0
+        reached = check_generic_counterexample(
+            complete("xyz"), CoreSpec(core, {}, k=pack.count, r=2), budget)
+        assert reached.outcome is Outcome.REFUTED
+        assert reached.details["packing_witness"] == [
+            [[u, v] for u, v in sorted(fp)] for fp in pack.witness]
+
     def test_every_outcome_reports_the_scan_stats(self):
         keys = {"nodes", "searches", "subsets_checked", "subsets_planned"}
         scanned = check_generic_counterexample(complete("pqst"), k5_spec())
@@ -565,43 +610,89 @@ class TestGenericCounterexample:
             check_generic_counterexample(complete("pqst"), spec)
 
 
+def use_product_oracle(monkeypatch):
+    """Make the checks in verify read helpers.product_footprints."""
+    monkeypatch.setattr(verify, "iter_expansion_footprints",
+                        lambda h, g, counter: iter(oracle_footprints(h, g)))
+
+
+def component_locality_case():
+    """(pattern, host, anchor, region): the two-part host's component
+    assembly with the K5 core."""
+    h = two_part_host()
+    anchor = connected_components(h)[0]
+    hstar = assemble_component_counterexample(h, anchor, k5_spec(), 2)
+    return h, hstar, anchor, core_region(hstar)
+
+
+def block_locality_case():
+    """(pattern, host, anchor, region): the triangle-with-tail block
+    assembly, whose leaf-rule footprints keep the anchor in the core."""
+    h = triangle_with_tail()
+    pred = MinorPredicate("contains-K3", complete("xyz"))
+    hstar, _ = assemble_block_counterexample(h, pred, rooted_spec(), 2)
+    return h, hstar, h.induced("bcs"), core_region(hstar)
+
+
+def restricted_locality_case():
+    """A K4 and a triangle sharing vertex t, in a copy of itself whose
+    region is the K4: the anchor triangle lies outside it, but the
+    region's part of the footprint holds a triangle."""
+    h = Graph.build([], list(complete("pqst").edges)
+                    + [("t", "x"), ("t", "y"), ("x", "y")])
+    hstar = Graph.build([], list(complete("1234").edges)
+                        + [("4", "5"), ("4", "6"), ("5", "6")])
+    return h, hstar, h.induced("txy"), frozenset("1234")
+
+
+def refuted_locality_case():
+    """A region holding only the other component of the pattern."""
+    h = two_part_host()
+    bad = Graph.build([], [("e1", "e2"), ("e1", "e3"), ("e1", "e4"),
+                           ("e2", "e3"), ("e2", "e4"), ("e3", "e4"),
+                           ("f1", "f2")])
+    return h, bad, connected_components(h)[0], frozenset(["f1", "f2"])
+
+
 class TestExpansionLocality:
     def test_component_assembly_fast_path(self):
-        h = two_part_host()
-        anchor = connected_components(h)[0]
-        hstar = assemble_component_counterexample(h, anchor, k5_spec(), 2)
-        rep = check_expansion_locality(h, hstar, anchor, core_region(hstar))
+        h, hstar, anchor, region = component_locality_case()
+        rep = check_expansion_locality(h, hstar, anchor, region)
         assert rep.outcome is Outcome.HOLDS
-        assert rep.stats["footprints"] == 110
+        oracle = oracle_footprints(h, hstar)
+        assert len(oracle) == 110
+        kept = {usage for emb, usage in oracle
+                if satisfies_leaf_rule(emb, usage)}
+        assert rep.stats["footprints"] == len(kept) == 70
         assert rep.stats["restricted_searches"] == 0
 
-    def test_block_assembly_restricted_path(self):
-        h = triangle_with_tail()
-        pred = MinorPredicate("contains-K3", complete("xyz"))
-        hstar, _ = assemble_block_counterexample(h, pred, rooted_spec(), 2)
-        anchor = h.induced("bcs")
-        rep = check_expansion_locality(h, hstar, anchor, core_region(hstar))
+    def test_block_assembly_fast_path(self, monkeypatch):
+        case = block_locality_case()
+        rep = check_expansion_locality(*case)
         assert rep.outcome is Outcome.HOLDS
-        assert rep.stats["restricted_searches"] > 0
+        assert rep.stats["restricted_searches"] == 0
+        # only footprints with a leaf off every edge image leave the core
+        use_product_oracle(monkeypatch)
+        full = check_expansion_locality(*case)
+        assert full.outcome is Outcome.HOLDS
+        assert full.stats["restricted_searches"] == 288
+
+    def test_restricted_search_when_the_anchor_leaves_the_region(self):
+        h, hstar, anchor, region = restricted_locality_case()
+        rep = check_expansion_locality(h, hstar, anchor, region)
+        assert rep.outcome is Outcome.HOLDS
+        assert rep.stats["footprints"] == rep.stats["restricted_searches"] == 1
 
     def test_refuted_when_region_misses_the_anchor(self):
-        h = Graph.build([], [("p", "q"), ("p", "s"), ("p", "t"), ("q", "s"),
-                             ("q", "t"), ("s", "t"), ("y", "z")])
-        bad = Graph.build([], [("e1", "e2"), ("e1", "e3"), ("e1", "e4"),
-                               ("e2", "e3"), ("e2", "e4"), ("e3", "e4"),
-                               ("f1", "f2")])
-        anchor = connected_components(h)[0]
-        rep = check_expansion_locality(h, bad, anchor, ["f1", "f2"])
+        h, bad, anchor, region = refuted_locality_case()
+        rep = check_expansion_locality(h, bad, anchor, region)
         assert rep.outcome is Outcome.REFUTED
         emb = MinorEmbedding.from_json_obj(rep.details["witness_embedding"])
         assert verify_embedding(h, bad, emb)
         assert rep.details["witness_footprint"]
 
     def test_budget_outcome(self):
-        h = two_part_host()
-        anchor = connected_components(h)[0]
-        hstar = assemble_component_counterexample(h, anchor, k5_spec(), 2)
-        rep = check_expansion_locality(h, hstar, anchor, core_region(hstar),
+        rep = check_expansion_locality(*component_locality_case(),
                                        budget=Budget(nodes=2))
         assert rep.outcome is Outcome.BUDGET
 
@@ -612,6 +703,35 @@ class TestExpansionLocality:
                                      ["p"])
         with pytest.raises(GraphError):
             check_expansion_locality(h, complete("pq"), h, ["zz"])
+
+
+FOOTPRINT_CASES = footprint_cases()
+LOCALITY_CASES = {"component": component_locality_case,
+                  "block": block_locality_case,
+                  "restricted": restricted_locality_case,
+                  "refuted": refuted_locality_case}
+
+
+class TestAgainstProductOracle:
+    """pack and locality over the leaf-rule footprints against the same
+    checks over the full product, helpers.product_footprints."""
+
+    @pytest.mark.parametrize("name", sorted(FOOTPRINT_CASES))
+    def test_packing_count_and_witness(self, name, monkeypatch):
+        h, g = FOOTPRINT_CASES[name]
+        got = max_edge_disjoint_packing(h, g, node_budget=None)
+        use_product_oracle(monkeypatch)
+        want = max_edge_disjoint_packing(h, g, node_budget=None)
+        assert got.exact and want.exact
+        assert (got.count, got.witness) == (want.count, want.witness)
+
+    @pytest.mark.parametrize("name", sorted(LOCALITY_CASES))
+    def test_locality_verdict(self, name, monkeypatch):
+        case = LOCALITY_CASES[name]()
+        got = check_expansion_locality(*case)
+        use_product_oracle(monkeypatch)
+        want = check_expansion_locality(*case)
+        assert got.outcome is want.outcome is not Outcome.BUDGET
 
 
 class TestBranchCount:
