@@ -13,9 +13,9 @@ from .graph import (Edge, Graph, GraphError, ParseError, connected_components,
 from .decompose import (Block, BlockCutTree, Segment, Shape, block_cut_tree,
                         branch_vertices, choose_leaf_block, classify_shape,
                         minimal_subtree, segment_decomposition)
-from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, EmbeddingConstraints,
-                    MinorEmbedding, MinorPredicate, NodeCounter, SearchResult,
-                    SearchStatus, enumerate_expansions, find_expansion,
+from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, MinorEmbedding,
+                    MinorPredicate, NodeCounter, SearchResult, SearchStatus,
+                    enumerate_expansions, find_expansion,
                     iter_expansion_footprints, is_minor,
                     naive_is_minor_oracle, partition_components,
                     verify_embedding)
@@ -33,11 +33,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Block", "BlockCutTree", "Budget", "BudgetExceeded", "BuildTrace",
-    "CoreSpec", "DEFAULT_NODE_BUDGET", "DEFAULT_SEED", "Edge",
-    "EmbeddingConstraints", "Graph", "GraphError", "HitResult",
-    "MinorEmbedding", "MinorPredicate", "NodeCounter", "Outcome",
-    "PackingResult", "ParseError", "Report", "SearchResult", "SearchStatus",
-    "Segment", "Shape", "assemble_block_counterexample",
+    "CoreSpec", "DEFAULT_NODE_BUDGET", "DEFAULT_SEED", "Edge", "Graph",
+    "GraphError", "HitResult", "MinorEmbedding", "MinorPredicate",
+    "NodeCounter", "Outcome", "PackingResult", "ParseError", "Report",
+    "SearchResult", "SearchStatus", "Segment", "Shape",
+    "assemble_block_counterexample",
     "assemble_component_counterexample", "block_cut_tree", "branch_vertices",
     "canonical_json", "check_assembly_robustness", "check_branch_count",
     "check_expansion_locality", "check_gadget_robustness",

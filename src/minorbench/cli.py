@@ -27,11 +27,12 @@ from .gadgets import (assemble_block_counterexample,
                       assemble_component_counterexample, load_core_spec,
                       segment_blowup)
 from .verify import (_OUTCOME, DEFAULT_SEED, Budget, Outcome, Report,
-                     canonical_json, check_assembly_robustness,
-                     check_branch_count, check_expansion_locality,
-                     check_gadget_robustness, check_generic_counterexample,
-                     check_hereditary_sampled, graph_json,
-                     max_edge_disjoint_packing, min_edge_hitting_set)
+                     _sorted_footprint, canonical_json,
+                     check_assembly_robustness, check_branch_count,
+                     check_expansion_locality, check_gadget_robustness,
+                     check_generic_counterexample, check_hereditary_sampled,
+                     graph_json, max_edge_disjoint_packing,
+                     min_edge_hitting_set)
 
 USAGE_EXIT = 64
 DATA_EXIT = 65
@@ -278,8 +279,7 @@ def cmd_pack(args) -> int:
     res = max_edge_disjoint_packing(h, g, cap=args.cap,
                                     node_budget=args.budget.nodes)
     details = {"count": res.count, "cap": args.cap,
-               "witness": [[[u, v] for u, v in sorted(fp)]
-                           for fp in res.witness]}
+               "witness": [_sorted_footprint(fp) for fp in res.witness]}
     rep = Report("packing",
                  Outcome.HOLDS if res.exact else Outcome.BUDGET,
                  details, {"nodes": res.nodes}, perf_counter() - t0)

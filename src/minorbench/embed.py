@@ -7,9 +7,9 @@ for pattern vertices in decreasing degree order, growing candidate sets
 from high-degree host anchors, and is exhaustive: a ``NONE`` result is a
 proof that no model exists.
 
-The naive oracle at the bottom re-decides the same question by raw
-enumeration of vertex-subset partitions and shares no code with the
-searcher; it exists so the two can be played against each other.
+The naive oracle, naive_is_minor_oracle, re-decides the same question
+by raw enumeration of vertex-subset partitions and shares no code with
+the searcher; it exists so the two can be played against each other.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterator, Mapping
 
@@ -93,14 +93,6 @@ class MinorEmbedding:
         return MinorEmbedding(bs, ei)
 
 
-@dataclass(frozen=True)
-class EmbeddingConstraints:
-    """Root pins: must_contain puts a host vertex into a pattern
-    vertex's branch set."""
-
-    must_contain: Mapping[str, str] = field(default_factory=dict)
-
-
 class SearchStatus(enum.Enum):
     FOUND = "found"
     NONE = "none"
@@ -114,12 +106,12 @@ class SearchResult:
     nodes: int
 
 
-def _check_constraints(h: Graph, g: Graph, c: EmbeddingConstraints):
-    for u in c.must_contain:
+def _check_roots(h: Graph, g: Graph, roots: Mapping[str, str]):
+    for u, v in roots.items():
         if u not in h.vertices:
-            raise GraphError(f"constraint on unknown pattern vertex {u!r}")
-        if c.must_contain[u] not in g.vertices:
-            raise GraphError(f"constraint pins unknown host vertex {c.must_contain[u]!r}")
+            raise GraphError(f"root pin on unknown pattern vertex {u!r}")
+        if v not in g.vertices:
+            raise GraphError(f"root pin on unknown host vertex {v!r}")
 
 
 def _crossing_edges(adj: Mapping[str, frozenset[str]], A: frozenset[str],
@@ -154,12 +146,13 @@ def _connected_sets_from(root: str, allowed: frozenset[str],
 
 
 def enumerate_expansions(h: Graph, g: Graph,
-                         constraints: EmbeddingConstraints | None = None,
+                         roots: Mapping[str, str] | None = None,
                          counter: NodeCounter | None = None
                          ) -> Iterator[MinorEmbedding]:
-    """Yield every expansion model of h in g in a fixed canonical order."""
-    c = constraints or EmbeddingConstraints()
-    _check_constraints(h, g, c)
+    """Yield every expansion model of h in g in a fixed canonical order;
+    roots pins pattern vertices to host vertices in their branch sets."""
+    roots = roots or {}
+    _check_roots(h, g, roots)
     if counter is None:
         counter = NodeCounter(cap=None)
     if not h.vertices:
@@ -202,13 +195,12 @@ def enumerate_expansions(h: Graph, g: Graph,
 
     def candidates(u: str, free: frozenset[str], max_size: int
                    ) -> Iterator[frozenset[str]]:
-        must = c.must_contain.get(u)
+        must = roots.get(u)
         if must is not None:
             yield from _connected_sets_from(must, free, adj, max_size)
             return
-        roots = sorted(free, key=lambda v: (-len(adj[v]), v))
         shrink = set(free)
-        for r in roots:
+        for r in sorted(free, key=lambda v: (-len(adj[v]), v)):
             yield from _connected_sets_from(r, frozenset(shrink), adj, max_size)
             shrink.discard(r)
 
@@ -241,14 +233,13 @@ def enumerate_expansions(h: Graph, g: Graph,
     yield from rec(0)
 
 
-def _search(h: Graph, g: Graph,
-            constraints: EmbeddingConstraints | None = None,
+def _search(h: Graph, g: Graph, roots: Mapping[str, str] | None = None,
             node_budget: int | None = DEFAULT_NODE_BUDGET) -> SearchResult:
     """First model in enumeration order on the host as given: the
     unreduced search, kept as the reference find_expansion is tested
     against."""
     counter = NodeCounter(cap=node_budget)
-    gen = enumerate_expansions(h, g, constraints, counter)
+    gen = enumerate_expansions(h, g, roots, counter)
     try:
         emb = next(gen)
     except StopIteration:
@@ -327,8 +318,7 @@ def _lift(m: MinorEmbedding, g: Graph, merged: Mapping[str, set[str]]
     return MinorEmbedding(grown, images)
 
 
-def find_expansion(h: Graph, g: Graph,
-                   constraints: EmbeddingConstraints | None = None,
+def find_expansion(h: Graph, g: Graph, roots: Mapping[str, str] | None = None,
                    node_budget: int | None = DEFAULT_NODE_BUDGET) -> SearchResult:
     """First expansion model of h in g, or proof of absence, or budget stop.
 
@@ -336,11 +326,11 @@ def find_expansion(h: Graph, g: Graph,
     kept, and nodes counts that search.  A model found there is lifted
     back to g and checked with verify_embedding.
     """
-    c = constraints or EmbeddingConstraints()
-    # pinned vertices stay, so the search's own check of c on the
+    roots = roots or {}
+    # pinned vertices stay, so the search's own check of roots on the
     # reduced host rejects exactly what it would reject on g
-    small, merged = _reduce_host(h, g, frozenset(c.must_contain.values()))
-    res = _search(h, small, c, node_budget)
+    small, merged = _reduce_host(h, g, frozenset(roots.values()))
+    res = _search(h, small, roots, node_budget)
     if res.embedding is None or small is g:
         return res
     lifted = _lift(res.embedding, g, merged)

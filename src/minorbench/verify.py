@@ -14,15 +14,14 @@ import random
 from dataclasses import dataclass, field
 from math import comb
 from time import perf_counter
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .graph import (Edge, Graph, GraphError, contract_edge, delete_edges,
                     edge)
 from .decompose import branch_vertices
-from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, EmbeddingConstraints,
-                    MinorEmbedding, MinorPredicate, NodeCounter, SearchStatus,
-                    _check_constraints, find_expansion,
-                    iter_expansion_footprints)
+from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, MinorEmbedding,
+                    MinorPredicate, NodeCounter, SearchStatus, _check_roots,
+                    find_expansion, iter_expansion_footprints)
 from .gadgets import CoreSpec, segment_blowup
 
 __all__ = [
@@ -116,12 +115,14 @@ def max_edge_disjoint_packing(pattern: Graph, host: Graph,
     """Maximum number of pairwise edge-disjoint pattern expansions in host.
 
     Exact when it completes within the node budget: footprints are
-    enumerated once, then greedily deepened, in (size, edges) order,
-    with a memo of failed (remaining-edges, still-needed) states.  A
-    footprint comes after, and succeeds only where, the minimal ones
-    inside it do, so all footprints would give the same witness.  Each
-    phase gets node_budget nodes; deepening uses what enumeration found
-    before running out.  cap stops once that many copies are found.
+    enumerated once and sorted in (size, edges) order; then, for t = 1,
+    2, ..., a depth-first search places t disjoint ones, each after the
+    last one placed, so each set is tried once and the witness is the
+    first t-combination in that order.  A footprint comes after, and
+    succeeds only where, the minimal ones inside it do, so all
+    footprints would give the same witness.  Each phase gets
+    node_budget nodes; the search uses what enumeration found before
+    running out.  cap stops once that many copies are found.
     """
     if not pattern.edges:
         raise GraphError("packing needs a pattern with at least one edge")
@@ -137,24 +138,19 @@ def max_edge_disjoint_packing(pattern: Graph, host: Graph,
     counter = NodeCounter(cap=node_budget)
     per = len(pattern.edges)
 
-    fail: set[tuple[frozenset[Edge], int]] = set()
-
-    def extend(remaining: frozenset[Edge], need: int
+    def extend(start: int, remaining: frozenset[Edge], need: int
                ) -> list[frozenset[Edge]] | None:
         if need == 0:
             return []
         if len(remaining) < need * per:
             return None
-        key = (remaining, need)
-        if key in fail:
-            return None
-        for fp in footprints:
+        for i in range(start, len(footprints)):
+            fp = footprints[i]
             if fp <= remaining:
                 counter.spend()
-                rest = extend(remaining - fp, need - 1)
+                rest = extend(i + 1, remaining - fp, need - 1)
                 if rest is not None:
                     return [fp] + rest
-        fail.add(key)
         return None
 
     best: list[frozenset[Edge]] = []
@@ -164,7 +160,7 @@ def max_edge_disjoint_packing(pattern: Graph, host: Graph,
         if len(footprints) < t:
             break
         try:
-            got = extend(full, t)
+            got = extend(0, full, t)
         except BudgetExceeded:
             exact = False
             break
@@ -235,48 +231,45 @@ def _rank(X: tuple[int, ...], m: int) -> int:
     return comb(m, s) - sum(comb(m - 1 - i, s - d) for d, i in enumerate(X))
 
 
-def _first_meeting(m: int, s: int, known: list[int],
-                   after: tuple[int, ...] | None = None
-                   ) -> tuple[int, ...] | None:
-    """The first s-subset of range(m) after `after`, in combinations()
-    order, that meets every bitmask in known; None if there is none.
+def _meeting(m: int, s: int, known: list[int]) -> Iterator[tuple[int, ...]]:
+    """Yield the s-subsets of range(m), in combinations() order, that
+    meet every bitmask in known; masks appended between yields prune
+    every later set.
 
-    A depth-first search in that order.  A prefix is dropped when the
-    masks it leaves unmet, cut to the indices still open, include an
-    empty mask or more pairwise-disjoint masks than there are slots.
+    A depth-first search in that order that reads known at each node.
+    A prefix is dropped when the masks it leaves unmet, cut to the
+    indices still open, include an empty mask or more pairwise-disjoint
+    masks than there are slots.
     """
     chosen: list[int] = []
 
-    def first(lo: int, unmet: list[int], tight: bool):
-        # tight: chosen is a prefix of after, so only later sets count
+    def walk(lo: int, mask: int) -> Iterator[tuple[int, ...]]:
         slots = s - len(chosen)
         taken = disjoint = 0
-        for fp in unmet:
+        for fp in known:
+            if fp & mask:
+                continue
             cut = fp >> lo
             if not cut:
-                return None
+                return
             if not cut & taken:
                 taken |= cut
                 disjoint += 1
                 if disjoint > slots:
-                    return None
+                    return
         if not slots:
-            return None if tight else tuple(chosen)
-        start = after[len(chosen)] if tight else lo
-        for i in range(start, m - slots + 1):
+            yield tuple(chosen)
+            return
+        for i in range(lo, m - slots + 1):
             chosen.append(i)
-            got = first(i + 1, [fp for fp in unmet if not fp >> i & 1],
-                        tight and i == start)
+            yield from walk(i + 1, mask | 1 << i)
             chosen.pop()
-            if got is not None:
-                return got
-        return None
 
-    return first(0, known, after is not None)
+    return walk(0, 0)
 
 
 def _first_without_model(pattern: Graph, host: Graph,
-                         constraints: EmbeddingConstraints | None,
+                         roots: Mapping[str, str] | None,
                          node_budget: int | None, sizes: Iterable[int],
                          limit: int
                          ) -> tuple[SearchStatus, tuple[Edge, ...] | None,
@@ -300,13 +293,12 @@ def _first_without_model(pattern: Graph, host: Graph,
     known: list[int] = []
     decided = searches = nodes = 0
     for s in sizes:
-        X = _first_meeting(m, s, known)
-        while X is not None:
+        for X in _meeting(m, s, known):
             rank = decided + _rank(X, m)
             if rank > limit:
                 break
             g = delete_edges(host, [edges[i] for i in X])
-            res = find_expansion(pattern, g, constraints,
+            res = find_expansion(pattern, g, roots,
                                  node_budget=node_budget)
             searches += 1
             nodes += res.nodes
@@ -314,7 +306,6 @@ def _first_without_model(pattern: Graph, host: Graph,
                 return (res.status, tuple(edges[i] for i in X), rank,
                         searches, nodes)
             known.append(sum(bit[e] for e in _footprint(g, res.embedding)))
-            X = _first_meeting(m, s, known, X)
         decided += comb(m, s)
         if decided > limit:
             return SearchStatus.BUDGET, None, limit, searches, nodes
@@ -322,7 +313,7 @@ def _first_without_model(pattern: Graph, host: Graph,
 
 
 def _scan_deletions(check: str, pattern: Graph, host: Graph, r: int,
-                    constraints: EmbeddingConstraints | None = None,
+                    roots: Mapping[str, str] | None = None,
                     budget: Budget | None = None,
                     extra_details: Mapping | None = None) -> Report:
     """Check that pattern expansions survive every deletion of < r edges.
@@ -335,19 +326,18 @@ def _scan_deletions(check: str, pattern: Graph, host: Graph, r: int,
     if r < 1:
         raise GraphError("deletion radius must be at least 1")
     budget = budget or Budget()
-    if constraints is not None:
-        _check_constraints(pattern, host, constraints)
+    if roots:
+        _check_roots(pattern, host, roots)
 
     m = len(host.edges)
     s = min(r - 1, m)
     details = dict(extra_details or {})
     details.update({"mode": "exhaustive", "deletion_size": s,
                     "host_edges": m, "radius": r})
-    if constraints is not None and constraints.must_contain:
-        details["roots"] = {u: v for u, v in
-                            sorted(constraints.must_contain.items())}
+    if roots:
+        details["roots"] = dict(roots)
     status, X, checked, searches, nodes = _first_without_model(
-        pattern, host, constraints, budget.nodes, [s], budget.subsets)
+        pattern, host, roots, budget.nodes, [s], budget.subsets)
     if X is not None:
         key = ("witness_deletion" if status is SearchStatus.NONE
                else "stopped_at")
@@ -383,13 +373,10 @@ def check_assembly_robustness(pattern: Graph, host: Graph, r: int,
     roots pins pattern vertices to host vertices, giving the rooted
     variant used for cores with distinguished gluing points.
     """
-    constraints = None
-    if roots:
-        constraints = EmbeddingConstraints(must_contain=dict(roots))
     extra = {"pattern": graph_json(pattern),
              "host_vertices": len(host.vertices)}
     return _scan_deletions("assembly-robustness", pattern, host, r,
-                           constraints, budget, extra)
+                           roots, budget, extra)
 
 
 def check_generic_counterexample(anchor: Graph, spec: CoreSpec,
@@ -422,10 +409,7 @@ def check_generic_counterexample(anchor: Graph, spec: CoreSpec,
                        "subsets_planned": 0, "searches": 0},
                       perf_counter() - t0)
     inner = _scan_deletions("generic-counterexample", anchor, spec.core,
-                            spec.r,
-                            EmbeddingConstraints(must_contain=dict(spec.roots))
-                            if spec.roots else None,
-                            budget, details)
+                            spec.r, spec.roots, budget, details)
     stats = dict(inner.stats)
     stats["nodes"] = stats["nodes"] + pack.nodes
     return Report(inner.check, inner.outcome, inner.details, stats,
@@ -437,10 +421,11 @@ def check_expansion_locality(h: Graph, hstar: Graph, anchor: Graph,
                              budget: Budget | None = None) -> Report:
     """Every h expansion in hstar realizes the anchor inside the region.
 
-    For each minimal expansion subgraph of h, its restriction to the
-    region must itself contain an anchor expansion.  Footprints whose
-    anchor-part branch sets and edge images already sit inside the
-    region pass without a search.
+    For each footprint of iter_expansion_footprints, which include every
+    inclusion-minimal expansion subgraph of h and may include larger
+    ones, its restriction to the region must itself contain an anchor
+    expansion.  Footprints whose anchor-part branch sets and edge images
+    already sit inside the region pass without a search.
     """
     t0 = perf_counter()
     budget = budget or Budget()

@@ -237,6 +237,39 @@ def oracle_min_hitting(h: Graph, g: Graph) -> int | None:
     return None
 
 
+# -- packing oracle ------------------------------------------------------------
+
+def oracle_packing(footprints) -> tuple[int, tuple]:
+    """Largest t such that t of the footprints are pairwise edge-disjoint,
+    and the first such t-combination in (size, edges) order.
+
+    t comes from a recursion over sets of edges left, by bitmask: the
+    lowest edge left stays unused or is covered by a footprint that
+    contains it and fits.  The witness is the first combinations() entry
+    whose members are pairwise disjoint.
+    """
+    fps = sorted(set(footprints), key=lambda s: (len(s), sorted(s)))
+    bit = {e: 1 << i for i, e in enumerate(sorted(set().union(*fps)))}
+    by_low: dict[int, list[int]] = {}
+    for fp in fps:
+        mask = sum(bit[e] for e in fp)
+        by_low.setdefault(mask & -mask, []).append(mask)
+
+    @cache
+    def most(left: int) -> int:
+        if not left:
+            return 0
+        low = left & -left
+        return max([most(left ^ low)] +
+                   [1 + most(left ^ mask) for mask in by_low.get(low, ())
+                    if mask & left == mask])
+
+    t = most((1 << len(bit)) - 1)
+    witness = next(c for c in combinations(fps, t)
+                   if all(a.isdisjoint(b) for a, b in combinations(c, 2)))
+    return t, witness
+
+
 # -- footprint oracle ----------------------------------------------------------
 
 def _all_spanning_trees(vs: frozenset, g: Graph) -> list[frozenset]:

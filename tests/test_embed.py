@@ -7,10 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from minorbench import (BudgetExceeded, EmbeddingConstraints, Graph,
-                        GraphError, MinorEmbedding, NodeCounter, SearchStatus,
-                        connected_components, delete_edges, enumerate_expansions,
-                        find_expansion, is_minor, iter_expansion_footprints,
+from minorbench import (BudgetExceeded, Graph, GraphError, MinorEmbedding,
+                        NodeCounter, SearchStatus, connected_components,
+                        delete_edges, enumerate_expansions, find_expansion,
+                        is_minor, iter_expansion_footprints,
                         naive_is_minor_oracle, partition_components,
                         segment_blowup, verify_embedding)
 from minorbench import embed
@@ -109,16 +109,16 @@ class TestFindExpansion:
 class TestConstraints:
     def test_must_contain_pins_host_vertex(self):
         h, g = complete("xyz"), complete("pqst")
-        res = find_expansion(h, g, EmbeddingConstraints(must_contain={"x": "p"}))
+        res = find_expansion(h, g, {"x": "p"})
         assert res.status is SearchStatus.FOUND
         assert "p" in res.embedding.branch_sets["x"]
 
     def test_rejects_unknown_names(self):
         h, g = complete("xy"), complete("pq")
         with pytest.raises(GraphError):
-            find_expansion(h, g, EmbeddingConstraints(must_contain={"zz": "p"}))
+            find_expansion(h, g, {"zz": "p"})
         with pytest.raises(GraphError):
-            find_expansion(h, g, EmbeddingConstraints(must_contain={"x": "zz"}))
+            find_expansion(h, g, {"x": "zz"})
 
 
 class TestVerifyEmbedding:
@@ -388,10 +388,9 @@ class TestHostReduction:
     @pytest.mark.parametrize("name", sorted(REDUCTION_HOSTS))
     def test_matches_unreduced_search(self, name):
         host, pins = REDUCTION_HOSTS[name]
-        c = EmbeddingConstraints(must_contain=pins) if pins else None
         for pattern in REDUCTION_PATTERNS.values():
-            ref = _search(pattern, host, c, node_budget=UNREDUCED_CAP)
-            got = find_expansion(pattern, host, c, node_budget=None)
+            ref = _search(pattern, host, pins, node_budget=UNREDUCED_CAP)
+            got = find_expansion(pattern, host, pins, node_budget=None)
             if ref.status is not SearchStatus.BUDGET:
                 assert got.status is ref.status
             if got.embedding is not None:
@@ -460,8 +459,7 @@ class TestHostReduction:
         cycle = cycle_graph("pqrstuvo")
         small, _ = _reduce_host(complete("wxyz"), cycle, frozenset("r"))
         assert small.vertices == {"r"}
-        res = find_expansion(path_graph("wx"), cycle,
-                             EmbeddingConstraints(must_contain={"w": "r"}))
+        res = find_expansion(path_graph("wx"), cycle, {"w": "r"})
         assert "r" in res.embedding.branch_sets["w"]
 
     def test_patterns_with_a_leaf_keep_the_host(self):
@@ -473,11 +471,10 @@ class TestHostReduction:
         # a lifted branch set holds an absorbed vertex only on a path it
         # needs: inside the set, or leading to the vertex's edge image
         host, pins = REDUCTION_HOSTS[name]
-        c = EmbeddingConstraints(must_contain=pins) if pins else None
         for pattern in REDUCTION_PATTERNS.values():
             small, merged = _reduce_host(pattern, host,
                                          frozenset((pins or {}).values()))
-            model = _search(pattern, small, c, node_budget=None).embedding
+            model = _search(pattern, small, pins, node_budget=None).embedding
             if model is None:
                 continue
             lifted = _lift(model, host, merged)

@@ -32,6 +32,7 @@ SQ = "samples/square-with-tail.el"
 SQ_CTX = "samples/square-with-tail-context.el"
 TRI = "samples/triangle.el"
 K4 = "samples/k4.el"
+K5 = "samples/k5.el"
 HOST2 = "samples/two-part-host.el"
 TWT = "samples/triangle-with-tail.el"
 CORE = "samples/complete-core.txt"
@@ -84,6 +85,8 @@ CASES = [
     # the K4 gadget, reduced to K4 before every search
     ("robust-k4-gadget-r3", 0, ["robust", K4, "--ctx", K4, "-r", "3"]),
     ("robust-k4-gadget-r4", 0, ["robust", K4, "--ctx", K4, "-r", "4"]),
+    ("robust-k5-gadget-r3", 0, ["robust", K5, "--ctx", K5, "-r", "3"]),
+    ("robust-k5-gadget-r4", 0, ["robust", K5, "--ctx", K5, "-r", "4"]),
 ]
 
 

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minorbench import (Budget, BudgetExceeded, CoreSpec,
-                        EmbeddingConstraints, Graph, GraphError,
+from minorbench import (Budget, BudgetExceeded, CoreSpec, Graph, GraphError,
                         MinorEmbedding, MinorPredicate, NodeCounter, Outcome,
                         Report, SearchStatus, assemble_block_counterexample,
                         assemble_component_counterexample, canonical_json,
@@ -23,12 +22,13 @@ from minorbench import (Budget, BudgetExceeded, CoreSpec,
                         naive_is_minor_oracle, segment_blowup,
                         verify_embedding)
 from minorbench import verify
-from minorbench.verify import _first_meeting, _footprint, _rank
+from minorbench.verify import _footprint, _meeting, _rank
 from helpers import (complete, cycle_graph, footprint_cases, graphs_up_to_iso,
-                     k5_spec, oracle_footprints, oracle_min_hitting, p3_star,
-                     path_graph, random_connected_graph, random_graph,
-                     rooted_spec, satisfies_leaf_rule, seeded_host,
-                     tailed_square, triangle_with_tail, two_part_host)
+                     k5_spec, oracle_footprints, oracle_min_hitting,
+                     oracle_packing, p3_star, path_graph,
+                     random_connected_graph, random_graph, rooted_spec,
+                     satisfies_leaf_rule, seeded_host, tailed_square,
+                     triangle_with_tail, two_part_host)
 
 
 class TestReportPlumbing:
@@ -49,6 +49,22 @@ class TestReportPlumbing:
         (Outcome.HOLDS, 0), (Outcome.REFUTED, 1), (Outcome.BUDGET, 2)])
     def test_exit_codes(self, outcome, code):
         assert Report("x", outcome).exit_code == code
+
+
+def packing_cases():
+    """name -> (pattern, host): K3, C4 and K4 in K4-K6, and K3 in two
+    seeded hosts of 12 and 11 vertices that pack two triangles."""
+    patterns = {"K3": complete("xyz"), "C4": cycle_graph("wxyz"),
+                "K4": complete("wxyz")}
+    for name, pattern in patterns.items():
+        for n in (4, 5, 6):
+            yield f"{name}-K{n}", (pattern, complete("123456"[:n]))
+    for seed in (6, 19):
+        yield f"K3-seeded-{seed}", (
+            patterns["K3"], seeded_host(random.Random(seed), chords=(1, 4)))
+
+
+PACKING_CASES = dict(packing_cases())
 
 
 class TestPacking:
@@ -93,6 +109,15 @@ class TestPacking:
         res = max_edge_disjoint_packing(complete("xyz"), complete("12345"),
                                         node_budget=3)
         assert not res.exact
+
+    @pytest.mark.parametrize("name", sorted(PACKING_CASES))
+    def test_count_and_witness_match_brute_force(self, name):
+        pattern, host = PACKING_CASES[name]
+        listed = [usage for _, usage in iter_expansion_footprints(
+            pattern, host, NodeCounter(cap=None))]
+        res = max_edge_disjoint_packing(pattern, host, node_budget=None)
+        assert res.exact
+        assert (res.count, res.witness) == oracle_packing(listed)
 
 
 class TestHitting:
@@ -256,11 +281,10 @@ class TestAssemblyRobustness:
 def per_probe_scan(pattern, host, r, roots=None, budget=Budget()):
     """Outcome, witness or stop set, and sets decided of an exhaustive
     scan, by one find_expansion per deletion set and no reuse."""
-    constraints = EmbeddingConstraints(must_contain=roots) if roots else None
     checked = 0
     for X in combinations(host.sorted_edges(), min(r - 1, len(host.edges))):
         checked += 1
-        res = find_expansion(pattern, delete_edges(host, X), constraints,
+        res = find_expansion(pattern, delete_edges(host, X), roots,
                              node_budget=budget.nodes)
         if res.status is not SearchStatus.FOUND:
             key = ("witness_deletion" if res.status is SearchStatus.NONE
@@ -275,7 +299,6 @@ def lexicographic_loop(pattern, host, sizes, roots=None, node_budget=None):
     list for the whole run, and a search only for a set that meets every
     known footprint.  Returns (status, last set, sets decided, searches,
     nodes)."""
-    constraints = EmbeddingConstraints(must_contain=roots) if roots else None
     known = []
     checked = searches = nodes = 0
     for s in sizes:
@@ -284,7 +307,7 @@ def lexicographic_loop(pattern, host, sizes, roots=None, node_budget=None):
             if any(fp.isdisjoint(X) for fp in known):
                 continue
             g = delete_edges(host, X)
-            res = find_expansion(pattern, g, constraints,
+            res = find_expansion(pattern, g, roots,
                                  node_budget=node_budget)
             searches += 1
             nodes += res.nodes
@@ -529,20 +552,29 @@ class TestSeededHosts:
                 is SearchStatus.NONE
 
 
-class TestFirstMeeting:
+class TestMeeting:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10).flatmap(lambda m: st.tuples(
         st.just(m), st.integers(0, m),
         st.lists(st.integers(0, 2**m - 1), max_size=6), st.randoms())))
-    def test_matches_brute_force(self, args):
-        m, s, known, rng = args
+    def test_each_set_is_the_next_one_meeting_the_known_masks(self, args):
+        # masks appended during the walk miss the set just yielded, as
+        # the footprint of a model found after deleting that set does
+        m, s, start, rng = args
+        known = list(start)
         sets = list(combinations(range(m), s))
-        after = rng.choice([None] + sets)
-        later = sets if after is None else sets[sets.index(after) + 1:]
-        expected = next((X for X in later
-                         if all(any(fp >> i & 1 for i in X) for fp in known)),
-                        None)
-        assert _first_meeting(m, s, known, after) == expected
+
+        def meets_all(X):
+            return all(any(fp >> i & 1 for i in X) for fp in known)
+
+        pos = 0
+        for X in _meeting(m, s, known):
+            assert X == next(Y for Y in sets[pos:] if meets_all(Y))
+            pos = sets.index(X) + 1
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                known.append(sum(1 << i for i in range(m)
+                                 if i not in X and rng.random() < 0.5))
+        assert not any(meets_all(Y) for Y in sets[pos:])
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10).flatmap(
