@@ -4,7 +4,8 @@ An expansion model assigns every pattern vertex a branch set (disjoint,
 connected subsets of the host) and every pattern edge a distinct host
 edge joining the two branch sets.  The searcher enumerates branch sets
 for pattern vertices in decreasing degree order, growing candidate sets
-from high-degree host anchors, and is exhaustive: a ``NONE`` result is a
+from high-degree host anchors, keeps one model per orbit of the
+pattern's automorphisms, and is exhaustive: a ``NONE`` result is a
 proof that no model exists.
 
 The naive oracle, naive_is_minor_oracle, re-decides the same question
@@ -145,12 +146,61 @@ def _connected_sets_from(root: str, allowed: frozenset[str],
     yield from rec(frozenset([root]), adj[root] & allowed, frozenset())
 
 
+@functools.cache
+def _symmetry_floors(h: Graph, pinned: frozenset[str]
+                     ) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
+    """The search order of h's vertices, and for each position the
+    earlier vertices whose anchors must rank below its own.
+
+    G_i is the group of automorphisms of h that fix order[:i] and every
+    pinned vertex.  Every other vertex w in the G_i-orbit of an unpinned
+    order[i] must anchor after order[i].  Anchors of distinct branch sets
+    are distinct, so these constraints keep exactly the models that are
+    lex-least in their orbit (a stabilizer chain's lex-leader).  w is in
+    the orbit when backtracking finds an automorphism that fixes order[:i]
+    and the pins and sends order[i] to w.
+    """
+    adj = h.adjacency()
+    order = tuple(sorted(h.vertices, key=lambda u: (-len(adj[u]), u)))
+
+    def fits(f: dict[str, str], x: str, y: str) -> bool:
+        return (len(adj[x]) == len(adj[y])
+                and all((z in adj[x]) == (f[z] in adj[y]) for z in f))
+
+    def extends(f: dict[str, str]) -> bool:
+        # the vertex with the most mapped neighbours, so that a wrong
+        # image fails early
+        x = max((v for v in order if v not in f), default=None,
+                key=lambda v: len(adj[v] & f.keys()))
+        if x is None:
+            return True
+        taken = set(f.values())
+        return any(y not in taken and fits(f, x, y) and extends({**f, x: y})
+                   for y in order)
+
+    below: list[list[str]] = [[] for _ in order]
+    for i, u in enumerate(order):
+        if u in pinned:
+            continue
+        fixed = {v: v for v in (*order[:i], *pinned)}
+        for j in range(i + 1, len(order)):
+            w = order[j]
+            if (w not in pinned and fits(fixed, u, w)
+                    and extends({**fixed, u: w})):
+                below[j].append(u)
+    return order, tuple(map(tuple, below))
+
+
 def enumerate_expansions(h: Graph, g: Graph,
                          roots: Mapping[str, str] | None = None,
                          counter: NodeCounter | None = None
                          ) -> Iterator[MinorEmbedding]:
-    """Yield every expansion model of h in g in a fixed canonical order;
-    roots pins pattern vertices to host vertices in their branch sets."""
+    """Yield every expansion model of h in g up to the automorphisms of h
+    that fix the pins, in a fixed canonical order; roots pins pattern
+    vertices to host vertices in their branch sets.  Of each orbit comes
+    the model first in that order: each unpinned branch set's anchor, its
+    first vertex in root order, ranks after those _symmetry_floors name.
+    """
     roots = roots or {}
     _check_roots(h, g, roots)
     if counter is None:
@@ -163,9 +213,11 @@ def enumerate_expansions(h: Graph, g: Graph,
 
     adj = g.adjacency()
     h_adj = h.adjacency()
-    order = sorted(h.vertices, key=lambda u: (-len(h_adj[u]), u))
+    order, below = _symmetry_floors(h, frozenset(roots))
+    ranked = sorted(g.vertices, key=lambda v: (-len(adj[v]), v))
 
     placed: dict[str, frozenset[str]] = {}
+    anchor: dict[str, int | None] = {}
     used: set[str] = set()
     ng = len(g.vertices)
     nh = len(order)
@@ -193,16 +245,23 @@ def enumerate_expansions(h: Graph, g: Graph,
                 return False
         return True
 
-    def candidates(u: str, free: frozenset[str], max_size: int
-                   ) -> Iterator[frozenset[str]]:
+    def candidates(u: str, free: frozenset[str], max_size: int, floor: int
+                   ) -> Iterator[tuple[int | None, frozenset[str]]]:
+        """(anchor rank, branch set) pairs; an unpinned set is grown from
+        its anchor, which avoids the free roots before it and ranks
+        after floor.  A pinned vertex is in no orbit: no anchor."""
         must = roots.get(u)
         if must is not None:
-            yield from _connected_sets_from(must, free, adj, max_size)
+            yield from ((None, B) for B in
+                        _connected_sets_from(must, free, adj, max_size))
             return
-        shrink = set(free)
-        for r in sorted(free, key=lambda v: (-len(adj[v]), v)):
-            yield from _connected_sets_from(r, frozenset(shrink), adj, max_size)
-            shrink.discard(r)
+        shrink = set(free).difference(ranked[:floor + 1])
+        for k, r in enumerate(ranked[floor + 1:], floor + 1):
+            if r in shrink:
+                for B in _connected_sets_from(r, frozenset(shrink), adj,
+                                              max_size):
+                    yield k, B
+                shrink.discard(r)
 
     def build() -> MinorEmbedding:
         images: dict[Edge, Edge] = {}
@@ -219,12 +278,13 @@ def enumerate_expansions(h: Graph, g: Graph,
         max_size = ng - len(used) - (nh - i - 1)
         if max_size < 1:
             return
-        free = g.vertices - used
-        for B in candidates(u, free, max_size):
+        floor = max((anchor[w] for w in below[i]), default=-1)
+        for k, B in candidates(u, g.vertices - used, max_size, floor):
             counter.spend()
             if not candidate_ok(u, B):
                 continue
             placed[u] = B
+            anchor[u] = k
             used.update(B)
             yield from rec(i + 1)
             used.difference_update(B)

@@ -280,22 +280,71 @@ def _all_spanning_trees(vs: frozenset, g: Graph) -> list[frozenset]:
             if Graph(vs, frozenset(combo)).is_connected()]
 
 
+def pattern_automorphisms(h: Graph) -> list[dict]:
+    """Every automorphism of h, as a vertex map: each permutation of the
+    vertices that maps the edge set onto itself."""
+    vs = sorted(h.vertices)
+    out = []
+    for image in permutations(vs):
+        f = dict(zip(vs, image))
+        if {edge(f[a], f[b]) for a, b in h.edges} == h.edges:
+            out.append(f)
+    return out
+
+
+def brute_force_models(h: Graph, g: Graph, roots=None) -> set[frozenset]:
+    """Branch-set assignments of every expansion model of h in g, each a
+    frozenset of (pattern vertex, branch set) pairs: every way to give
+    each host vertex to one pattern vertex or to none, kept when each
+    branch set is nonempty and connected, holds its pinned root, and
+    each pattern edge has a host edge between its two branch sets."""
+    hverts, gverts = sorted(h.vertices), sorted(g.vertices)
+    out = set()
+    for owner in product([None, *hverts], repeat=len(gverts)):
+        if len(set(owner) - {None}) < len(hverts):
+            continue  # some branch set is empty
+        bs = {u: frozenset(v for v, o in zip(gverts, owner) if o == u)
+              for u in hverts}
+        if (all(v in bs[u] for u, v in (roots or {}).items())
+                and all(_connected(vs, g) for vs in bs.values())
+                and all(any(edge(a, b) in g.edges for a in bs[x] for b in bs[y]
+                            if a != b) for x, y in h.edges)):
+            out.add(frozenset(bs.items()))
+    return out
+
+
+def _connected(vs: frozenset, g: Graph) -> bool:
+    todo, seen = [min(vs)], {min(vs)}
+    while todo:
+        v = todo.pop()
+        for a, b in g.edges:
+            for x, y in ((a, b), (b, a)):
+                if x == v and y in vs and y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+    return seen == vs
+
+
 def product_footprints(h: Graph, g: Graph, counter: NodeCounter):
-    """Yield (model, edge footprint) for every expansion subgraph: each
-    model of enumerate_expansions with every choice of a spanning tree
+    """Yield (model, edge footprint) for every expansion subgraph: every
+    model (each of enumerate_expansions, which yields one per orbit,
+    under every automorphism of h) with every choice of a spanning tree
     per branch set and a host edge per pattern edge, footprints
     deduplicated.  The full product that iter_expansion_footprints
     prunes; it shares only the branch-set enumeration with it.
     """
     seen: set[frozenset] = set()
     trees_of = cache(lambda vs: _all_spanning_trees(vs, g))
-    for emb in enumerate_expansions(h, g, None, counter):
-        hverts = sorted(emb.branch_sets)
-        tree_choices = [trees_of(emb.branch_sets[u]) for u in hverts]
+    autos = pattern_automorphisms(h)
+    for branch_sets in ({f[u]: bs for u, bs in rep.branch_sets.items()}
+                        for rep in enumerate_expansions(h, g, None, counter)
+                        for f in autos):
+        hverts = sorted(branch_sets)
+        tree_choices = [trees_of(branch_sets[u]) for u in hverts]
         hedges = h.sorted_edges()
         image_choices = []
         for u, w in hedges:
-            bu, bw = emb.branch_sets[u], emb.branch_sets[w]
+            bu, bw = branch_sets[u], branch_sets[w]
             cands = sorted(e for e in g.edges
                            if (e[0] in bu and e[1] in bw) or (e[0] in bw and e[1] in bu))
             image_choices.append(cands)
@@ -309,7 +358,7 @@ def product_footprints(h: Graph, g: Graph, counter: NodeCounter):
                 if usage in seen:
                     continue
                 seen.add(usage)
-                final = MinorEmbedding(dict(emb.branch_sets),
+                final = MinorEmbedding(dict(branch_sets),
                                        {he: im for he, im in zip(hedges, images)})
                 yield final, usage
 

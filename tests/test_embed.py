@@ -9,17 +9,19 @@ from hypothesis import strategies as st
 
 from minorbench import (BudgetExceeded, Graph, GraphError, MinorEmbedding,
                         NodeCounter, SearchStatus, connected_components,
-                        delete_edges, enumerate_expansions, find_expansion,
-                        is_minor, iter_expansion_footprints,
-                        naive_is_minor_oracle, partition_components,
-                        segment_blowup, verify_embedding)
+                        delete_edges, edge, enumerate_expansions,
+                        find_expansion, is_minor, iter_expansion_footprints,
+                        naive_is_minor_oracle, parse_graph,
+                        partition_components, segment_blowup,
+                        verify_embedding)
 from minorbench import embed
 from minorbench.embed import _lift, _reduce_host, _search
-from helpers import (complete, cycle_graph, footprint_cases,
-                     inclusion_minimal, oracle_footprints, path_graph,
+from helpers import (brute_force_models, complete, cycle_graph,
+                     footprint_cases, inclusion_minimal, oracle_footprints,
+                     path_graph, pattern_automorphisms,
                      random_connected_graph, random_graph,
-                     satisfies_leaf_rule, seeded_host, subdivided,
-                     wheel_graph)
+                     satisfies_leaf_rule, seeded_host, star_graph,
+                     subdivided, triangle_with_tail, wheel_graph)
 
 PROPERTY = settings(max_examples=50, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -194,13 +196,27 @@ class TestVerifyEmbedding:
         assert not verify_embedding(self.h, self.g, m)
 
 
+def model_orbit(m: MinorEmbedding, autos) -> list[MinorEmbedding]:
+    """m under each pattern automorphism of autos: f(u) gets u's branch
+    set, and the image of edge f(a) f(b) is that of a b."""
+    return [MinorEmbedding({f[u]: bs for u, bs in m.branch_sets.items()},
+                           {edge(f[a], f[b]): im
+                            for (a, b), im in m.edge_images.items()})
+            for f in autos]
+
+
 class TestEnumerate:
     def test_single_edge_in_triangle_model_count(self):
-        models = list(enumerate_expansions(path_graph("ab"), complete("xyz")))
+        # one model per orbit of the edge's swap: 6 of the 12 models
+        h, g = path_graph("ab"), complete("xyz")
+        reps = list(enumerate_expansions(h, g))
+        assert len(reps) == 6
+        models = [m for rep in reps
+                  for m in model_orbit(rep, pattern_automorphisms(h))]
         assert len(models) == 12
         assert len(set(map(repr, (m.to_json_obj() for m in models)))) == 12
         for m in models:
-            assert verify_embedding(path_graph("ab"), complete("xyz"), m)
+            assert verify_embedding(h, g, m)
 
     def test_order_is_deterministic(self):
         runs = [list(enumerate_expansions(complete("xyz"), complete("pqst")))
@@ -211,6 +227,79 @@ class TestEnumerate:
         c = NodeCounter(cap=None)
         list(enumerate_expansions(complete("xyz"), complete("pqst"), None, c))
         assert c.nodes > 0
+
+
+SYMMETRY_PATTERNS = {
+    "P2": path_graph("ab"), "P3": path_graph("abc"), "K3": complete("xyz"),
+    "C4": cycle_graph("wxyz"), "K1,3": star_graph("c", "xyz"),
+    "K4": complete("wxyz"), "W4": wheel_graph("h", "wxyz"),
+    "K2,3": Graph.build([], [(a, b) for a in "pq" for b in "xyz"]),
+    "tailed-triangle": triangle_with_tail(),
+    "2K2+K1": Graph.build(["i"], [("a", "b"), ("c", "d")]),
+}
+
+
+def symmetry_case(name, seed, pinned):
+    """(pattern, seeded host of 6 or 7 vertices, one pin or None)."""
+    h = SYMMETRY_PATTERNS[name]
+    rng = random.Random(f"{name}:{seed}")
+    g = random_graph(rng, 7 if len(h.vertices) <= 3 else 6,
+                     rng.uniform(0.7, 1.0))
+    if not pinned:
+        return h, g, None
+    return h, g, {rng.choice(sorted(h.vertices)): rng.choice(sorted(g.vertices))}
+
+
+class TestSymmetryBreaking:
+    """enumerate_expansions yields one model per orbit of the pattern
+    automorphisms that fix the pins, against a brute-force model set."""
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("name", sorted(SYMMETRY_PATTERNS))
+    def test_one_model_per_orbit(self, name, seed, pinned):
+        h, g, roots = symmetry_case(name, seed, pinned)
+        group = [f for f in pattern_automorphisms(h)
+                 if all(f[u] == u for u in roots or {})]
+        reps = list(enumerate_expansions(h, g, roots))
+        orbits = [{frozenset(m.branch_sets.items())
+                   for m in model_orbit(rep, group)} for rep in reps]
+        everything = set().union(*orbits)
+        assert everything == brute_force_models(h, g, roots)
+        # no two representatives share an orbit
+        assert sum(map(len, orbits)) == len(everything)
+        order = sorted(h.vertices, key=lambda u: (-h.degree(u), u))
+        rank = {v: k for k, v in enumerate(
+            sorted(g.vertices, key=lambda v: (-g.degree(v), v)))}
+
+        def anchors(m):
+            return [min(rank[v] for v in m.branch_sets[u]) for u in order]
+
+        for rep in reps:
+            assert verify_embedding(h, g, rep)
+            assert all(r in rep.branch_sets[u] for u, r in (roots or {}).items())
+            assert anchors(rep) == min(map(anchors, model_orbit(rep, group)))
+
+    @pytest.mark.parametrize("pattern, n, models, nodes", [
+        (complete("xyz"), 7, 1701, 98518),    # 10,206 / 6 models
+        (complete("wxyz"), 6, 140, 5616),     # 3,360 / 24 models
+    ])
+    def test_complete_host_counts(self, pattern, n, models, nodes):
+        g = complete(f"v{i}" for i in range(n))
+        assert sum(1 for _ in enumerate_expansions(pattern, g)) == models
+        counter = NodeCounter(cap=None)
+        list(iter_expansion_footprints(pattern, g, counter))
+        assert counter.nodes == nodes
+
+    def test_floors_computed_once_per_pattern(self):
+        text = "4 6\nw\nx\ny\nz\nw x\nw y\nw z\nx y\nx z\ny z\n"
+        g = complete("pqstu")
+        embed._symmetry_floors.cache_clear()
+        for _ in range(3):
+            res = find_expansion(parse_graph(text), g)
+            assert res.status is SearchStatus.FOUND
+        info = embed._symmetry_floors.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
 
 class TestAgainstOracle:
