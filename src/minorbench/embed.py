@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import enum
 import functools
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .graph import Edge, Graph, GraphError, connected_components, edge
 
@@ -200,13 +199,30 @@ def enumerate_expansions(h: Graph, g: Graph,
     vertices to host vertices in their branch sets.  Of each orbit comes
     the model first in that order: each unpinned branch set's anchor, its
     first vertex in root order, ranks after those _symmetry_floors name.
+    Each edge image is the first host edge joining its two branch sets.
     """
     roots = roots or {}
     _check_roots(h, g, roots)
     if counter is None:
         counter = NodeCounter(cap=None)
+    adj = g.adjacency()
+    hedges = h.sorted_edges()
+    for placed in _branch_set_maps(h, g, roots, counter):
+        yield MinorEmbedding(dict(placed), {
+            he: _crossing_edges(adj, placed[he[0]], placed[he[1]])[0]
+            for he in hedges})
+
+
+def _branch_set_maps(h: Graph, g: Graph, roots: Mapping[str, str],
+                     counter: NodeCounter,
+                     admits: Callable[[str, frozenset[str]], bool] | None
+                     = None) -> Iterator[dict[str, frozenset[str]]]:
+    """The branch sets of enumerate_expansions' models, in its order, as
+    one live map that the next step changes: copy it to keep it.  A
+    candidate set that admits rejects is dropped after it is counted,
+    with everything that would extend it."""
     if not h.vertices:
-        yield MinorEmbedding({}, {})
+        yield {}
         return
     if len(h.vertices) > len(g.vertices):
         return
@@ -263,16 +279,9 @@ def enumerate_expansions(h: Graph, g: Graph,
                     yield k, B
                 shrink.discard(r)
 
-    def build() -> MinorEmbedding:
-        images: dict[Edge, Edge] = {}
-        for he in h.sorted_edges():
-            u, w = he
-            images[he] = _crossing_edges(adj, placed[u], placed[w])[0]
-        return MinorEmbedding(dict(placed), images)
-
-    def rec(i: int) -> Iterator[MinorEmbedding]:
+    def rec(i: int) -> Iterator[dict[str, frozenset[str]]]:
         if i == nh:
-            yield build()
+            yield placed
             return
         u = order[i]
         max_size = ng - len(used) - (nh - i - 1)
@@ -281,7 +290,7 @@ def enumerate_expansions(h: Graph, g: Graph,
         floor = max((anchor[w] for w in below[i]), default=-1)
         for k, B in candidates(u, g.vertices - used, max_size, floor):
             counter.spend()
-            if not candidate_ok(u, B):
+            if not candidate_ok(u, B) or (admits and not admits(u, B)):
                 continue
             placed[u] = B
             anchor[u] = k
@@ -550,31 +559,60 @@ def partition_components(h: Graph, anchor: Graph,
 
 # -- expansion footprints (for packing and locality scans) ---------------
 
-def _spanning_trees(vs: frozenset[str], adj: Mapping[str, frozenset[str]],
-                    most: int) -> list[tuple[frozenset[Edge], frozenset[str]]]:
-    """Spanning trees of the subgraph induced on vs with at most most
-    leaves, each with its leaves.  Grown from the smallest vertex, the
-    smallest edge leaving the tree is taken or banned, so each tree
-    comes once; a vertex of degree above most means too many leaves.
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _spanning_trees(vs: int, most: int, ends: list[tuple[int, int]],
+                    inc: list[int]) -> list[tuple[int, int]]:
+    """Spanning trees of the subgraph induced on the vertex mask vs with
+    at most most leaves, as (edge mask, leaf mask) pairs.  Edge k joins
+    the vertices ends[k], and inc[v] is the mask of the edges at v;
+    vertices and edges are numbered in sorted order.
+
+    Grown from the lowest vertex, the lowest edge leaving the tree is
+    taken or banned, so each tree comes once.  The frontier, the edges
+    leaving the tree, changes by the new vertex's edges inside vs.  An
+    edge that would give a tree vertex more than most tree edges is not
+    taken: such a tree has more than most leaves.  A vertex with one
+    edge inside vs is a leaf of every tree, so more than most of them
+    leave no tree at all.
     """
+    inside = {v: sum(1 << k for k in _bits(inc[v])
+                     if vs >> ends[k][0] & vs >> ends[k][1] & 1)
+              for v in _bits(vs)}
     out = []
 
-    def grow(tree: frozenset[Edge], reached: frozenset[str],
-             banned: frozenset[Edge]):
-        deg = Counter(v for e in tree for v in e)
-        if len(reached) == len(vs):
-            leaves = frozenset(v for v in vs if deg[v] == 1)
-            if len(leaves) <= most:
+    def grow(tree: int, leaves: int, reached: int, frontier: int,
+             banned: int):
+        if reached == vs:
+            if leaves.bit_count() <= most:
                 out.append((tree, leaves))
-        elif max(deg.values(), default=0) <= most:
-            cut = min((edge(a, b) for a in reached for b in adj[a] & vs
-                       if b not in reached and edge(a, b) not in banned),
-                      default=None)
-            if cut is not None:
-                grow(tree | {cut}, reached.union(cut), banned)
-                grow(tree, reached, banned | {cut})
+            return
+        free = frontier & ~banned
+        if not free:
+            return
+        cut = free & -free
+        a, b = ends[cut.bit_length() - 1]
+        if reached >> b & 1:
+            a, b = b, a
+        d = (tree & inside[a]).bit_count()
+        if d < most:
+            # a is a leaf from its first tree edge to its second
+            grow(tree | cut, (leaves | 1 << b) ^ (1 << a if d <= 1 else 0),
+                 reached | 1 << b, frontier ^ inside[b], banned)
+        grow(tree, leaves, reached, frontier, banned | cut)
 
-    grow(frozenset(), frozenset([min(vs)]), frozenset())
+    if sum(e.bit_count() == 1 for e in inside.values()) > most:
+        return out
+    root = vs & -vs
+    grow(0, 0, root, inside[root.bit_length() - 1], 0)
     return out
 
 
@@ -584,29 +622,81 @@ def iter_expansion_footprints(h: Graph, g: Graph, counter: NodeCounter
     subgraphs (a spanning tree per branch set plus one host edge per
     pattern edge) whose tree leaves all end an edge image.  Dropping any
     other leaf leaves a smaller one, so every inclusion-minimal one is
-    yielded, and every subgraph of g with an h minor contains one."""
-    seen: set[frozenset[Edge]] = set()
-    adj = g.adjacency()
+    yielded, and every subgraph of g with an h minor contains one.
+
+    Footprints are bit masks over g.sorted_edges().  Per branch set, the
+    trees come in _spanning_trees' order; a branch set with none is
+    rejected as it is placed.  Per tree combination, the image choices
+    run over the pattern edges in sorted order, each over its candidate
+    host edges in order, and a partial choice is dropped once some
+    pattern vertex has more leaves left to end an image than pattern
+    edges left to place.  The choices depend only on each branch set's
+    leaves and candidate image ends, and are shared by every combination
+    with the same ones.  Both caches live for one call.  counter counts
+    the branch sets tried and every (tree combination, image choice)
+    that passes the leaf rule.
+    """
+    verts = sorted(g.vertices)
+    vidx = {v: i for i, v in enumerate(verts)}
+    edges = g.sorted_edges()
+    ends = [(vidx[a], vidx[b]) for a, b in edges]
+    inc = [0] * len(verts)
+    for k, (a, b) in enumerate(ends):
+        inc[a] |= 1 << k
+        inc[b] |= 1 << k
+    hverts = sorted(h.vertices)
     hedges = h.sorted_edges()
-    trees_of = functools.cache(lambda vs, d: _spanning_trees(vs, adj, d))
-    cross = functools.cache(lambda A, B: _crossing_edges(adj, A, B))
-    for emb in enumerate_expansions(h, g, None, counter):
-        bs = emb.branch_sets
-        hverts = sorted(bs)
-        for trees in product(*(trees_of(bs[u], h.degree(u))
-                               for u in hverts)):
-            # with as many leaves as images, each image ends at a leaf
-            ends = {u: leaves if len(leaves) == h.degree(u) else bs[u]
-                    for u, (_, leaves) in zip(hverts, trees)}
-            base = frozenset().union(*(t for t, _ in trees))
-            leaves = frozenset().union(*(lv for _, lv in trees))
-            for images in product(*(cross(ends[u], ends[w])
-                                    for u, w in hedges)):
+    deg = {u: h.degree(u) for u in hverts}
+    at = [(hverts.index(u), hverts.index(w)) for u, w in hedges]
+    # left[j][p]: the pattern edges at hverts[p] after hedges[j]
+    left = [[sum(p in pq for pq in at[j + 1:]) for p in range(len(hverts))]
+            for j in range(len(at))]
+
+    @functools.cache
+    def trees_of(vs: frozenset[str], most: int) -> list[tuple[int, int, int]]:
+        """(tree, leaves, image ends): with as many leaves as images,
+        each image ends at a leaf."""
+        mask = sum(1 << vidx[v] for v in vs)
+        return [(t, lv, lv if lv.bit_count() == most else mask)
+                for t, lv in _spanning_trees(mask, most, ends, inc)]
+
+    @functools.cache
+    def choices(leaves: tuple[int, ...], image_ends: tuple[int, ...]
+                ) -> list[int]:
+        # reach[p]: the host edges at hverts[p]'s image ends
+        reach = [functools.reduce(int.__or__, map(inc.__getitem__, _bits(e)),
+                                  0) for e in image_ends]
+        # (images, the leaves no image ends yet)
+        partial = [(0, functools.reduce(int.__or__, leaves, 0))]
+        for j, (p, q) in enumerate(at):
+            cands = _bits(reach[p] & reach[q])
+            grown = []
+            for images, open_ in partial:
+                for k in cands:
+                    a, b = ends[k]
+                    rest = open_ & ~(1 << a | 1 << b)
+                    if ((rest & leaves[p]).bit_count() <= left[j][p]
+                            and (rest & leaves[q]).bit_count() <= left[j][q]):
+                        grown.append((images | 1 << k, rest))
+            partial = grown
+        return [images for images, _ in partial]
+
+    seen: set[int] = set()
+    for bs in _branch_set_maps(h, g, {}, counter,
+                               lambda u, B: bool(trees_of(B, deg[u]))):
+        for trees in product(*(trees_of(bs[u], deg[u]) for u in hverts)):
+            base = 0
+            for t, _, _ in trees:
+                base |= t
+            for images in choices(tuple(lv for _, lv, _ in trees),
+                                  tuple(e for _, _, e in trees)):
                 counter.spend()
-                if leaves.difference(*images):
-                    continue
-                usage = base.union(images)
+                usage = base | images
                 if usage not in seen:
                     seen.add(usage)
-                    yield (MinorEmbedding(dict(bs), dict(zip(hedges, images))),
-                           usage)
+                    owner = {v: u for u, B in bs.items() for v in B}
+                    image = {edge(owner[a], owner[b]): (a, b)
+                             for a, b in map(edges.__getitem__, _bits(images))}
+                    yield (MinorEmbedding(dict(bs),
+                                          {he: image[he] for he in hedges}),
+                           frozenset(edges[k] for k in _bits(usage)))

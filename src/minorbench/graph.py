@@ -53,7 +53,7 @@ class Graph:
 
     def __post_init__(self):
         for v in self.vertices:
-            if not v or any(c.isspace() for c in v):
+            if v.split() != [v]:  # empty, or holds whitespace
                 raise GraphError(f"bad vertex label {v!r}")
         for e in self.edges:
             u, v = e

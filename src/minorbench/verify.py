@@ -136,13 +136,14 @@ def max_edge_disjoint_packing(pattern: Graph, host: Graph,
         exact = False
     footprints.sort(key=lambda s: (len(s), sorted(s)))
     counter = NodeCounter(cap=node_budget)
-    per = len(pattern.edges)
 
     def extend(start: int, remaining: frozenset[Edge], need: int
                ) -> list[frozenset[Edge]] | None:
         if need == 0:
             return []
-        if len(remaining) < need * per:
+        # no footprint after start is smaller than footprints[start]
+        if (start == len(footprints)
+                or len(remaining) < need * len(footprints[start])):
             return None
         for i in range(start, len(footprints)):
             fp = footprints[i]

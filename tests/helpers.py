@@ -2,20 +2,24 @@
 
 The oracles here are deliberately slow and definition-shaped; none of
 them call into the package's search or decomposition code paths, except
-product_footprints, which shares the branch-set enumeration with the
-footprint enumerator it checks.
+product_footprints and reference_footprints, which share the branch-set
+enumeration with the footprint enumerator they check.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import Counter
 from functools import cache, lru_cache
 from itertools import combinations, permutations, product
 from pathlib import Path
+from typing import Iterator, Mapping
 
 from minorbench import (Graph, MinorEmbedding, NodeCounter, edge,
                         enumerate_expansions, load_core_spec)
+from minorbench.embed import _crossing_edges
+from minorbench.graph import Edge
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -397,6 +401,72 @@ def inclusion_minimal(sets) -> set[frozenset]:
 def oracle_footprints(h: Graph, g: Graph) -> tuple:
     """product_footprints of h in g, uncapped, kept for reuse."""
     return tuple(product_footprints(h, g, NodeCounter(cap=None)))
+
+
+# -- footprint sequence reference ---------------------------------------------
+
+def reference_spanning_trees(vs: frozenset[str],
+                             adj: Mapping[str, frozenset[str]],
+                             most: int) -> list[tuple[frozenset[Edge], frozenset[str]]]:
+    """Spanning trees of the subgraph induced on vs with at most most
+    leaves, each with its leaves.  Grown from the smallest vertex, the
+    smallest edge leaving the tree is taken or banned, so each tree
+    comes once; a vertex of degree above most means too many leaves.
+    """
+    out = []
+
+    def grow(tree: frozenset[Edge], reached: frozenset[str],
+             banned: frozenset[Edge]):
+        deg = Counter(v for e in tree for v in e)
+        if len(reached) == len(vs):
+            leaves = frozenset(v for v in vs if deg[v] == 1)
+            if len(leaves) <= most:
+                out.append((tree, leaves))
+        elif max(deg.values(), default=0) <= most:
+            cut = min((edge(a, b) for a in reached for b in adj[a] & vs
+                       if b not in reached and edge(a, b) not in banned),
+                      default=None)
+            if cut is not None:
+                grow(tree | {cut}, reached.union(cut), banned)
+                grow(tree, reached, banned | {cut})
+
+    grow(frozenset(), frozenset([min(vs)]), frozenset())
+    return out
+
+
+def reference_footprints(h: Graph, g: Graph, counter: NodeCounter
+                         ) -> Iterator[tuple[MinorEmbedding, frozenset[Edge]]]:
+    """The sequence reference for iter_expansion_footprints: the same
+    (model, edge footprint) pairs in the same order, from the loop it
+    replaced.  Every model of enumerate_expansions, every combination of
+    reference_spanning_trees, and every image product is built on edge
+    label tuples, then filtered by the leaf rule and deduplicated; one
+    node is one image combination, kept or not."""
+    seen: set[frozenset[Edge]] = set()
+    adj = g.adjacency()
+    hedges = h.sorted_edges()
+    trees_of = functools.cache(lambda vs, d: reference_spanning_trees(vs, adj, d))
+    cross = functools.cache(lambda A, B: _crossing_edges(adj, A, B))
+    for emb in enumerate_expansions(h, g, None, counter):
+        bs = emb.branch_sets
+        hverts = sorted(bs)
+        for trees in product(*(trees_of(bs[u], h.degree(u))
+                               for u in hverts)):
+            # with as many leaves as images, each image ends at a leaf
+            ends = {u: leaves if len(leaves) == h.degree(u) else bs[u]
+                    for u, (_, leaves) in zip(hverts, trees)}
+            base = frozenset().union(*(t for t, _ in trees))
+            leaves = frozenset().union(*(lv for _, lv in trees))
+            for images in product(*(cross(ends[u], ends[w])
+                                    for u, w in hedges)):
+                counter.spend()
+                if leaves.difference(*images):
+                    continue
+                usage = base.union(images)
+                if usage not in seen:
+                    seen.add(usage)
+                    yield (MinorEmbedding(dict(bs), dict(zip(hedges, images))),
+                           usage)
 
 
 def footprint_cases() -> dict[str, tuple[Graph, Graph]]:

@@ -20,8 +20,10 @@ from helpers import (brute_force_models, complete, cycle_graph,
                      footprint_cases, inclusion_minimal, oracle_footprints,
                      path_graph, pattern_automorphisms,
                      random_connected_graph, random_graph,
+                     reference_footprints, reference_spanning_trees,
                      satisfies_leaf_rule, seeded_host, star_graph,
-                     subdivided, triangle_with_tail, wheel_graph)
+                     subdivided, tailed_square, triangle_with_tail,
+                     wheel_graph)
 
 PROPERTY = settings(max_examples=50, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -281,8 +283,12 @@ class TestSymmetryBreaking:
             assert anchors(rep) == min(map(anchors, model_orbit(rep, group)))
 
     @pytest.mark.parametrize("pattern, n, models, nodes", [
-        (complete("xyz"), 7, 1701, 98518),    # 10,206 / 6 models
-        (complete("wxyz"), 6, 140, 5616),     # 3,360 / 24 models
+        # models, then nodes: branch sets tried plus (tree combination,
+        # image choice) pairs that pass the leaf rule
+        pytest.param(complete("xyz"), 7, 1701, 26698,   # 10,206 / 6 models
+                     id="K3-in-K7"),
+        pytest.param(complete("wxyz"), 6, 140, 3336,    # 3,360 / 24 models
+                     id="K4-in-K6"),
     ])
     def test_complete_host_counts(self, pattern, n, models, nodes):
         g = complete(f"v{i}" for i in range(n))
@@ -422,6 +428,100 @@ class TestLeafRuleFootprints:
             sub = g.edge_subgraph(usage)
             assert sub.is_connected()
             assert all(sub.degree(v) == 2 for v in sub.vertices)
+
+
+def footprint_sequence(enumerate_footprints, h, g, cap=None):
+    """The (model, footprint) pairs enumerate_footprints yields before
+    its node cap runs out, its node count, and whether it finished."""
+    counter = NodeCounter(cap=cap)
+    out = []
+    try:
+        for item in enumerate_footprints(h, g, counter):
+            out.append(item)
+    except BudgetExceeded:
+        return out, counter.nodes, False
+    return out, counter.nodes, True
+
+
+SEQUENCE_PATTERNS = {"K3": complete("xyz"), "C4": cycle_graph("wxyz"),
+                     "W4": wheel_graph("h", "wxyz"),
+                     "P3": path_graph("xyz"),
+                     "K1,3": star_graph("c", "xyz"),
+                     "triangle-with-tail": triangle_with_tail(),
+                     "tailed-square": tailed_square()[0],
+                     "P2+K1": Graph.build(["z"], [("x", "y")])}
+
+
+class TestFootprintSequence:
+    """iter_expansion_footprints against helpers.reference_footprints,
+    the label-tuple loop it replaced: the same (branch sets, edge
+    images, footprint) sequence, and never more nodes."""
+
+    @pytest.mark.parametrize("name", sorted(FOOTPRINT_CASES))
+    def test_footprint_cases(self, name):
+        h, g = FOOTPRINT_CASES[name]
+        ref, ref_nodes, _ = footprint_sequence(reference_footprints, h, g)
+        got, nodes, _ = footprint_sequence(iter_expansion_footprints, h, g)
+        assert got == ref
+        assert nodes <= ref_nodes
+        for cap in (10, 100, 1000):
+            ref, _, ref_done = footprint_sequence(reference_footprints,
+                                                  h, g, cap)
+            got, _, done = footprint_sequence(iter_expansion_footprints,
+                                              h, g, cap)
+            assert got[:len(ref)] == ref
+            assert done or not ref_done
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("name", sorted(SEQUENCE_PATTERNS))
+    def test_seeded_hosts_under_cap(self, name, seed):
+        """The reference's prefix under a node cap is a prefix of the
+        enumerator's under the same cap, which counts fewer nodes."""
+        h = SEQUENCE_PATTERNS[name]
+        g = seeded_host(random.Random(seed))
+        ref, _, ref_done = footprint_sequence(reference_footprints, h, g,
+                                              3000)
+        got, _, done = footprint_sequence(iter_expansion_footprints, h, g,
+                                          3000)
+        assert got[:len(ref)] == ref
+        if ref_done:
+            assert done and got == ref
+
+    def test_sparse_host_rejects_treeless_branch_sets(self):
+        """A branch set whose induced subgraph has no spanning tree with
+        at most deg_h(u) leaves is dropped where it is placed, with every
+        model that would extend it; those models yield no footprint."""
+        h = complete("xyz")
+        g = seeded_host(random.Random(3), (1, 4))
+        ref, ref_nodes, _ = footprint_sequence(reference_footprints, h, g)
+        got, nodes, _ = footprint_sequence(iter_expansion_footprints, h, g)
+        assert got == ref and len(got) == 12
+        assert (ref_nodes, nodes) == (593647, 185551)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_spanning_trees_match_reference(self, seed):
+        rng = random.Random(seed)
+        g = (seeded_host(rng, (4, 12)) if seed % 2
+             else complete(f"v{i}" for i in range(7)))
+        verts = sorted(g.vertices)
+        vidx = {v: i for i, v in enumerate(verts)}
+        edges = g.sorted_edges()
+        ends = [(vidx[a], vidx[b]) for a, b in edges]
+        inc = [sum(1 << k for k, e in enumerate(ends) if i in e)
+               for i in range(len(verts))]
+        for _ in range(20):
+            vs = {rng.choice(verts)}  # a random connected set
+            for _ in range(rng.randint(0, 6)):
+                vs.add(rng.choice(sorted(set().union(
+                    *(g.neighbors(v) for v in vs)))))
+            vs = frozenset(vs)
+            most = rng.randint(0, 4)
+            got = embed._spanning_trees(sum(1 << vidx[v] for v in vs), most,
+                                        ends, inc)
+            assert [(frozenset(edges[k] for k in embed._bits(t)),
+                     frozenset(verts[i] for i in embed._bits(lv)))
+                    for t, lv in got] == reference_spanning_trees(
+                        vs, g.adjacency(), most)
 
 
 # -- host reduction against the unreduced search -------------------------------

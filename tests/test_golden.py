@@ -10,6 +10,9 @@ from the golden outputs of earlier ones, as the README tour does with
 After an intended output change, regenerate the files with
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+which prints each file it rewrites and whether the change is confined
+to "nodes" lines.
 """
 
 from __future__ import annotations
@@ -87,6 +90,8 @@ CASES = [
     ("robust-k4-gadget-r4", 0, ["robust", K4, "--ctx", K4, "-r", "4"]),
     ("robust-k5-gadget-r3", 0, ["robust", K5, "--ctx", K5, "-r", "3"]),
     ("robust-k5-gadget-r4", 0, ["robust", K5, "--ctx", K5, "-r", "4"]),
+    # seven edge-disjoint triangles: the lines of the Fano plane
+    ("pack-k3-k7", 0, ["pack", TRI, "samples/k7.el"]),
 ]
 
 
@@ -113,6 +118,39 @@ def test_output_matches_golden(name, code, argv, tmp_path, monkeypatch):
         assert text == (GOLDEN / f"{name}.{fname}").read_text(encoding="utf-8")
 
 
+def change_kind(old: str | None, new: str) -> str | None:
+    """How a golden file changes: None when it does not, else "new",
+    "nodes only" when every changed line is a "nodes" line, or
+    "changed"."""
+    if old == new:
+        return None
+    if old is None:
+        return "new"
+    a, b = old.splitlines(), new.splitlines()
+    if len(a) == len(b) and all('"nodes"' in x and '"nodes"' in y
+                                for x, y in zip(a, b) if x != y):
+        return "nodes only"
+    return "changed"
+
+
+def write_golden(path: Path, text: str) -> None:
+    """Write one golden file and print how it changed, if it did."""
+    kind = change_kind(path.read_text(encoding="utf-8")
+                       if path.exists() else None, text)
+    if kind is not None:
+        print(f"{path.name}: {kind}")
+        path.write_text(text, encoding="utf-8")
+
+
+def test_change_kind_names_nodes_only_edits():
+    old = '{\n  "count": 1,\n  "stats": {\n    "nodes": 74\n  }\n}\n'
+    assert change_kind(old, old) is None
+    assert change_kind(None, old) == "new"
+    assert change_kind(old, old.replace("74", "62")) == "nodes only"
+    assert change_kind(old, old.replace('"count": 1', '"count": 2')) == "changed"
+    assert change_kind(old, old + "\n") == "changed"
+
+
 def regenerate() -> None:
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
@@ -124,9 +162,9 @@ def regenerate() -> None:
             sys.exit(f"{name}: exit code {got_code}, expected {code}")
         if written.setdefault(name, out) != out:
             sys.exit(f"{name}: cases sharing this name print different bytes")
-        (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
+        write_golden(GOLDEN / f"{name}.out", out)
         for fname, text in files.items():
-            (GOLDEN / f"{name}.{fname}").write_text(text, encoding="utf-8")
+            write_golden(GOLDEN / f"{name}.{fname}", text)
 
 
 if __name__ == "__main__":

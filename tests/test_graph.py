@@ -40,6 +40,19 @@ class TestGraph:
         with pytest.raises(GraphError):
             Graph.build(["a b"], [])
 
+    def test_label_check_matches_isspace(self):
+        spaces = [c for c in map(chr, range(0x110000)) if c.isspace()]
+        assert len(spaces) == 29
+        for c in spaces:
+            for label in (c + "ab", "a" + c + "b", "ab" + c, c):
+                with pytest.raises(GraphError):
+                    Graph(frozenset([label]), frozenset())
+        with pytest.raises(GraphError):
+            Graph(frozenset([""]), frozenset())
+        # separators str.isspace does not accept stay legal
+        for label in ("a\u200bb", "a\u180eb", "a\ufeffb", "a_b"):
+            assert Graph(frozenset([label]), frozenset()).vertices == {label}
+
     def test_rejects_unnormalized_edge(self):
         with pytest.raises(GraphError):
             Graph(frozenset("ab"), frozenset([("b", "a")]))
