@@ -21,12 +21,12 @@ from .graph import (Graph, GraphError, connected_components, parse_graph,
                     parse_graph6, serialize)
 from .decompose import (block_cut_tree, branch_vertices, classify_shape,
                         segment_decomposition)
-from .embed import (MinorEmbedding, MinorPredicate, find_expansion,
-                    verify_embedding)
+from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, MinorEmbedding,
+                    MinorPredicate, find_expansion, verify_embedding)
 from .gadgets import (assemble_block_counterexample,
                       assemble_component_counterexample, load_core_spec,
                       segment_blowup)
-from .verify import (_OUTCOME, DEFAULT_SEED, Budget, Outcome, Report,
+from .verify import (_EXIT, _OUTCOME, DEFAULT_SEED, Budget, Outcome, Report,
                      _sorted_footprint, canonical_json,
                      check_assembly_robustness, check_branch_count,
                      check_expansion_locality, check_gadget_robustness,
@@ -61,15 +61,10 @@ def _load_graph(path: str) -> Graph:
 
 
 def _parse_budget(text: str) -> Budget:
-    try:
-        nums = [int(p) for p in text.split(":")]
-    except ValueError:
-        nums = []
-    if not 1 <= len(nums) <= 2:
+    parts = text.split(":")
+    if len(parts) > 2:
         raise argparse.ArgumentTypeError("budget is NODES[:SUBSETS]")
-    if any(n < 1 for n in nums):
-        raise argparse.ArgumentTypeError("budget parts must be positive")
-    return Budget(*nums)
+    return Budget(*map(_int_at_least(1), parts))
 
 
 def _int_at_least(low: int):
@@ -219,8 +214,7 @@ def cmd_hstar1(args) -> int:
                if args.anchor in c.vertices]
     if not anchors:
         raise GraphError(f"no component contains vertex {args.anchor!r}")
-    out = assemble_component_counterexample(h, anchors[0], spec, args.r,
-                                            force=args.force)
+    out = assemble_component_counterexample(h, anchors[0], spec, args.r)
     return _emit_graph(out, args)
 
 
@@ -229,8 +223,7 @@ def cmd_hstar2(args) -> int:
     spec = load_core_spec(_read_text(args.spec))
     target = _load_graph(args.predicate)
     pred = MinorPredicate(f"contains-minor:{args.predicate}", target)
-    out, trace = assemble_block_counterexample(h, pred, spec, args.r,
-                                               force=args.force)
+    out, trace = assemble_block_counterexample(h, pred, spec, args.r)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(canonical_json(trace.to_json_obj()))
@@ -262,7 +255,7 @@ def cmd_minor(args) -> int:
                      {"witness": args.verify}, {"nodes": 0},
                      perf_counter() - t0)
         return _emit_report(rep, args)
-    res = find_expansion(h, g, node_budget=args.budget.nodes)
+    res = find_expansion(h, g, node_budget=args.budget)
     details: dict = {"pattern": graph_json(h), "host_vertices": len(g.vertices)}
     if res.embedding is not None:
         details["embedding"] = res.embedding.to_json_obj()
@@ -277,7 +270,7 @@ def cmd_pack(args) -> int:
     g = _load_graph(args.host)
     t0 = perf_counter()
     res = max_edge_disjoint_packing(h, g, cap=args.cap,
-                                    node_budget=args.budget.nodes)
+                                    node_budget=args.budget)
     details = {"count": res.count, "cap": args.cap,
                "witness": [_sorted_footprint(fp) for fp in res.witness]}
     rep = Report("packing",
@@ -332,7 +325,8 @@ def cmd_locality(args) -> int:
     hstar = _load_graph(args.host)
     anchor = _load_graph(args.anchor)
     region = _parse_region(args.region)
-    rep = check_expansion_locality(h, hstar, anchor, region, args.budget)
+    rep = check_expansion_locality(h, hstar, anchor, region,
+                                   Budget(nodes=args.budget))
     return _emit_report(rep, args)
 
 
@@ -356,13 +350,19 @@ def cmd_hereditary(args) -> int:
 # -- wiring -------------------------------------------------------------------
 
 def _add_budget(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--budget", type=_int_at_least(1),
+                   default=DEFAULT_NODE_BUDGET, metavar="NODES",
+                   help="search nodes per search")
+
+
+def _add_scan_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=_parse_budget, default=Budget(),
                    metavar="NODES[:SUBSETS]",
                    help="search nodes per query / deletion sets decided")
 
 
 def _add_scan_flags(p: argparse.ArgumentParser) -> None:
-    _add_budget(p)
+    _add_scan_budget(p)
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="accepted for compatibility; has no effect")
 
@@ -428,8 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchor", required=True, metavar="VERTEX",
                    help="any vertex of the anchor component")
     p.add_argument("-r", type=_int_at_least(1), required=True)
-    p.add_argument("--force", action="store_true",
-                   help="lift the exact-search size guard")
     p.add_argument("--format", choices=["edge-list", "dot"],
                    default="edge-list")
     _add_output(p)
@@ -442,8 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predicate", required=True, metavar="TARGETFILE",
                    help="block predicate: contains this graph as a minor")
     p.add_argument("-r", type=_int_at_least(1), required=True)
-    p.add_argument("--force", action="store_true",
-                   help="lift the exact-search size guard")
     p.add_argument("--trace", metavar="PATH",
                    help="also write the build trace as JSON")
     p.add_argument("--format", choices=["edge-list", "dot"],
@@ -475,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("host")
     p.add_argument("--bound", type=_int_at_least(0), default=None,
                    help="largest hitting-set size to try")
-    _add_budget(p)
+    _add_scan_budget(p)
     _add_output(p)
     p.set_defaults(func=cmd_hit)
 
@@ -535,10 +531,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraphError as exc:
+    except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except (OSError, json.JSONDecodeError) as exc:
+        return _EXIT[Outcome.BUDGET]
+    except (GraphError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
 

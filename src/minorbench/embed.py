@@ -24,12 +24,11 @@ from typing import Callable, Iterator, Mapping
 from .graph import Edge, Graph, GraphError, connected_components, edge
 
 DEFAULT_NODE_BUDGET = 10**7
-EXACT_HOST_GUARD = 12  # largest host is_minor() accepts without force
 ORACLE_HOST_GUARD = 8
 
 
 class BudgetExceeded(Exception):
-    """Raised internally when a node budget runs out."""
+    """Raised when a node budget runs out, in a search or in is_minor."""
 
     def __init__(self, nodes: int):
         self.nodes = nodes
@@ -440,13 +439,12 @@ def verify_embedding(h: Graph, g: Graph, m: MinorEmbedding) -> bool:
         return False
 
 
-def is_minor(h: Graph, g: Graph, force: bool = False) -> bool:
-    """Exact minor test by exhaustive search; guarded by host size."""
-    if len(g.vertices) > EXACT_HOST_GUARD and not force:
-        raise GraphError(
-            f"host has {len(g.vertices)} vertices, over the exact-search guard "
-            f"({EXACT_HOST_GUARD}); pass force=True to run anyway")
-    res = find_expansion(h, g, None, node_budget=None)
+def is_minor(h: Graph, g: Graph) -> bool:
+    """Exact minor test on a host of any size: find_expansion under
+    DEFAULT_NODE_BUDGET, read at each call; BudgetExceeded if it runs out."""
+    res = find_expansion(h, g, None, node_budget=DEFAULT_NODE_BUDGET)
+    if res.status is SearchStatus.BUDGET:
+        raise BudgetExceeded(res.nodes)
     return res.status is SearchStatus.FOUND
 
 
@@ -458,7 +456,7 @@ class MinorPredicate:
     target: Graph
 
     def holds(self, g: Graph) -> bool:
-        return is_minor(self.target, g, force=True)
+        return is_minor(self.target, g)
 
 
 def naive_is_minor_oracle(h: Graph, g: Graph) -> bool:
@@ -534,13 +532,14 @@ def naive_is_minor_oracle(h: Graph, g: Graph) -> bool:
     return False
 
 
-def partition_components(h: Graph, anchor: Graph,
-                         force: bool = False) -> tuple[list[Graph], list[Graph]]:
+def partition_components(h: Graph, anchor: Graph
+                         ) -> tuple[list[Graph], list[Graph]]:
     """Split the other components of h by whether the anchor embeds in them.
 
     Returns (lacking, containing): components without an anchor minor,
     then components with one.  The anchor component itself is excluded
-    by identity, not by isomorphism.
+    by identity, not by isomorphism.  Each test is an is_minor call, so
+    BudgetExceeded may propagate.
     """
     comps = connected_components(h)
     if anchor not in comps:
@@ -550,7 +549,7 @@ def partition_components(h: Graph, anchor: Graph,
     for comp in comps:
         if comp.vertices == anchor.vertices:
             continue
-        if is_minor(anchor, comp, force=force):
+        if is_minor(anchor, comp):
             containing.append(comp)
         else:
             lacking.append(comp)

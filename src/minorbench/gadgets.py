@@ -118,7 +118,7 @@ def load_core_spec(text: str) -> CoreSpec:
             if t not in core.vertices:
                 raise ParseError(f"dangling root target {t!r}", lineno)
             roots[s] = t
-        elif toks[0] in ("k", "r") and len(toks) == 2 and toks[1].isdigit():
+        elif toks[0] in ("k", "r") and len(toks) == 2 and toks[1].isdecimal():
             if toks[0] in params:
                 raise ParseError(f"duplicate {toks[0]!r} line", lineno)
             params[toks[0]] = int(toks[1])
@@ -142,14 +142,14 @@ def core_region(g: Graph) -> frozenset[str]:
 
 
 def assemble_component_counterexample(h: Graph, anchor: Graph,
-                                      spec: CoreSpec, r: int,
-                                      force: bool = False) -> Graph:
+                                      spec: CoreSpec, r: int) -> Graph:
     """Swap the anchor component of h for the core, replicate the rest.
 
     Components where the anchor is not a minor appear r times verbatim;
     components properly containing an anchor minor are blown up.  All
     parts stay disjoint.  The anchor must have a degree-3 vertex (a
-    cycle, path, or single vertex never needs this treatment).
+    cycle, path, or single vertex never needs this treatment).  Minor
+    tests run through is_minor, so BudgetExceeded may propagate.
     """
     if r < 1:
         raise GraphError("replication count must be at least 1")
@@ -157,7 +157,7 @@ def assemble_component_counterexample(h: Graph, anchor: Graph,
         raise GraphError("component assembly takes a spec without roots")
     if classify_shape(anchor) is not Shape.HAS_DEGREE3_VERTEX:
         raise GraphError("anchor component has maximum degree at most 2")
-    lacking, containing = partition_components(h, anchor, force=force)
+    lacking, containing = partition_components(h, anchor)
     for comp in containing:
         if not branch_vertices(comp, h):
             raise GraphError("component to blow up has no branch vertex")
@@ -202,8 +202,7 @@ class BuildTrace:
 
 
 def assemble_block_counterexample(h: Graph, predicate: MinorPredicate,
-                                  spec: CoreSpec, r: int,
-                                  force: bool = False
+                                  spec: CoreSpec, r: int
                                   ) -> tuple[Graph, BuildTrace]:
     """Swap a leaf predicate block of h for the core, glue the rest back.
 
@@ -213,7 +212,8 @@ def assemble_block_counterexample(h: Graph, predicate: MinorPredicate,
     subtree between them and paths formed by the trivial ones; material
     hanging outside that subtree is copied r times.  Copies of the same
     host vertex are identified with each other, and the spec roots are
-    identified with the copies of their cutvertices.
+    identified with the copies of their cutvertices.  Minor tests run
+    through is_minor, so BudgetExceeded may propagate.
     """
     if r < 1:
         raise GraphError("replication count must be at least 1")
@@ -234,7 +234,7 @@ def assemble_block_counterexample(h: Graph, predicate: MinorPredicate,
             f"{sorted(cut_in_anchor)} of the chosen block")
 
     containing = [b for b in tree.blocks
-                  if b.id != anchor.id and is_minor(anchor.graph, b.graph, force=force)]
+                  if b.id != anchor.id and is_minor(anchor.graph, b.graph)]
     sub = minimal_subtree(tree, [b.id for b in containing] + [anchor.id])
     sub_ids = set(sub.block_ids())
     chain = [b for b in sub.blocks

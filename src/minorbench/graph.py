@@ -168,7 +168,7 @@ def _parse_edge_block(text: str) -> tuple[Graph, list[tuple[int, str]]]:
         raise ParseError("empty input")
     lineno, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise ParseError(f"expected 'n m' header, got {header!r}", lineno)
     n, m = int(parts[0]), int(parts[1])
     if len(lines) < 1 + n + m:

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from minorbench import parse_graph, serialize
+from minorbench import embed, parse_graph, serialize
 from minorbench.cli import main
 from helpers import SAMPLES, seeded_host
 
@@ -25,6 +25,7 @@ HOST2 = str(SAMPLES / "two-part-host.el")
 TWT = str(SAMPLES / "triangle-with-tail.el")
 CORE = str(SAMPLES / "complete-core.txt")
 RCORE = str(SAMPLES / "rooted-core.txt")
+K4_AND_GADGET = str(SAMPLES / "k4-and-gadget.el")
 
 
 def run(capsys, *argv):
@@ -144,6 +145,29 @@ class TestConstruction:
         code, _, err = run(capsys, "classify", "no-such-file.el")
         assert code == 65 and "error:" in err
 
+    def test_non_utf8_input_is_a_data_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.el"
+        bad.write_bytes(b"1 0\n\xff\n")
+        code, out, err = run(capsys, "components", str(bad))
+        assert code == 65 and out == "" and err.startswith("error: ")
+
+    def test_non_decimal_header_digits_are_a_data_error(self, capsys,
+                                                        tmp_path):
+        # "\u00b2" passes str.isdigit() but int() rejects it
+        bad = tmp_path / "bad.el"
+        bad.write_text("\u00b2 0\n", encoding="utf-8")
+        code, out, err = run(capsys, "components", str(bad))
+        assert code == 65 and out == "" and err.startswith("error: ")
+
+    def test_non_decimal_spec_digits_are_a_data_error(self, capsys,
+                                                      tmp_path):
+        spec = tmp_path / "spec.txt"
+        with open(CORE, encoding="utf-8") as fh:
+            spec.write_text(fh.read().replace("k 4", "k \u00b2"),
+                            encoding="utf-8")
+        code, out, err = run(capsys, "gencheck", K4, str(spec))
+        assert code == 65 and out == "" and err.startswith("error: ")
+
     def test_hstar1_output_round_trips(self, capsys, tmp_path):
         out_path = tmp_path / "hstar.el"
         code, out, _ = run(capsys, "hstar1", HOST2, CORE, "--anchor", "p",
@@ -179,6 +203,27 @@ class TestConstruction:
         trace = json.loads(trace_path.read_text())
         assert trace["anchor_block"] == ["b", "c", "s"]
         assert trace["identifications"] == [["s#1", ["s#1", "s#2", "s'#0"]]]
+
+    @pytest.mark.parametrize("argv", [
+        ["hstar1", K4_AND_GADGET, CORE, "--anchor", "p", "-r", "2"],
+        ["hstar2", TWT, RCORE, "--predicate", TRI, "-r", "2"],
+        ["hereditary", TRI, K4, "--trials", "1"],
+    ], ids=["hstar1", "hstar2", "hereditary"])
+    def test_exhausted_minor_test_exits_2(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(embed, "DEFAULT_NODE_BUDGET", 1)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert [ln for ln in err.splitlines() if ln.startswith("error: ")] \
+            == ["error: search budget exhausted after 2 nodes"]
+
+    @pytest.mark.parametrize("argv", [
+        ["hstar1", K4_AND_GADGET, CORE, "--anchor", "p", "-r", "2"],
+        ["hstar2", TWT, RCORE, "--predicate", TRI, "-r", "2"],
+    ], ids=["hstar1", "hstar2"])
+    def test_force_flag_is_gone(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--force"])
+        assert exc.value.code == 64
 
     def test_hstar2_root_mismatch(self, capsys):
         code, _, err = run(capsys, "hstar2", TWT, CORE, "--predicate", TRI,
@@ -382,6 +427,36 @@ class TestVerification:
                 main(["robust", P3, "--ctx", P3_CTX, "-r", "2",
                       "--budget", bad])
             assert exc.value.code == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["minor", TRI, K4],
+        ["pack", TRI, K4],
+        ["locality", HOST2, HOST2, K4, "--region", "p,q,s,t"],
+    ], ids=["minor", "pack", "locality"])
+    def test_node_only_budget(self, capsys, argv):
+        code, _, _ = run(capsys, *argv, "--budget", "1000")
+        assert code == 0
+        for bad in ("1000:50", "0", "abc"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--budget", bad])
+            assert exc.value.code == 64
+        with pytest.raises(SystemExit):
+            main([argv[0], "--help"])
+        usage = capsys.readouterr().out
+        assert "--budget NODES " in usage and "SUBSETS" not in usage
+
+    @pytest.mark.parametrize("argv", [
+        ["robust", P3, "--ctx", P3_CTX, "-r", "2"],
+        ["gencheck", K4, CORE],
+        ["hit", TRI, K4],
+    ], ids=["robust", "gencheck", "hit"])
+    def test_scan_budget_takes_nodes_and_subsets(self, capsys, argv):
+        for budget in ("1000000", "1000000:1000"):
+            code, _, _ = run(capsys, *argv, "--budget", budget)
+            assert code == 0
+        with pytest.raises(SystemExit):
+            main([argv[0], "--help"])
+        assert "--budget NODES[:SUBSETS]" in capsys.readouterr().out
 
     def test_subset_budget_ends_in_budget_exhausted(self, capsys):
         # 50 of the 2,024 deletion sets keep a model: no verdict

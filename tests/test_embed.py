@@ -8,15 +8,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from minorbench import (BudgetExceeded, Graph, GraphError, MinorEmbedding,
-                        NodeCounter, SearchStatus, connected_components,
-                        delete_edges, edge, enumerate_expansions,
-                        find_expansion, is_minor, iter_expansion_footprints,
-                        naive_is_minor_oracle, parse_graph,
-                        partition_components, segment_blowup,
+                        MinorPredicate, NodeCounter, SearchStatus,
+                        connected_components, delete_edges, edge,
+                        enumerate_expansions, find_expansion, is_minor,
+                        iter_expansion_footprints, naive_is_minor_oracle,
+                        parse_graph, partition_components, segment_blowup,
                         verify_embedding)
 from minorbench import embed
 from minorbench.embed import _lift, _reduce_host, _search
-from helpers import (brute_force_models, complete, cycle_graph,
+from helpers import (SAMPLES, brute_force_models, complete, cycle_graph,
                      footprint_cases, inclusion_minimal, oracle_footprints,
                      path_graph, pattern_automorphisms,
                      random_connected_graph, random_graph,
@@ -336,11 +336,36 @@ class TestAgainstOracle:
         with pytest.raises(GraphError):
             naive_is_minor_oracle(complete("ab"), complete("abcdefghi"))
 
-    def test_exact_guard_and_force(self):
+    def test_large_hosts_are_decided(self):
+        # no host-size guard: a 13-vertex path is searched like any host
         big = path_graph([f"v{i}" for i in range(13)])
-        with pytest.raises(GraphError):
-            is_minor(complete("ab"), big)
-        assert is_minor(complete("ab"), big, force=True)
+        assert is_minor(complete("ab"), big)
+        assert not is_minor(complete("abc"), big)
+
+
+class TestIsMinorBudget:
+    GADGET = segment_blowup(complete("pqst"), complete("pqst"), 3)
+
+    def test_k4_gadget_at_r3(self):
+        assert len(self.GADGET.vertices) == 22
+        assert is_minor(complete("wxyz"), self.GADGET)
+        assert not is_minor(complete("vwxyz"), self.GADGET)
+
+    def test_budget_is_read_at_each_call(self, monkeypatch):
+        monkeypatch.setattr(embed, "DEFAULT_NODE_BUDGET", 1)
+        with pytest.raises(BudgetExceeded):
+            is_minor(complete("wxyz"), self.GADGET)
+        monkeypatch.setattr(embed, "DEFAULT_NODE_BUDGET", 100)
+        assert is_minor(complete("wxyz"), self.GADGET)
+
+    def test_predicate_and_partition_raise_on_exhaustion(self, monkeypatch):
+        h = parse_graph((SAMPLES / "k4-and-gadget.el").read_text())
+        anchor = next(c for c in connected_components(h) if "p" in c.vertices)
+        monkeypatch.setattr(embed, "DEFAULT_NODE_BUDGET", 1)
+        with pytest.raises(BudgetExceeded):
+            MinorPredicate("contains-K4", anchor).holds(self.GADGET)
+        with pytest.raises(BudgetExceeded):
+            partition_components(h, anchor)
 
 
 class TestPartitionComponents:
@@ -365,6 +390,13 @@ class TestPartitionComponents:
         lacking, containing = partition_components(h, h)
         assert lacking == [] and containing == []
 
+    def test_k4_gadget_component_contains_the_anchor(self):
+        h = parse_graph((SAMPLES / "k4-and-gadget.el").read_text())
+        anchor = next(c for c in connected_components(h) if "p" in c.vertices)
+        lacking, containing = partition_components(h, anchor)
+        assert lacking == []
+        assert [len(c.vertices) for c in containing] == [22]
+
 
 class TestFootprints:
     def test_triangle_in_k4_contains_all_triangles(self):
@@ -386,7 +418,7 @@ class TestFootprints:
             assert verify_embedding(h, g, emb)
             assert usage <= g.edges
             restricted = g.edge_subgraph(usage)
-            assert is_minor(h, restricted, force=True)
+            assert is_minor(h, restricted)
 
     def test_budget_propagates(self):
         h, g = complete("xyz"), complete("pqst")

@@ -8,7 +8,7 @@ from minorbench import (CoreSpec, Graph, GraphError, MinorPredicate,
                         assemble_component_counterexample,
                         connected_components, core_region, delete_edges,
                         find_expansion, is_minor, load_core_spec,
-                        segment_blowup)
+                        parse_graph, segment_blowup)
 from helpers import (SAMPLES, complete, cycle_graph, k5_spec, path_graph,
                      rooted_spec, tailed_square, triangle_with_tail,
                      two_part_host)
@@ -180,18 +180,23 @@ class TestComponentAssembly:
         assert len(out.vertices) == 5 + 4 + 12
         assert len(out.edges) == 10 + 24
         blown = out.induced(out.vertices - core_region(out))
-        assert is_minor(anchor, blown, force=True)
+        assert is_minor(anchor, blown)
 
-    def test_force_is_needed_for_large_components(self):
+    def test_large_components_are_decided(self):
+        # a 12-edge tail (13 vertices) lacks the anchor minor: copied r times
         tail = [(f"m{i}", f"m{i+1}") for i in range(12)]
         h = Graph.build([], [("p", "q"), ("p", "s"), ("p", "t"), ("q", "s"),
                              ("q", "t"), ("s", "t")] + tail)
         anchor = connected_components(h)[1]
-        with pytest.raises(GraphError):
-            assemble_component_counterexample(h, anchor, k5_spec(), 2)
-        out = assemble_component_counterexample(h, anchor, k5_spec(), 2,
-                                                force=True)
+        out = assemble_component_counterexample(h, anchor, k5_spec(), 2)
         assert len(out.vertices) == 5 + 2 * 13
+
+    def test_k4_gadget_component_is_blown_up(self):
+        h = parse_graph((SAMPLES / "k4-and-gadget.el").read_text())
+        anchor = next(c for c in connected_components(h) if "p" in c.vertices)
+        out = assemble_component_counterexample(h, anchor, k5_spec(), 2)
+        # core K5 plus the gadget's 18 paths, each copied twice
+        assert (len(out.vertices), len(out.edges)) == (5 + 4 + 36, 10 + 72)
 
     def test_rejects_anchor_without_degree3_vertex(self):
         h = Graph.build([], [("a", "b"), ("b", "c"), ("c", "a"), ("y", "z")])
@@ -280,7 +285,20 @@ class TestBlockAssembly:
         assert len(out.vertices) == 4 + 16 + 4 + 4 - 4
         assert len(out.edges) == 6 + 24 + 2 + 4
         assert out.is_connected()
-        assert is_minor(complete("wxyz"), out, force=True)
+        assert is_minor(complete("wxyz"), out)
+
+    def test_k4_gadget_block_is_blown_up(self):
+        # K4 on a b c p, glued at p to the K4 gadget at r = 3 on p q s t
+        gadget = segment_blowup(complete("pqst"), complete("pqst"), 3)
+        h = Graph.build([], list(gadget.edges) + list(complete("abcp").edges))
+        pred = MinorPredicate("contains-K4", complete("wxyz"))
+        spec = CoreSpec(complete(["z1", "z2", "z3", "z4", "z5"]),
+                        {"p": "z1"}, k=2, r=2)
+        out, trace = assemble_block_counterexample(h, pred, spec, 2)
+        assert trace.anchor_block == ("a", "b", "c", "p")
+        assert [len(b) for b in trace.containing_blocks] == [22]
+        assert trace.identifications == (("p#1", ("p#1", "z1#0")),)
+        assert (len(out.vertices), len(out.edges)) == (5 + 40 - 1, 10 + 72)
 
     def test_hanger_copies_stay_separate(self):
         h = Graph.build([], [

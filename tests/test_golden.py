@@ -92,6 +92,10 @@ CASES = [
     ("robust-k5-gadget-r4", 0, ["robust", K5, "--ctx", K5, "-r", "4"]),
     # seven edge-disjoint triangles: the lines of the Fano plane
     ("pack-k3-k7", 0, ["pack", TRI, "samples/k7.el"]),
+    # K4 plus the 22-vertex K4 gadget at r = 3: the gadget component is
+    # decided by a bounded search and blown up, with no size guard
+    ("hstar1-k4-gadget", 0, ["hstar1", "samples/k4-and-gadget.el", CORE,
+                             "--anchor", "p", "-r", "2"]),
 ]
 
 

@@ -546,7 +546,7 @@ class TestSeededHosts:
                                        budget=Budget(nodes=None))
             assert res.exact and res.size == len(res.hitting_edges)
             if res.size:
-                assert is_minor(pattern, host, force=True)
+                assert is_minor(pattern, host)
             rest = delete_edges(host, res.hitting_edges)
             assert find_expansion(pattern, rest, node_budget=None).status \
                 is SearchStatus.NONE
