@@ -63,7 +63,7 @@ def _load_graph(path: str) -> Graph:
 def _parse_budget(text: str) -> Budget:
     parts = text.split(":")
     if len(parts) > 2:
-        raise argparse.ArgumentTypeError("budget is NODES[:SUBSETS]")
+        raise argparse.ArgumentTypeError("budget is NODES[:SEARCHES]")
     return Budget(*map(_int_at_least(1), parts))
 
 
@@ -294,7 +294,8 @@ def cmd_hit(args) -> int:
                "hitting_edges": None if res.hitting_edges is None
                else [[u, v] for u, v in res.hitting_edges]}
     rep = Report("hitting", outcome, details,
-                 {"nodes": res.nodes, "subsets_checked": res.subsets},
+                 {"nodes": res.nodes, "searches": res.searches,
+                  "subsets_checked": res.subsets},
                  perf_counter() - t0)
     return _emit_report(rep, args)
 
@@ -357,8 +358,8 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
 
 def _add_scan_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=_parse_budget, default=Budget(),
-                   metavar="NODES[:SUBSETS]",
-                   help="search nodes per query / deletion sets decided")
+                   metavar="NODES[:SEARCHES]",
+                   help="search nodes per search / searches per command")
 
 
 def _add_scan_flags(p: argparse.ArgumentParser) -> None:

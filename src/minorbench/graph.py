@@ -276,13 +276,24 @@ def parse_graph6(text: str) -> Graph:
 # -- operations ----------------------------------------------------------
 
 def delete_edges(g: Graph, x: Iterable[Edge]) -> Graph:
-    """Same vertices, edges minus x.  x must be a subset of the edges."""
+    """Same vertices, edges minus x.  x must be a subset of the edges.
+
+    When g has built its adjacency, the result starts from a copy of
+    it with only the deleted edges' endpoints changed."""
     xs = {edge(u, v) for u, v in x}
     missing = xs - g.edges
     if missing:
         raise GraphError(f"cannot delete absent edges {sorted(missing)!r}")
-    return Graph(g.vertices, g.edges - xs,
-                 dict(g.provenance) if g.provenance is not None else None)
+    out = Graph(g.vertices, g.edges - xs,
+                dict(g.provenance) if g.provenance is not None else None)
+    adj = g.__dict__.get("_adj")
+    if adj is not None:
+        adj = dict(adj)
+        for u, v in xs:
+            adj[u] -= {v}
+            adj[v] -= {u}
+        out.__dict__["_adj"] = adj
+    return out
 
 
 def derived_label(base: str, i: int) -> str:

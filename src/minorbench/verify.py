@@ -20,8 +20,8 @@ from .graph import (Edge, Graph, GraphError, contract_edge, delete_edges,
                     edge)
 from .decompose import branch_vertices
 from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, MinorEmbedding,
-                    MinorPredicate, NodeCounter, SearchStatus, _check_roots,
-                    find_expansion, iter_expansion_footprints)
+                    MinorPredicate, NodeCounter, SearchStatus, _bits,
+                    _check_roots, find_expansion, iter_expansion_footprints)
 from .gadgets import CoreSpec, segment_blowup
 
 __all__ = [
@@ -38,11 +38,11 @@ DEFAULT_SEED = 1729
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource limits: search nodes per expansion query, and how many
-    deletion sets, in scan order, a verdict may rest on."""
+    """Resource limits: search nodes per expansion search, and
+    expansion searches (find_expansion calls) per command."""
 
     nodes: int | None = DEFAULT_NODE_BUDGET
-    subsets: int = 10**6
+    searches: int = 10**5
 
 
 class Outcome(enum.Enum):
@@ -185,6 +185,7 @@ class HitResult:
     exact: bool
     nodes: int
     subsets: int
+    searches: int
 
 
 def min_edge_hitting_set(pattern: Graph, host: Graph,
@@ -192,20 +193,23 @@ def min_edge_hitting_set(pattern: Graph, host: Graph,
                          budget: Budget | None = None) -> HitResult:
     """Minimum edge set whose deletion destroys every pattern expansion.
 
-    Subset sizes are tried in increasing order, subsets of each size in
-    label order, so the witness is canonical.  subsets counts the sets
-    decided: all of them, or those up to the witness or the stop.
+    Iterative deepening: one search tree per size, sizes in increasing
+    order.  The witness is the first set of its size in label order, so
+    it is canonical.  subsets counts the sets decided: all of them, or
+    those up to the witness or the stop, in that order; searches counts
+    the expansion searches made.
     """
     if not pattern.edges:
         raise GraphError("hitting needs a pattern with at least one edge")
     budget = budget or Budget()
     m = len(host.edges)
     top = m if bound is None else min(bound, m)
-    status, X, checked, _, nodes = _first_without_model(
-        pattern, host, None, budget.nodes, range(top + 1), budget.subsets)
+    status, X, checked, searches, nodes = _first_without_model(
+        pattern, host, None, budget, range(top + 1))
     if status is SearchStatus.NONE:
-        return HitResult(len(X), X, True, nodes, checked)
-    return HitResult(None, None, status is SearchStatus.FOUND, nodes, checked)
+        return HitResult(len(X), X, True, nodes, checked, searches)
+    return HitResult(None, None, status is SearchStatus.FOUND, nodes,
+                     checked, searches)
 
 
 # -- the hitting-set loop ----------------------------------------------------
@@ -269,47 +273,127 @@ def _meeting(m: int, s: int, known: list[int]) -> Iterator[tuple[int, ...]]:
     return walk(0, 0)
 
 
+def _hitting_sets(m: int, s: int, known: list[int]
+                  ) -> Iterator[tuple[int, ...]]:
+    """Yield s-subsets of range(m) that meet every bitmask in known,
+    none twice.  Masks appended between yields must miss the set just
+    yielded, as the footprint of a model left after deleting it does;
+    once the tree ends, no s-subset meets every mask.
+
+    A bounded search tree for s-Hitting Set.  A node holds the chosen
+    indices, the indices still open, and the masks the chosen ones
+    leave unmet: its parent's unmet list, filtered, plus the masks
+    appended since its parent read known.  It is dropped when an unmet
+    mask has no open index or more unmet masks than there are slots are
+    pairwise disjoint on the open indices.  It branches on the open
+    indices, ascending, of the unmet mask with the fewest, and each
+    child excludes its earlier siblings' indices, so the children's
+    sets are disjoint.  When no mask is unmet it yields the chosen
+    indices filled up with the lowest open ones, then reads the masks
+    appended after that yield and branches on them.
+    """
+    def grow(chosen: int, free: int, slots: int, unmet: list[int],
+             seen: int) -> Iterator[tuple[int, ...]]:
+        while True:
+            if seen < len(known):
+                unmet = unmet + [fp for fp in known[seen:] if not fp & chosen]
+                seen = len(known)
+            branch = taken = disjoint = 0
+            fewest = m + 1
+            for fp in unmet:
+                cut = fp & free
+                if not cut:
+                    return
+                if not cut & taken:
+                    taken |= cut
+                    disjoint += 1
+                    if disjoint > slots:
+                        return
+                if cut.bit_count() < fewest:
+                    branch, fewest = cut, cut.bit_count()
+            if branch:
+                break
+            fill, rest = chosen, free
+            for _ in range(slots):
+                low = rest & -rest
+                if not low:
+                    return
+                fill |= low
+                rest ^= low
+            yield tuple(_bits(fill))
+            if seen == len(known):
+                return
+        for i in _bits(branch):
+            b = 1 << i
+            yield from grow(chosen | b, free & ~b, slots - 1,
+                            [fp for fp in unmet if not fp & b], seen)
+            free &= ~b
+
+    return grow(0, (1 << m) - 1, s, [], 0)
+
+
 def _first_without_model(pattern: Graph, host: Graph,
-                         roots: Mapping[str, str] | None,
-                         node_budget: int | None, sizes: Iterable[int],
-                         limit: int
+                         roots: Mapping[str, str] | None, budget: Budget,
+                         sizes: Iterable[int]
                          ) -> tuple[SearchStatus, tuple[Edge, ...] | None,
                                     int, int, int]:
     """The first edge set X, by size in sizes and then in
-    combinations(host.sorted_edges(), size) order, such that host - X
-    keeps no pattern model; only the first limit sets may decide it.
+    combinations(host.sorted_edges(), size) order, that a scan in that
+    order stops at: host - X keeps no pattern model, or its search runs
+    out of budget.
 
     Returns (status, X, sets decided, searches, nodes).  FOUND: every
-    set keeps a model.  NONE or BUDGET with X: the search on host - X
-    found no model or ran out of nodes.  BUDGET without X: the first
-    limit sets keep models and more sets remain.
+    set keeps a model, and X is None.  NONE: the search on host - X
+    found no model.  BUDGET: the search on host - X ran out of nodes,
+    or the command ran out of searches before X could be searched.
 
     Every model found keeps its footprint as a bitmask over the sorted
-    edges.  A set that misses a known footprint keeps that model, so
-    only the first set meeting every known footprint is searched.
+    edges, and a set that misses a known footprint keeps that model.
+    Per size, _hitting_sets finds the sets to search, so a size whose
+    sets all keep a model costs one search per footprint it needs.
+    Once a set has no model, or the searches run out, _meeting names
+    the stop: the scan in order, from the footprints known when the
+    size began, that searches each set meeting them all.  A set with a
+    model may still run out of nodes, so which sets that scan searches
+    decides where it stops.  It reuses the result of every set already
+    searched, so no set is searched twice.
     """
     edges = host.sorted_edges()
     m = len(edges)
     bit = {e: 1 << i for i, e in enumerate(edges)}
+    host.adjacency()  # built once; every probe carries it over
     known: list[int] = []
+    tried: dict[tuple[int, ...], tuple[SearchStatus, int]] = {}
     decided = searches = nodes = 0
+
+    def search(X: tuple[int, ...]) -> SearchStatus:
+        nonlocal searches, nodes
+        if X in tried:
+            return tried[X][0]
+        if searches == budget.searches:
+            return SearchStatus.BUDGET
+        g = delete_edges(host, [edges[i] for i in X])
+        res = find_expansion(pattern, g, roots, node_budget=budget.nodes)
+        searches += 1
+        nodes += res.nodes
+        fp = 0
+        if res.status is SearchStatus.FOUND:
+            fp = sum(bit[e] for e in _footprint(g, res.embedding))
+            known.append(fp)
+        tried[X] = res.status, fp
+        return res.status
+
     for s in sizes:
-        for X in _meeting(m, s, known):
-            rank = decided + _rank(X, m)
-            if rank > limit:
-                break
-            g = delete_edges(host, [edges[i] for i in X])
-            res = find_expansion(pattern, g, roots,
-                                 node_budget=node_budget)
-            searches += 1
-            nodes += res.nodes
-            if res.status is not SearchStatus.FOUND:
-                return (res.status, tuple(edges[i] for i in X), rank,
-                        searches, nodes)
-            known.append(sum(bit[e] for e in _footprint(g, res.embedding)))
+        scanned = known[:]
+        if any(search(X) is not SearchStatus.FOUND
+               for X in _hitting_sets(m, s, known)):
+            for X in _meeting(m, s, scanned):
+                status = search(X)
+                if status is not SearchStatus.FOUND:
+                    return (status, tuple(edges[i] for i in X),
+                            decided + _rank(X, m), searches, nodes)
+                scanned.append(tried[X][1])
         decided += comb(m, s)
-        if decided > limit:
-            return SearchStatus.BUDGET, None, limit, searches, nodes
     return SearchStatus.FOUND, None, decided, searches, nodes
 
 
@@ -338,7 +422,7 @@ def _scan_deletions(check: str, pattern: Graph, host: Graph, r: int,
     if roots:
         details["roots"] = dict(roots)
     status, X, checked, searches, nodes = _first_without_model(
-        pattern, host, roots, budget.nodes, [s], budget.subsets)
+        pattern, host, roots, budget, [s])
     if X is not None:
         key = ("witness_deletion" if status is SearchStatus.NONE
                else "stopped_at")

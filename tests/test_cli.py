@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -443,30 +444,34 @@ class TestVerification:
         with pytest.raises(SystemExit):
             main([argv[0], "--help"])
         usage = capsys.readouterr().out
-        assert "--budget NODES " in usage and "SUBSETS" not in usage
+        assert "--budget NODES " in usage and "SEARCHES" not in usage
 
     @pytest.mark.parametrize("argv", [
         ["robust", P3, "--ctx", P3_CTX, "-r", "2"],
         ["gencheck", K4, CORE],
         ["hit", TRI, K4],
     ], ids=["robust", "gencheck", "hit"])
-    def test_scan_budget_takes_nodes_and_subsets(self, capsys, argv):
+    def test_scan_budget_takes_nodes_and_searches(self, capsys, argv):
         for budget in ("1000000", "1000000:1000"):
             code, _, _ = run(capsys, *argv, "--budget", budget)
             assert code == 0
         with pytest.raises(SystemExit):
             main([argv[0], "--help"])
-        assert "--budget NODES[:SUBSETS]" in capsys.readouterr().out
+        assert "--budget NODES[:SEARCHES]" in capsys.readouterr().out
 
-    def test_subset_budget_ends_in_budget_exhausted(self, capsys):
-        # 50 of the 2,024 deletion sets keep a model: no verdict
+    def test_search_budget_ends_in_budget_exhausted(self, capsys):
+        # the scan needs 20 searches; after 5 it names where it stopped
         code, obj, _ = run_json(capsys, "robust", SQ, "--ctx", SQ_CTX,
-                                "-r", "4", "--budget", "1000:50")
+                                "-r", "4", "--budget", "1000:5")
         assert code == 2
         assert obj["outcome"] == "budget-exhausted"
-        assert obj["stats"]["subsets_checked"] == 50
+        assert obj["stats"]["searches"] == 5
         assert obj["stats"]["subsets_planned"] == 2024
-        assert "stopped_at" not in obj["details"]
+        _, built, _ = run(capsys, "gtimes", SQ, "--ctx", SQ_CTX, "-r", "4")
+        edges = parse_graph(built).sorted_edges()
+        stop = tuple(tuple(e) for e in obj["details"]["stopped_at"])
+        assert obj["stats"]["subsets_checked"] == \
+            list(combinations(edges, 3)).index(stop) + 1
 
     def test_locality_region_list_and_file(self, capsys, tmp_path):
         hstar = tmp_path / "hstar.el"

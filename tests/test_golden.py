@@ -12,7 +12,7 @@ After an intended output change, regenerate the files with
     PYTHONPATH=src python3 tests/test_golden.py
 
 which prints each file it rewrites and whether the change is confined
-to "nodes" lines.
+to "nodes" and "searches" lines.
 """
 
 from __future__ import annotations
@@ -96,6 +96,10 @@ CASES = [
     # decided by a bounded search and blown up, with no size guard
     ("hstar1-k4-gadget", 0, ["hstar1", "samples/k4-and-gadget.el", CORE,
                              "--anchor", "p", "-r", "2"]),
+    # decided by the search tree over footprints at the default budget
+    ("robust-k4-gadget-r5", 0, ["robust", K4, "--ctx", K4, "-r", "5"]),
+    ("robust-k4-gadget-r6", 0, ["robust", K4, "--ctx", K4, "-r", "6"]),
+    ("robust-k5-gadget-r5", 0, ["robust", K5, "--ctx", K5, "-r", "5"]),
 ]
 
 
@@ -122,18 +126,23 @@ def test_output_matches_golden(name, code, argv, tmp_path, monkeypatch):
         assert text == (GOLDEN / f"{name}.{fname}").read_text(encoding="utf-8")
 
 
+COUNT_KEYS = ('"nodes"', '"searches"')
+
+
 def change_kind(old: str | None, new: str) -> str | None:
     """How a golden file changes: None when it does not, else "new",
-    "nodes only" when every changed line is a "nodes" line, or
-    "changed"."""
+    "counts only" when every changed line is the same "nodes" or
+    "searches" line with another count, or "changed"."""
     if old == new:
         return None
     if old is None:
         return "new"
     a, b = old.splitlines(), new.splitlines()
-    if len(a) == len(b) and all('"nodes"' in x and '"nodes"' in y
-                                for x, y in zip(a, b) if x != y):
-        return "nodes only"
+    if len(a) == len(b) and all(
+            x.split(":")[0] == y.split(":")[0]
+            and x.split(":")[0].strip() in COUNT_KEYS
+            for x, y in zip(a, b) if x != y):
+        return "counts only"
     return "changed"
 
 
@@ -147,11 +156,17 @@ def write_golden(path: Path, text: str) -> None:
 
 
 def test_change_kind_names_nodes_only_edits():
-    old = '{\n  "count": 1,\n  "stats": {\n    "nodes": 74\n  }\n}\n'
+    old = ('{\n  "count": 1,\n  "stats": {\n    "nodes": 74,\n'
+           '    "searches": 9\n  }\n}\n')
     assert change_kind(old, old) is None
     assert change_kind(None, old) == "new"
-    assert change_kind(old, old.replace("74", "62")) == "nodes only"
+    assert change_kind(old, old.replace("74", "62")) == "counts only"
+    assert change_kind(old, old.replace("9\n", "12\n")) == "counts only"
+    both = old.replace("74", "62").replace("9\n", "12\n")
+    assert change_kind(old, both) == "counts only"
     assert change_kind(old, old.replace('"count": 1', '"count": 2')) == "changed"
+    assert change_kind(old, old.replace('"nodes"', '"searches"')) == "changed"
+    assert change_kind(old, old.replace('"searches": 9', '"x": 9')) == "changed"
     assert change_kind(old, old + "\n") == "changed"
 
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from minorbench import (Graph, GraphError, ParseError, connected_components,
                         contract_edge, delete_edges, edge, parse_graph,
                         parse_graph6, relabeled_union, serialize)
-from helpers import complete, cycle_graph, path_graph, random_graph
+from helpers import (complete, cycle_graph, path_graph, random_graph,
+                     seeded_host)
 
 PROPERTY = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -249,6 +250,25 @@ class TestOperations:
         out = delete_edges(g, [("b", "a")])
         assert out.vertices == g.vertices
         assert out.edges == {("a", "c"), ("b", "c")}
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_delete_edges_carries_the_adjacency_over(self, seed):
+        rng = random.Random(seed)
+        host = seeded_host(rng)
+        host.adjacency()
+        edges = host.sorted_edges()
+        for _ in range(10):
+            out = delete_edges(host, rng.sample(edges, rng.randint(0, 6)))
+            assert "_adj" in out.__dict__
+            fresh = Graph(out.vertices, out.edges)
+            assert out.adjacency() == fresh.adjacency()
+        assert host.adjacency() == Graph(host.vertices,
+                                         host.edges).adjacency()
+
+    def test_delete_edges_builds_no_adjacency_of_its_own(self):
+        out = delete_edges(complete("abc"), [("a", "b")])
+        assert "_adj" not in out.__dict__
+        assert out.neighbors("a") == {"c"}
 
     def test_delete_absent_edge_rejected(self):
         with pytest.raises(GraphError):

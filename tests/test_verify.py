@@ -22,7 +22,7 @@ from minorbench import (Budget, BudgetExceeded, CoreSpec, Graph, GraphError,
                         naive_is_minor_oracle, segment_blowup,
                         verify_embedding)
 from minorbench import verify
-from minorbench.verify import _footprint, _meeting, _rank
+from minorbench.verify import _footprint, _hitting_sets, _meeting, _rank
 from helpers import (complete, cycle_graph, footprint_cases, graphs_up_to_iso,
                      k5_spec, oracle_footprints, oracle_min_hitting,
                      oracle_packing, p3_star, path_graph,
@@ -140,31 +140,36 @@ class TestHitting:
         res = min_edge_hitting_set(complete("xyz"), complete("pqst"), bound=2)
         assert res.size is None and res.exact
 
-    def test_subset_budget_marks_inexact(self):
+    def test_search_budget_marks_inexact(self):
         res = min_edge_hitting_set(complete("xyz"), complete("12345"),
-                                   budget=Budget(subsets=2))
+                                   budget=Budget(searches=2))
         assert res.size is None and not res.exact
+        assert res.searches == 2
 
-    @pytest.mark.parametrize("subsets, exact", [(7, True), (6, False)])
-    def test_subset_budget_boundary_with_bound(self, subsets, exact):
-        # bound 1 leaves 1 + 6 subsets, every one keeping a triangle
+    @pytest.mark.parametrize("searches, exact", [(3, True), (2, False)])
+    def test_search_budget_boundary_with_bound(self, searches, exact):
+        # bound 1 leaves 1 + 6 subsets, every one keeping a triangle;
+        # the tree needs 3 searches to show it
         res = min_edge_hitting_set(complete("xyz"), complete("pqst"),
-                                   bound=1, budget=Budget(subsets=subsets))
+                                   bound=1, budget=Budget(searches=searches))
         assert res.size is None and res.exact is exact
-        assert res.subsets == subsets
+        assert res.searches == searches
+        assert (res.subsets == 7) is exact
 
-    @pytest.mark.parametrize("subsets, exact", [(24, True), (23, False)])
-    def test_subset_budget_boundary_at_the_answer(self, subsets, exact):
-        # the witness is subset 1 + 6 + 15 + 2 = 24
+    @pytest.mark.parametrize("searches, exact", [(8, True), (7, False)])
+    def test_search_budget_boundary_at_the_answer(self, searches, exact):
+        # the witness is subset 1 + 6 + 15 + 2 = 24, found in 8 searches
         res = min_edge_hitting_set(complete("xyz"), complete("pqst"),
-                                   budget=Budget(subsets=subsets))
+                                   budget=Budget(searches=searches))
         assert res.exact is exact
-        assert res.subsets == subsets
+        assert res.searches == searches
         if exact:
-            assert res.size == 3
+            assert res.size == 3 and res.subsets == 24
             assert res.hitting_edges == (("p", "q"), ("p", "s"), ("q", "s"))
         else:
+            # the stop is the witness set, left without a search
             assert res.size is None and res.hitting_edges is None
+            assert res.subsets == 24
 
     def test_deterministic(self):
         a = min_edge_hitting_set(complete("xyz"), complete("pqst"))
@@ -215,19 +220,44 @@ class TestGadgetRobustness:
         assert rep.stats["subsets_planned"] == 376992
         assert rep.stats["searches"] == 56
 
-    @pytest.mark.parametrize("subsets, outcome", [
-        (1, Outcome.BUDGET), (50, Outcome.BUDGET), (2023, Outcome.BUDGET),
-        (2024, Outcome.HOLDS)])
-    def test_subset_budget_boundary(self, subsets, outcome):
-        # a verdict rests on the first `subsets` sets only; 2,024 in all
+    @pytest.mark.parametrize("searches, outcome", [
+        (1, Outcome.BUDGET), (10, Outcome.BUDGET), (19, Outcome.BUDGET),
+        (20, Outcome.HOLDS)])
+    def test_search_budget_boundary(self, searches, outcome):
+        # the scan needs 20 searches; with fewer it names where it stops
         g, ctx = tailed_square()
+        host = segment_blowup(g, ctx, 4)
         rep = check_gadget_robustness(g, ctx, 4,
-                                      budget=Budget(subsets=subsets))
+                                      budget=Budget(searches=searches))
         assert rep.outcome is outcome
         assert rep.details["mode"] == "exhaustive"
-        assert "stopped_at" not in rep.details
-        assert rep.stats["subsets_checked"] == subsets
+        assert rep.stats["searches"] == searches
         assert rep.stats["subsets_planned"] == 2024
+        if outcome is Outcome.HOLDS:
+            assert "stopped_at" not in rep.details
+            assert rep.stats["subsets_checked"] == 2024
+            return
+        X = [tuple(e) for e in rep.details["stopped_at"]]
+        sets = list(combinations(host.sorted_edges(), 3))
+        assert rep.stats["subsets_checked"] == sets.index(tuple(X)) + 1
+        assert find_expansion(g, delete_edges(host, X)).status \
+            is SearchStatus.FOUND  # a set with a model, left undecided
+
+    def test_one_search_stops_at_the_first_candidate(self):
+        # the first set is searched; the stop is the first set in order
+        # that meets the footprint of the model found there
+        g, ctx = tailed_square()
+        host = segment_blowup(g, ctx, 4)
+        sets = list(combinations(host.sorted_edges(), 3))
+        left = delete_edges(host, sets[0])
+        fp = _footprint(left, find_expansion(g, left).embedding)
+        rank, first = next((i, X) for i, X in enumerate(sets, 1)
+                           if not fp.isdisjoint(X))
+        rep = check_gadget_robustness(g, ctx, 4, budget=Budget(searches=1))
+        assert rep.outcome is Outcome.BUDGET
+        assert rep.details["stopped_at"] == [list(e) for e in first]
+        assert rep.stats["subsets_checked"] == rank
+        assert rep.stats["searches"] == 1
 
     def test_node_budget_exhaustion(self):
         g, ctx = tailed_square()
@@ -359,6 +389,22 @@ def scan_cases():
                               6, None, Budget(), Outcome.REFUTED)
 
 
+def search_each_set_once(monkeypatch, host):
+    """Wrap the scans' find_expansion so that it fails on a deletion set
+    of host searched twice; returns the list of sets searched."""
+    searched = []
+    real = verify.find_expansion
+
+    def once(pattern, g, *args, **kwargs):
+        X = host.edges - g.edges
+        assert X not in searched, f"searched twice: {sorted(X)}"
+        searched.append(X)
+        return real(pattern, g, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "find_expansion", once)
+    return searched
+
+
 SCAN_CASES = dict(scan_cases())
 OUTCOME_OF = {SearchStatus.FOUND: Outcome.HOLDS,
               SearchStatus.NONE: Outcome.REFUTED,
@@ -396,10 +442,12 @@ class TestModelReuse:
                                          ("c", "d"), ("d", "e"), ("e", "f")}
 
     @pytest.mark.parametrize("name", sorted(SCAN_CASES))
-    def test_scan_matches_per_probe_oracle(self, name):
+    def test_scan_matches_per_probe_oracle(self, name, monkeypatch):
         pattern, host, r, roots, budget, expected = SCAN_CASES[name]
+        searched = search_each_set_once(monkeypatch, host)
         rep = check_assembly_robustness(pattern, host, r, roots=roots,
                                         budget=budget)
+        assert len(searched) == rep.stats["searches"]
         status, witness, checked = per_probe_scan(pattern, host, r, roots,
                                                   budget)
         assert rep.details["mode"] == "exhaustive"
@@ -407,7 +455,6 @@ class TestModelReuse:
         for key in ("witness_deletion", "stopped_at"):
             assert rep.details.get(key) == witness.get(key)
         assert rep.stats["subsets_checked"] == checked
-        assert rep.stats["searches"] <= checked
 
     @pytest.mark.parametrize("name", sorted(SCAN_CASES))
     def test_scan_matches_lexicographic_loop(self, name):
@@ -439,7 +486,7 @@ class TestModelReuse:
     def assert_scan_matches(pattern, host, r, roots, node_budget):
         rep = check_assembly_robustness(pattern, host, r, roots=roots,
                                         budget=Budget(nodes=node_budget))
-        status, X, checked, searches, nodes = lexicographic_loop(
+        status, X, checked, _, _ = lexicographic_loop(
             pattern, host, [min(r - 1, len(host.edges))], roots, node_budget)
         assert rep.outcome is OUTCOME_OF[status]
         stop = None if X is None else [list(e) for e in X]
@@ -447,8 +494,7 @@ class TestModelReuse:
             stop if status is SearchStatus.NONE else None)
         assert rep.details.get("stopped_at") == (
             stop if status is SearchStatus.BUDGET else None)
-        assert (rep.stats["subsets_checked"], rep.stats["searches"],
-                rep.stats["nodes"]) == (checked, searches, nodes)
+        assert rep.stats["subsets_checked"] == checked
 
     def test_scan_reuse_counts(self):
         g, ctx = tailed_square()
@@ -457,9 +503,12 @@ class TestModelReuse:
         assert searches == [10, 20]
 
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_hitting_complete_hosts_match_per_probe_oracle(self, n):
+    def test_hitting_complete_hosts_match_per_probe_oracle(self, n,
+                                                            monkeypatch):
         pattern, host = complete("xyz"), complete("123456"[:n])
+        searched = search_each_set_once(monkeypatch, host)
         res = min_edge_hitting_set(pattern, host)
+        assert len(searched) == res.searches
         assert (res.size, res.hitting_edges, res.subsets) == \
             per_probe_hitting(pattern, host)
 
@@ -489,11 +538,11 @@ class TestModelReuse:
         pattern, host = complete("xyz"), complete("123456"[:n])
         res = min_edge_hitting_set(pattern, host, bound=bound)
         top = len(host.edges) if bound is None else bound
-        _, X, checked, _, nodes = lexicographic_loop(
+        _, X, checked, _, _ = lexicographic_loop(
             pattern, host, range(top + 1))
         assert res.exact
         assert res.hitting_edges == X
-        assert (res.subsets, res.nodes) == (checked, nodes)
+        assert res.subsets == checked
 
 
 # stops K3 footprint enumeration on seeded host 0 (22 vertices) early
@@ -583,6 +632,46 @@ class TestMeeting:
         m, s = args
         for pos, X in enumerate(combinations(range(m), s), start=1):
             assert _rank(X, m) == pos
+
+
+class TestHittingSets:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_yields_a_set_exactly_when_one_meets_every_mask(self, seed):
+        rng = random.Random(seed)
+        m = rng.randint(0, 12)
+        for s in range(min(m, 5) + 1):
+            masks = [rng.randrange(2**m) for _ in range(rng.randint(0, 8))]
+            got = list(_hitting_sets(m, s, masks))
+            for X in got:
+                assert len(X) == s == len(set(X))
+                assert list(X) == sorted(X) and all(0 <= i < m for i in X)
+                assert all(any(fp >> i & 1 for i in X) for fp in masks)
+            assert len(set(got)) == len(got)
+            assert bool(got) == any(
+                all(any(fp >> i & 1 for i in X) for fp in masks)
+                for X in combinations(range(m), s))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10).flatmap(lambda m: st.tuples(
+        st.just(m), st.integers(0, m),
+        st.lists(st.integers(0, 2**m - 1), max_size=6), st.randoms())))
+    def test_masks_appended_after_a_yield_are_read_in(self, args):
+        # each appended mask misses the set just yielded, as the
+        # footprint of a model found after deleting that set does
+        m, s, start, rng = args
+        known = list(start)
+        got = []
+
+        def meets_all(X):
+            return all(any(fp >> i & 1 for i in X) for fp in known)
+
+        for X in _hitting_sets(m, s, known):
+            assert meets_all(X)
+            assert X not in got
+            got.append(X)
+            known.append(sum(1 << i for i in range(m)
+                             if i not in X and rng.random() < 0.5))
+        assert not any(meets_all(Y) for Y in combinations(range(m), s))
 
 
 class TestGenericCounterexample:
