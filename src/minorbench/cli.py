@@ -6,7 +6,8 @@ malformed inputs and domain errors.
 
 Reports go to stdout as canonical JSON (key-sorted, fixed layout, no
 timing fields), so identical invocations produce byte-identical
-output; a one-line human summary with wall time goes to stderr.
+output; a one-line human summary with the wall time since the command
+started goes to stderr.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ def _write_out(text: str, args) -> None:
 
 def _emit_report(rep: Report, args) -> int:
     _write_out(rep.to_json(), args)
-    print(f"{rep.check}: {rep.outcome.value} in {rep.elapsed:.2f}s",
-          file=sys.stderr)
+    print(f"{rep.check}: {rep.outcome.value} in "
+          f"{perf_counter() - args.started:.2f}s", file=sys.stderr)
     return rep.exit_code
 
 
@@ -235,7 +236,6 @@ def cmd_hstar2(args) -> int:
 def cmd_minor(args) -> int:
     h = _load_graph(args.pattern)
     g = _load_graph(args.host)
-    t0 = perf_counter()
     if args.verify:
         with open(args.verify, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -252,37 +252,33 @@ def cmd_minor(args) -> int:
         ok = verify_embedding(h, g, emb)
         rep = Report("witness-verify",
                      Outcome.HOLDS if ok else Outcome.REFUTED,
-                     {"witness": args.verify}, {"nodes": 0},
-                     perf_counter() - t0)
+                     {"witness": args.verify}, {"nodes": 0})
         return _emit_report(rep, args)
     res = find_expansion(h, g, node_budget=args.budget)
     details: dict = {"pattern": graph_json(h), "host_vertices": len(g.vertices)}
     if res.embedding is not None:
         details["embedding"] = res.embedding.to_json_obj()
     rep = Report("minor-test", _OUTCOME[res.status], details,
-                 {"nodes": res.nodes},
-                 perf_counter() - t0)
+                 {"nodes": res.nodes})
     return _emit_report(rep, args)
 
 
 def cmd_pack(args) -> int:
     h = _load_graph(args.pattern)
     g = _load_graph(args.host)
-    t0 = perf_counter()
     res = max_edge_disjoint_packing(h, g, cap=args.cap,
                                     node_budget=args.budget)
     details = {"count": res.count, "cap": args.cap,
                "witness": [_sorted_footprint(fp) for fp in res.witness]}
     rep = Report("packing",
                  Outcome.HOLDS if res.exact else Outcome.BUDGET,
-                 details, {"nodes": res.nodes}, perf_counter() - t0)
+                 details, {"nodes": res.nodes})
     return _emit_report(rep, args)
 
 
 def cmd_hit(args) -> int:
     h = _load_graph(args.pattern)
     g = _load_graph(args.host)
-    t0 = perf_counter()
     res = min_edge_hitting_set(h, g, bound=args.bound, budget=args.budget)
     if not res.exact:
         outcome = Outcome.BUDGET
@@ -293,27 +289,24 @@ def cmd_hit(args) -> int:
     details = {"size": res.size, "bound": args.bound,
                "hitting_edges": None if res.hitting_edges is None
                else [[u, v] for u, v in res.hitting_edges]}
+    if outcome is Outcome.BUDGET:
+        details["stopped_at"] = [[u, v] for u, v in res.stopped_at]
     rep = Report("hitting", outcome, details,
                  {"nodes": res.nodes, "searches": res.searches,
-                  "subsets_checked": res.subsets},
-                 perf_counter() - t0)
+                  "subsets_checked": res.subsets})
     return _emit_report(rep, args)
 
 
 # -- verification commands ---------------------------------------------------
 
 def cmd_robust(args) -> int:
-    if args.gadget and not args.ctx:
-        raise GraphError("--gadget only applies together with --ctx")
     if args.roots and not args.host:
         raise GraphError("--roots only applies together with --host")
+    pattern = _load_graph(args.file)
     if args.ctx:
-        g = _load_graph(args.file)
         ctx = _load_graph(args.ctx)
-        gadget = _load_graph(args.gadget) if args.gadget else None
-        rep = check_gadget_robustness(g, ctx, args.r, args.budget, gadget)
+        rep = check_gadget_robustness(pattern, ctx, args.r, args.budget)
     else:
-        pattern = _load_graph(args.file)
         host = _load_graph(args.host)
         roots = _parse_roots(args.roots) if args.roots else None
         rep = check_assembly_robustness(pattern, host, args.r, roots,
@@ -360,12 +353,6 @@ def _add_scan_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=_parse_budget, default=Budget(),
                    metavar="NODES[:SEARCHES]",
                    help="search nodes per search / searches per command")
-
-
-def _add_scan_flags(p: argparse.ArgumentParser) -> None:
-    _add_scan_budget(p)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                   help="accepted for compatibility; has no effect")
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:
@@ -486,11 +473,11 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="scan this host graph directly")
     p.add_argument("-r", type=_int_at_least(1), required=True,
                    help="deletion radius: all deletions of fewer edges")
-    p.add_argument("--gadget", metavar="HOSTFILE",
-                   help="with --ctx: scan this prebuilt gadget instead")
     p.add_argument("--roots", metavar="P=H,..",
                    help="with --host: pin pattern vertices to host vertices")
-    _add_scan_flags(p)
+    _add_scan_budget(p)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="accepted for compatibility; has no effect")
     _add_output(p)
     p.set_defaults(func=cmd_robust)
 
@@ -510,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "deletions")
     p.add_argument("anchor", help="anchor pattern graph")
     p.add_argument("spec", help="core spec document")
-    _add_scan_flags(p)
+    _add_scan_budget(p)
     _add_output(p)
     p.set_defaults(func=cmd_gencheck)
 
@@ -530,6 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    args.started = perf_counter()
     try:
         return args.func(args)
     except BudgetExceeded as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .graph import (Graph, GraphError, ParseError, _parse_edge_block,
-                    connected_components, relabeled_union)
+                    connected_components, derived_label, relabeled_union)
 from .decompose import (Shape, block_cut_tree, branch_vertices,
                         choose_leaf_block, classify_shape, minimal_subtree,
                         segment_decomposition)
@@ -244,14 +244,14 @@ def assemble_block_counterexample(h: Graph, predicate: MinorPredicate,
     outside_union = Graph.build(
         {v for b in outside_blocks for v in b.graph.vertices},
         [e for b in outside_blocks for e in b.graph.edges])
-    hangers = connected_components(outside_union) if outside_blocks else []
+    hangers = connected_components(outside_union)
 
     chain_nontrivial = [b for b in chain if not b.is_trivial]
     chain_trivial = [b for b in chain if b.is_trivial]
     trivial_union = Graph.build(
         {v for b in chain_trivial for v in b.graph.vertices},
         [e for b in chain_trivial for e in b.graph.edges])
-    trivial_paths = connected_components(trivial_union) if chain_trivial else []
+    trivial_paths = connected_components(trivial_union)
 
     sub_vertices = {v for b in sub.blocks for v in b.graph.vertices}
 
@@ -281,7 +281,7 @@ def assemble_block_counterexample(h: Graph, predicate: MinorPredicate,
     occurrences: dict[str, list[str]] = {}
     for i, table in enumerate(copies):
         for orig, local in table.items():
-            occurrences.setdefault(orig, []).append(f"{local}#{i}")
+            occurrences.setdefault(orig, []).append(derived_label(local, i))
     groups = [frozenset(locs) for orig, locs in sorted(occurrences.items())
               if len(locs) >= 2]
     for attach in hanger_attach:

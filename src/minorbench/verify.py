@@ -1,8 +1,8 @@
 """Verification checks: robustness scans, packing, hitting sets, reports.
 
 Every check returns a Report whose canonical JSON form is deterministic:
-dictionaries are key-sorted, every list is explicitly ordered, and wall
-time is kept out of it, so identical inputs give byte-identical output
+dictionaries are key-sorted, every list is explicitly ordered, and no
+report holds a timing, so identical inputs give byte-identical output
 regardless of the machine or the run.
 """
 
@@ -13,7 +13,6 @@ import json
 import random
 from dataclasses import dataclass, field
 from math import comb
-from time import perf_counter
 from typing import Iterable, Iterator, Mapping
 
 from .graph import (Edge, Graph, GraphError, contract_edge, delete_edges,
@@ -68,17 +67,12 @@ def graph_json(g: Graph) -> dict:
 
 @dataclass(frozen=True)
 class Report:
-    """Outcome of one check plus its witness data and search statistics.
-
-    elapsed is wall time in seconds; it is deliberately excluded from
-    the JSON form so that repeated runs compare byte for byte.
-    """
+    """Outcome of one check plus its witness data and search statistics."""
 
     check: str
     outcome: Outcome
     details: Mapping = field(default_factory=dict)
     stats: Mapping = field(default_factory=dict)
-    elapsed: float = 0.0
 
     @property
     def exit_code(self) -> int:
@@ -178,7 +172,8 @@ class HitResult:
     """Smallest found edge set meeting every pattern expansion.
 
     size is None when no hitting set at most the bound exists (exact)
-    or none was certified before the budget ran out (not exact)."""
+    or none was certified before the budget ran out (not exact, and
+    stopped_at is the set the search stopped at)."""
 
     size: int | None
     hitting_edges: tuple[Edge, ...] | None
@@ -186,6 +181,7 @@ class HitResult:
     nodes: int
     subsets: int
     searches: int
+    stopped_at: tuple[Edge, ...] | None = None
 
 
 def min_edge_hitting_set(pattern: Graph, host: Graph,
@@ -209,7 +205,7 @@ def min_edge_hitting_set(pattern: Graph, host: Graph,
     if status is SearchStatus.NONE:
         return HitResult(len(X), X, True, nodes, checked, searches)
     return HitResult(None, None, status is SearchStatus.FOUND, nodes,
-                     checked, searches)
+                     checked, searches, X)
 
 
 # -- the hitting-set loop ----------------------------------------------------
@@ -407,7 +403,6 @@ def _scan_deletions(check: str, pattern: Graph, host: Graph, r: int,
     The verdict is the one a scan of them in label order would give,
     but only sets meeting every known model footprint are searched.
     """
-    t0 = perf_counter()
     if r < 1:
         raise GraphError("deletion radius must be at least 1")
     budget = budget or Budget()
@@ -429,21 +424,19 @@ def _scan_deletions(check: str, pattern: Graph, host: Graph, r: int,
         details[key] = [[u, v] for u, v in X]
     stats = {"subsets_checked": checked, "subsets_planned": comb(m, s),
              "searches": searches, "nodes": nodes}
-    return Report(check, _OUTCOME[status], details, stats,
-                  perf_counter() - t0)
+    return Report(check, _OUTCOME[status], details, stats)
 
 
 # -- the named checks --------------------------------------------------------
 
 def check_gadget_robustness(g: Graph, ctx: Graph, r: int,
-                            budget: Budget | None = None,
-                            gadget: Graph | None = None) -> Report:
+                            budget: Budget | None = None) -> Report:
     """The blowup of g keeps a g expansion after any < r edge deletions.
 
-    gadget substitutes a prebuilt host for the freshly built blowup,
-    which lets a correct negative (a thinned gadget) be demonstrated.
+    A prebuilt or thinned gadget is checked with
+    check_assembly_robustness.
     """
-    host = gadget if gadget is not None else segment_blowup(g, ctx, r)
+    host = segment_blowup(g, ctx, r)
     extra = {"pattern": graph_json(g),
              "host_vertices": len(host.vertices)}
     return _scan_deletions("gadget-robustness", g, host, r, None, budget,
@@ -472,7 +465,6 @@ def check_generic_counterexample(anchor: Graph, spec: CoreSpec,
     core, and an anchor expansion honoring the root pins survives every
     deletion of fewer than r edges.  Either failure refutes the core.
     """
-    t0 = perf_counter()
     budget = budget or Budget()
     unknown = set(spec.roots) - anchor.vertices
     if unknown:
@@ -491,14 +483,12 @@ def check_generic_counterexample(anchor: Graph, spec: CoreSpec,
         return Report("generic-counterexample",
                       Outcome.REFUTED if refuted else Outcome.BUDGET, details,
                       {"nodes": pack.nodes, "subsets_checked": 0,
-                       "subsets_planned": 0, "searches": 0},
-                      perf_counter() - t0)
+                       "subsets_planned": 0, "searches": 0})
     inner = _scan_deletions("generic-counterexample", anchor, spec.core,
                             spec.r, spec.roots, budget, details)
     stats = dict(inner.stats)
     stats["nodes"] = stats["nodes"] + pack.nodes
-    return Report(inner.check, inner.outcome, inner.details, stats,
-                  perf_counter() - t0)
+    return Report(inner.check, inner.outcome, inner.details, stats)
 
 
 def check_expansion_locality(h: Graph, hstar: Graph, anchor: Graph,
@@ -512,7 +502,6 @@ def check_expansion_locality(h: Graph, hstar: Graph, anchor: Graph,
     expansion.  Footprints whose anchor-part branch sets and edge images
     already sit inside the region pass without a search.
     """
-    t0 = perf_counter()
     budget = budget or Budget()
     if not anchor.vertices <= h.vertices or not anchor.edges <= h.edges:
         raise GraphError("anchor must be a subgraph of the pattern")
@@ -556,8 +545,7 @@ def check_expansion_locality(h: Graph, hstar: Graph, anchor: Graph,
         outcome = Outcome.BUDGET
     stats = {"footprints": footprints, "restricted_searches": searches,
              "nodes": counter.nodes + inner_nodes}
-    return Report("expansion-locality", outcome, details, stats,
-                  perf_counter() - t0)
+    return Report("expansion-locality", outcome, details, stats)
 
 
 def check_branch_count(g: Graph, ctx: Graph, r: int) -> Report:
@@ -567,7 +555,6 @@ def check_branch_count(g: Graph, ctx: Graph, r: int) -> Report:
     single segment end would come out with degree below 3 and the
     correspondence would be lost.
     """
-    t0 = perf_counter()
     if r < 3:
         raise GraphError("branch counting needs replication at least 3")
     expected = branch_vertices(g, ctx)
@@ -578,8 +565,7 @@ def check_branch_count(g: Graph, ctx: Graph, r: int) -> Report:
                "count": len(expected), "replication": r,
                "blowup_vertices": len(gx.vertices),
                "blowup_edges": len(gx.edges)}
-    return Report("branch-count", outcome, details, {"nodes": 0},
-                  perf_counter() - t0)
+    return Report("branch-count", outcome, details, {"nodes": 0})
 
 
 def check_hereditary_sampled(predicate: MinorPredicate,
@@ -592,7 +578,6 @@ def check_hereditary_sampled(predicate: MinorPredicate,
     applied to sampled corpus graphs lacking the target; the target
     appearing along the way refutes the embedding engine.
     """
-    t0 = perf_counter()
     if not corpus:
         raise GraphError("need a non-empty corpus")
     rng = random.Random(seed)
@@ -630,8 +615,7 @@ def check_hereditary_sampled(predicate: MinorPredicate,
                            "operations": ops, "result": graph_json(cur)}
                 return Report("hereditary", Outcome.REFUTED, details,
                               {"trials": trials, "checked": checked,
-                               "skipped": skipped}, perf_counter() - t0)
+                               "skipped": skipped})
     details = {"predicate": predicate.name}
     return Report("hereditary", Outcome.HOLDS, details,
-                  {"trials": trials, "checked": checked, "skipped": skipped},
-                  perf_counter() - t0)
+                  {"trials": trials, "checked": checked, "skipped": skipped})

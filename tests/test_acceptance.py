@@ -59,9 +59,9 @@ def base_corpus():
 def gadget_reports():
     g, ctx = tailed_square()
     reports = {"robustness": check_gadget_robustness(g, ctx, 3)}
-    pg, pctx = p3_star()
+    pg, _ = p3_star()
     thinned = Graph.build(["b", "a0", "c0"], [("b", "a0"), ("b", "c0")])
-    reports["fault"] = check_gadget_robustness(pg, pctx, 2, gadget=thinned)
+    reports["fault"] = check_assembly_robustness(pg, thinned, 2)
     return reports
 
 

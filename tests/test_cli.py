@@ -360,6 +360,17 @@ class TestQueries:
         assert code == 1
         assert obj["details"]["size"] is None
 
+    def test_hit_search_budget_names_the_stop(self, capsys):
+        code, obj, _ = run_json(capsys, "hit", TRI, K4)
+        assert code == 0 and "stopped_at" not in obj["details"]
+        code, obj, _ = run_json(capsys, "hit", TRI, K4,
+                                "--budget", "10000000:7")
+        assert code == 2 and obj["outcome"] == "budget-exhausted"
+        assert obj["details"]["hitting_edges"] is None
+        assert obj["details"]["stopped_at"] == [["p", "q"], ["p", "s"],
+                                                ["q", "s"]]
+        assert obj["stats"]["subsets_checked"] == 24
+
     def test_hit_rejects_negative_bound(self):
         with pytest.raises(SystemExit) as exc:
             main(["hit", TRI, K4, "--bound", "-1"])
@@ -378,8 +389,8 @@ class TestVerification:
     def test_robust_thinned_gadget_refuted(self, capsys, tmp_path):
         thinned = tmp_path / "thinned.el"
         thinned.write_text("3 2\na0\nb\nc0\na0 b\nb c0\n")
-        code, obj, _ = run_json(capsys, "robust", P3, "--ctx", P3_CTX,
-                                "-r", "2", "--gadget", str(thinned))
+        code, obj, _ = run_json(capsys, "robust", P3, "--host", str(thinned),
+                                "-r", "2")
         assert code == 1
         assert obj["details"]["witness_deletion"] == [["a0", "b"]]
 
@@ -394,12 +405,17 @@ class TestVerification:
         assert obj["details"]["roots"] == {"s": "s#1"}
 
     def test_robust_flag_cross_validation(self, capsys):
-        code, _, err = run(capsys, "robust", P3, "--host", K4,
-                           "--gadget", K4, "-r", "2")
-        assert code == 65 and "--gadget" in err
         code, _, err = run(capsys, "robust", P3, "--ctx", P3_CTX,
                            "--roots", "a=b", "-r", "2")
         assert code == 65 and "--roots" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["robust", P3, "--ctx", P3_CTX, "-r", "2", "--gadget", P3],
+        ["gencheck", K4, CORE, "--jobs", "2"]])
+    def test_removed_flags_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
 
     def test_robust_mode_flags_required_and_exclusive(self):
         with pytest.raises(SystemExit) as exc:

@@ -100,6 +100,14 @@ CASES = [
     ("robust-k4-gadget-r5", 0, ["robust", K4, "--ctx", K4, "-r", "5"]),
     ("robust-k4-gadget-r6", 0, ["robust", K4, "--ctx", K4, "-r", "6"]),
     ("robust-k5-gadget-r5", 0, ["robust", K5, "--ctx", K5, "-r", "5"]),
+    # a prebuilt host is scanned with --host: deleting one edge of the
+    # path leaves no path on three vertices
+    ("robust-path3-refuted", 1,
+     ["robust", "samples/path3.el", "--host", "samples/path3.el", "-r", "2"]),
+    # five searches are not enough: the scan names where it stopped
+    ("robust-k4-gadget-search-budget", 2,
+     ["robust", K4, "--ctx", K4, "-r", "4", "--budget", "10000000:5"]),
+    ("hit-search-budget", 2, ["hit", TRI, K4, "--budget", "10000000:7"]),
 ]
 
 
