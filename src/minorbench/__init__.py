@@ -17,8 +17,7 @@ from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, MinorEmbedding,
                     MinorPredicate, NodeCounter, SearchResult, SearchStatus,
                     enumerate_expansions, find_expansion,
                     iter_expansion_footprints, is_minor,
-                    naive_is_minor_oracle, partition_components,
-                    verify_embedding)
+                    partition_components, verify_embedding)
 from .gadgets import (BuildTrace, CoreSpec, assemble_block_counterexample,
                       assemble_component_counterexample, core_region,
                       load_core_spec, segment_blowup)
@@ -46,7 +45,7 @@ __all__ = [
     "contract_edge", "core_region", "delete_edges", "edge", "enumerate_expansions", "find_expansion", "graph_json",
     "is_minor", "iter_expansion_footprints", "load_core_spec",
     "max_edge_disjoint_packing", "min_edge_hitting_set", "minimal_subtree",
-    "naive_is_minor_oracle", "parse_graph", "parse_graph6",
+    "parse_graph", "parse_graph6",
     "partition_components", "relabeled_union", "segment_blowup",
     "segment_decomposition", "serialize", "verify_embedding",
 ]

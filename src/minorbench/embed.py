@@ -8,9 +8,9 @@ from high-degree host anchors, keeps one model per orbit of the
 pattern's automorphisms, and is exhaustive: a ``NONE`` result is a
 proof that no model exists.
 
-The naive oracle, naive_is_minor_oracle, re-decides the same question
-by raw enumeration of vertex-subset partitions and shares no code with
-the searcher; it exists so the two can be played against each other.
+The search, host reduction, lift, verifier and footprint enumeration
+run on the host's Index, with vertex and edge sets as int bit masks in
+label order; labels come back only at the public functions.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
-from typing import Callable, Iterator, Mapping
+from itertools import product
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .graph import Edge, Graph, GraphError, connected_components, edge
+from .graph import (Edge, Graph, GraphError, Index, connected_components,
+                    edge)
 
 DEFAULT_NODE_BUDGET = 10**7
-ORACLE_HOST_GUARD = 8
 
 
 class BudgetExceeded(Exception):
@@ -113,42 +113,96 @@ def _check_roots(h: Graph, g: Graph, roots: Mapping[str, str]):
             raise GraphError(f"root pin on unknown host vertex {v!r}")
 
 
-def _crossing_edges(adj: Mapping[str, frozenset[str]], A: frozenset[str],
-                    B: frozenset[str]) -> list[Edge]:
-    """Sorted edges with one end in A and the other in B."""
-    return sorted({edge(a, b) for a in A for b in adj[a] & B})
+# -- the indexed core: a host is its adjacency masks nbr over an Index ----
+
+# (branch, images): the vertex mask of each pattern vertex's branch set
+# and the vertex pair of each pattern edge's image, in the pattern's Index
+Model = tuple[list[int], list[tuple[int, int]]]
 
 
-def _connected_sets_from(root: str, allowed: frozenset[str],
-                         adj: dict[str, frozenset[str]],
-                         max_size: int) -> Iterator[frozenset[str]]:
-    """All connected subsets of ``allowed`` containing root, each once.
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _reach(nbr: Sequence[int], within: int) -> int:
+    """The vertices of the mask within connected to its lowest one
+    inside it, by the adjacency masks nbr."""
+    seen = front = within & -within
+    while front:
+        grow = 0
+        for v in _bits(front):
+            grow |= nbr[v]
+        front = grow & within & ~seen
+        seen |= front
+    return seen
+
+
+def _first_edge(nbr: Sequence[int], A: int, B: int) -> tuple[int, int]:
+    """The first edge in label order from the vertex mask A to the
+    disjoint mask B, as its (smaller, larger) vertex pair."""
+    both = A | B
+    while both:
+        low = both & -both
+        later = nbr[low.bit_length() - 1] & (B if A & low else A) & -(low << 1)
+        if later:
+            return low.bit_length() - 1, (later & -later).bit_length() - 1
+        both ^= low
+    raise ValueError("no edge joins the two vertex sets")
+
+
+def _labelled(h: Graph, ix: Index, model: Model) -> MinorEmbedding:
+    branch, images = model
+    verts = ix.verts
+    return MinorEmbedding(
+        {u: frozenset(verts[v] for v in _bits(B))
+         for u, B in zip(h.index.verts, branch)},
+        {he: (verts[a], verts[b])
+         for he, (a, b) in zip(h.index.edges, images)})
+
+
+def _unlabelled(h: Graph, ix: Index, m: MinorEmbedding) -> Model:
+    vidx = ix.vidx
+    return ([sum(1 << vidx[v] for v in m.branch_sets[u])
+             for u in h.index.verts],
+            [(vidx[a], vidx[b])
+             for a, b in map(m.edge_images.__getitem__, h.index.edges)])
+
+
+def _connected_sets_from(root: int, allowed: int, nbr: Sequence[int],
+                         max_size: int) -> Iterator[tuple[int, int]]:
+    """All connected subsets of the vertex mask allowed that contain
+    root, each once, with the union of their members' neighbour masks.
 
     Candidates already branched on are banned for later siblings, which
     makes every subset reachable along exactly one path.
     """
-    def rec(S: frozenset[str], cand: frozenset[str],
-            banned: frozenset[str]) -> Iterator[frozenset[str]]:
-        yield S
-        if len(S) >= max_size:
+    def rec(S: int, near: int, size: int, cand: int, banned: int
+            ) -> Iterator[tuple[int, int]]:
+        yield S, near
+        if size >= max_size:
             return
-        new_banned = set(banned)
-        for v in sorted(cand - banned):
-            S2 = S | {v}
-            cand2 = (cand | (adj[v] & allowed)) - S2 - frozenset(new_banned)
-            yield from rec(S2, cand2, frozenset(new_banned))
-            new_banned.add(v)
+        for v in _bits(cand & ~banned):
+            S2 = S | 1 << v
+            yield from rec(S2, near | nbr[v], size + 1,
+                           (cand | nbr[v] & allowed) & ~S2 & ~banned, banned)
+            banned |= 1 << v
 
-    if root not in allowed or max_size < 1:
-        return
-    yield from rec(frozenset([root]), adj[root] & allowed, frozenset())
+    if allowed >> root & 1 and max_size >= 1:
+        yield from rec(1 << root, nbr[root], 1, nbr[root] & allowed, 0)
 
 
 @functools.cache
 def _symmetry_floors(h: Graph, pinned: frozenset[str]
-                     ) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
+                     ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """The search order of h's vertices, and for each position the
-    earlier vertices whose anchors must rank below its own.
+    earlier vertices whose anchors must rank below its own, as positions
+    in h.index.
 
     G_i is the group of automorphisms of h that fix order[:i] and every
     pinned vertex.  Every other vertex w in the G_i-orbit of an unpinned
@@ -186,7 +240,100 @@ def _symmetry_floors(h: Graph, pinned: frozenset[str]
             if (w not in pinned and fits(fixed, u, w)
                     and extends({**fixed, u: w})):
                 below[j].append(u)
-    return order, tuple(map(tuple, below))
+    vidx = h.index.vidx
+    return (tuple(vidx[u] for u in order),
+            tuple(tuple(vidx[u] for u in b) for b in below))
+
+
+def _branch_set_maps(h: Graph, nbr: Sequence[int], alive: int,
+                     pins: Mapping[str, int], counter: NodeCounter,
+                     admits: Callable[[int, int], bool] | None = None
+                     ) -> Iterator[list[int]]:
+    """The branch sets of enumerate_expansions' models, in its order, on
+    the host with adjacency masks nbr restricted to the vertex mask
+    alive.  pins maps pattern vertices to host vertex indices.  Branch
+    sets come as one live list of vertex masks, in h.index order, that
+    the next step changes: copy it to keep it.  A candidate set that
+    admits(position, set) rejects is dropped after it is counted, with
+    everything that would extend it."""
+    hix = h.index
+    nh = len(hix.verts)
+    ng = alive.bit_count()
+    if not nh:
+        yield []
+        return
+    if nh > ng:
+        return
+
+    order, below = _symmetry_floors(h, frozenset(pins))
+    pinned = [pins.get(u) for u in hix.verts]
+    near_h = [_bits(ns) for ns in hix.nbr]
+    ranked = sorted(_bits(alive), key=lambda v: (-nbr[v].bit_count(), v))
+
+    placed = [0] * nh
+    anchor: list[int | None] = [None] * nh
+    used = 0
+
+    def candidate_ok(p: int, B: int, near: int) -> bool:
+        unplaced = 0
+        for w in near_h[p]:
+            if placed[w]:
+                if not near & placed[w]:
+                    return False
+            else:
+                unplaced += 1
+        return not unplaced or (near & ~used & ~B).bit_count() >= unplaced
+
+    def candidates(p: int, free: int, max_size: int, floor: int
+                   ) -> Iterator[tuple[int | None, int, int]]:
+        """(anchor rank, branch set, its neighbours) triples; an unpinned
+        set is grown from its anchor, which avoids the free roots before
+        it and ranks after floor.  A pinned vertex is in no orbit: no
+        anchor."""
+        must = pinned[p]
+        if must is not None:
+            for B, near in _connected_sets_from(must, free, nbr, max_size):
+                yield None, B, near
+            return
+        shrink = free & ~sum(1 << v for v in ranked[:floor + 1])
+        for k in range(floor + 1, len(ranked)):
+            r = ranked[k]
+            if shrink >> r & 1:
+                for B, near in _connected_sets_from(r, shrink, nbr, max_size):
+                    yield k, B, near
+                shrink ^= 1 << r
+
+    def rec(i: int) -> Iterator[list[int]]:
+        nonlocal used
+        if i == nh:
+            yield placed
+            return
+        p = order[i]
+        max_size = ng - used.bit_count() - (nh - i - 1)
+        if max_size < 1:
+            return
+        floor = max((anchor[w] for w in below[i]), default=-1)
+        for k, B, near in candidates(p, alive & ~used, max_size, floor):
+            counter.spend()
+            if not candidate_ok(p, B, near) or (admits and not admits(p, B)):
+                continue
+            placed[p] = B
+            anchor[p] = k
+            used |= B
+            yield from rec(i + 1)
+            used ^= B
+            placed[p] = 0
+
+    yield from rec(0)
+
+
+def _models(h: Graph, nbr: Sequence[int], alive: int,
+            pins: Mapping[str, int], counter: NodeCounter) -> Iterator[Model]:
+    """The models of _branch_set_maps, each edge image the first host
+    edge joining its two branch sets."""
+    for branch in _branch_set_maps(h, nbr, alive, pins, counter):
+        yield list(branch), [_first_edge(nbr, branch[p], branch[q])
+                             for p, q in h.index.ends]
 
 
 def enumerate_expansions(h: Graph, g: Graph,
@@ -204,101 +351,10 @@ def enumerate_expansions(h: Graph, g: Graph,
     _check_roots(h, g, roots)
     if counter is None:
         counter = NodeCounter(cap=None)
-    adj = g.adjacency()
-    hedges = h.sorted_edges()
-    for placed in _branch_set_maps(h, g, roots, counter):
-        yield MinorEmbedding(dict(placed), {
-            he: _crossing_edges(adj, placed[he[0]], placed[he[1]])[0]
-            for he in hedges})
-
-
-def _branch_set_maps(h: Graph, g: Graph, roots: Mapping[str, str],
-                     counter: NodeCounter,
-                     admits: Callable[[str, frozenset[str]], bool] | None
-                     = None) -> Iterator[dict[str, frozenset[str]]]:
-    """The branch sets of enumerate_expansions' models, in its order, as
-    one live map that the next step changes: copy it to keep it.  A
-    candidate set that admits rejects is dropped after it is counted,
-    with everything that would extend it."""
-    if not h.vertices:
-        yield {}
-        return
-    if len(h.vertices) > len(g.vertices):
-        return
-
-    adj = g.adjacency()
-    h_adj = h.adjacency()
-    order, below = _symmetry_floors(h, frozenset(roots))
-    ranked = sorted(g.vertices, key=lambda v: (-len(adj[v]), v))
-
-    placed: dict[str, frozenset[str]] = {}
-    anchor: dict[str, int | None] = {}
-    used: set[str] = set()
-    ng = len(g.vertices)
-    nh = len(order)
-
-    def candidate_ok(u: str, B: frozenset[str]) -> bool:
-        unplaced = []
-        for w in h_adj[u]:
-            if w in placed:
-                hit = False
-                for a in B:
-                    if adj[a] & placed[w]:
-                        hit = True
-                        break
-                if not hit:
-                    return False
-            else:
-                unplaced.append(w)
-        if unplaced:
-            reach: set[str] = set()
-            for a in B:
-                reach |= adj[a]
-            reach -= used
-            reach -= B
-            if len(reach) < len(unplaced):
-                return False
-        return True
-
-    def candidates(u: str, free: frozenset[str], max_size: int, floor: int
-                   ) -> Iterator[tuple[int | None, frozenset[str]]]:
-        """(anchor rank, branch set) pairs; an unpinned set is grown from
-        its anchor, which avoids the free roots before it and ranks
-        after floor.  A pinned vertex is in no orbit: no anchor."""
-        must = roots.get(u)
-        if must is not None:
-            yield from ((None, B) for B in
-                        _connected_sets_from(must, free, adj, max_size))
-            return
-        shrink = set(free).difference(ranked[:floor + 1])
-        for k, r in enumerate(ranked[floor + 1:], floor + 1):
-            if r in shrink:
-                for B in _connected_sets_from(r, frozenset(shrink), adj,
-                                              max_size):
-                    yield k, B
-                shrink.discard(r)
-
-    def rec(i: int) -> Iterator[dict[str, frozenset[str]]]:
-        if i == nh:
-            yield placed
-            return
-        u = order[i]
-        max_size = ng - len(used) - (nh - i - 1)
-        if max_size < 1:
-            return
-        floor = max((anchor[w] for w in below[i]), default=-1)
-        for k, B in candidates(u, g.vertices - used, max_size, floor):
-            counter.spend()
-            if not candidate_ok(u, B) or (admits and not admits(u, B)):
-                continue
-            placed[u] = B
-            anchor[u] = k
-            used.update(B)
-            yield from rec(i + 1)
-            used.difference_update(B)
-            del placed[u]
-
-    yield from rec(0)
+    ix = g.index
+    pins = {u: ix.vidx[v] for u, v in roots.items()}
+    for model in _models(h, ix.nbr, (1 << len(ix.verts)) - 1, pins, counter):
+        yield _labelled(h, ix, model)
 
 
 def _search(h: Graph, g: Graph, roots: Mapping[str, str] | None = None,
@@ -317,124 +373,150 @@ def _search(h: Graph, g: Graph, roots: Mapping[str, str] | None = None,
     return SearchResult(SearchStatus.FOUND, emb, counter.nodes)
 
 
-def _reduce_host(h: Graph, g: Graph, keep: frozenset[str]
-                 ) -> tuple[Graph, dict[str, set[str]]]:
-    """Shrink g by deletions and contractions that keep whether h is a
-    minor of it.
+def _reduce_host(h: Graph, nbr: Sequence[int], keep: int
+                 ) -> tuple[Sequence[int], int, dict[int, int]]:
+    """Shrink the host with adjacency masks nbr by deletions and
+    contractions that keep whether h is a minor of it.
 
     If h has minimum degree 2 or more, vertices of degree at most 1 are
     deleted; if 3 or more, a vertex of degree 2 is also contracted into
-    its smaller-labelled neighbour, or deleted when its two neighbours
-    are already adjacent.  No vertex in keep is removed.  Returns the
-    reduced host and the merge map: every surviving vertex that absorbed
-    others, with the host vertices contracted into it.  A contracted
-    vertex takes its own group along; a deleted one drops it.  The host
-    itself comes back when nothing applies.
+    its smaller neighbour, or deleted when its two neighbours are already
+    adjacent.  No vertex in the mask keep is removed.  Returns the
+    reduced adjacency (nbr itself when nothing applies, else a new
+    list), the mask of the vertices left, and the merge map: every
+    surviving vertex that absorbed others, with the mask of the host
+    vertices contracted into it.  A contracted vertex takes its own
+    group along; a deleted one drops it.
     """
-    low = min((len(ns) for ns in h.adjacency().values()), default=0)
+    alive = full = (1 << len(nbr)) - 1
+    low = min((ns.bit_count() for ns in h.index.nbr), default=0)
     if low < 2:
-        return g, {}
+        return nbr, full, {}
     top = 2 if low >= 3 else 1
-    adj = {v: set(ns) for v, ns in g.adjacency().items()}
-    merged: dict[str, set[str]] = {}
-    todo = sorted(adj)
+    out = list(nbr)
+    merged: dict[int, int] = {}
+    todo = list(range(len(out)))
     while todo:
         v = todo.pop()
-        if v in keep or v not in adj or len(adj[v]) > top:
+        ns = out[v]
+        if ns.bit_count() > top or keep >> v & 1 or not alive >> v & 1:
             continue
-        ns = sorted(adj.pop(v))
-        group = merged.pop(v, set())
-        for w in ns:
-            adj[w].discard(v)
-            todo.append(w)
-        if len(ns) == 2 and ns[1] not in adj[ns[0]]:
-            a, b = ns
-            adj[a].add(b)
-            adj[b].add(a)
-            group.add(v)
-            merged.setdefault(a, set()).update(group)
-    if len(adj) == len(g.vertices):
-        return g, {}
-    return Graph(frozenset(adj),
-                 frozenset(edge(a, b) for a in adj for b in adj[a] if a < b)
-                 ), merged
+        alive ^= 1 << v
+        out[v] = 0
+        group = merged.pop(v, 0)
+        ws = _bits(ns)
+        for w in ws:
+            out[w] ^= 1 << v
+        todo.extend(ws)
+        if len(ws) == 2:
+            a, b = ws
+            if not out[a] >> b & 1:
+                out[a] |= 1 << b
+                out[b] |= 1 << a
+                merged[a] = merged.get(a, 0) | group | 1 << v
+    return (nbr, full, {}) if alive == full else (out, alive, merged)
 
 
-def _lift(m: MinorEmbedding, g: Graph, merged: Mapping[str, set[str]]
-          ) -> MinorEmbedding:
-    """A model on the reduced host, carried back to g by un-contracting.
+def _lift(model: Model, nbr: Sequence[int], merged: Mapping[int, int]
+          ) -> Model:
+    """A model on the reduced host, carried back by un-contracting to
+    the host with adjacency masks nbr.
 
     An edge image becomes the host edge between the groups of its two
     ends, and each branch set grows by its members' groups, less the
     grown vertices left hanging: parts of paths the model does not use.
     """
-    adj = g.adjacency()
-    images = {he: _crossing_edges(adj, merged.get(a, set()) | {a},
-                                  merged.get(b, set()) | {b})[0]
-              for he, (a, b) in m.edge_images.items()}
-    ends = {v for e in images.values() for v in e}
-    grown = {}
-    for u, bs in m.branch_sets.items():
-        vs = set(bs).union(*(merged.get(v, ()) for v in bs))
-        tips = list(vs - bs - ends)
+    branch, images = model
+    lifted = [_first_edge(nbr, merged.get(a, 0) | 1 << a,
+                          merged.get(b, 0) | 1 << b) for a, b in images]
+    ends = 0
+    for a, b in lifted:
+        ends |= 1 << a | 1 << b
+    grown = []
+    for B in branch:
+        vs = B
+        for v in _bits(B):
+            vs |= merged.get(v, 0)
+        tips = vs & ~B & ~ends
         while tips:
-            v = tips.pop()
-            if v in vs and len(adj[v] & vs) < 2:
-                vs.remove(v)
-                tips.extend(adj[v] & vs - bs - ends)
-        grown[u] = frozenset(vs)
-    return MinorEmbedding(grown, images)
+            low = tips & -tips
+            tips ^= low
+            inner = nbr[low.bit_length() - 1] & vs
+            if inner.bit_count() < 2:
+                vs ^= low
+                tips |= inner & ~B & ~ends
+        grown.append(vs)
+    return grown, lifted
+
+
+def _verifies(h: Graph, nbr: Sequence[int], model: Model) -> bool:
+    """Whether model is an h model on the host with adjacency masks nbr:
+    nonempty, disjoint, connected branch sets, and distinct host edges
+    as images, each joining its pattern edge's two branch sets."""
+    branch, images = model
+    seen = 0
+    for B in branch:
+        if not B or B & seen or _reach(nbr, B) != B:
+            return False
+        seen |= B
+    if len(set(images)) != len(images):
+        return False
+    for (p, q), (a, b) in zip(h.index.ends, images):
+        x, y = branch[p], branch[q]
+        if not (nbr[a] >> b & 1 and (x >> a & y >> b | y >> a & x >> b) & 1):
+            return False
+    return True
+
+
+def _find(h: Graph, nbr: Sequence[int], pins: Mapping[str, int],
+          node_budget: int | None) -> tuple[SearchStatus, Model | None, int]:
+    """find_expansion on the host with adjacency masks nbr, pins mapping
+    pattern vertices to host vertex indices: (status, model, nodes)."""
+    keep = sum(1 << v for v in set(pins.values()))
+    small, alive, merged = _reduce_host(h, nbr, keep)
+    counter = NodeCounter(cap=node_budget)
+    try:
+        model = next(_models(h, small, alive, pins, counter), None)
+    except BudgetExceeded:
+        return SearchStatus.BUDGET, None, counter.nodes
+    if model is None:
+        return SearchStatus.NONE, None, counter.nodes
+    if small is not nbr:
+        model = _lift(model, nbr, merged)
+        if not _verifies(h, nbr, model):
+            raise RuntimeError("a model lifted from the reduced host fails "
+                               "verification")
+    return SearchStatus.FOUND, model, counter.nodes
 
 
 def find_expansion(h: Graph, g: Graph, roots: Mapping[str, str] | None = None,
                    node_budget: int | None = DEFAULT_NODE_BUDGET) -> SearchResult:
     """First expansion model of h in g, or proof of absence, or budget stop.
 
-    The search runs on g reduced by _reduce_host, root-pinned vertices
-    kept, and nodes counts that search.  A model found there is lifted
-    back to g and checked with verify_embedding.
+    The search runs on g's Index reduced by _reduce_host, root-pinned
+    vertices kept, and nodes counts that search.  _find lifts a model
+    found on a reduced host back to g and verifies it.
     """
     roots = roots or {}
-    # pinned vertices stay, so the search's own check of roots on the
-    # reduced host rejects exactly what it would reject on g
-    small, merged = _reduce_host(h, g, frozenset(roots.values()))
-    res = _search(h, small, roots, node_budget)
-    if res.embedding is None or small is g:
-        return res
-    lifted = _lift(res.embedding, g, merged)
-    if not verify_embedding(h, g, lifted):
-        raise RuntimeError("a model lifted from the reduced host fails "
-                           "verification")
-    return SearchResult(res.status, lifted, res.nodes)
+    _check_roots(h, g, roots)
+    ix = g.index
+    status, model, nodes = _find(h, ix.nbr,
+                                 {u: ix.vidx[v] for u, v in roots.items()},
+                                 node_budget)
+    return SearchResult(status, None if model is None
+                        else _labelled(h, ix, model), nodes)
 
 
 def verify_embedding(h: Graph, g: Graph, m: MinorEmbedding) -> bool:
-    """Re-check every model invariant; False on any malformation."""
+    """Re-check every model invariant; False on any malformation.  The
+    labels are checked here, the model on g's Index by _verifies."""
     try:
-        if set(m.branch_sets) != set(h.vertices):
+        if (set(m.branch_sets) != set(h.vertices)
+                or set(m.edge_images) != set(h.edges)
+                or not all(bs <= g.vertices for bs in m.branch_sets.values())
+                or not set(m.edge_images.values()) <= g.edges):
             return False
-        seen: set[str] = set()
-        for u, bs in m.branch_sets.items():
-            if not bs or not bs <= g.vertices:
-                return False
-            if bs & seen:
-                return False
-            seen |= bs
-            if len(g._reach(min(bs), bs)) != len(bs):
-                return False
-        if set(m.edge_images) != set(h.edges):
-            return False
-        values = list(m.edge_images.values())
-        if len(set(values)) != len(values):
-            return False
-        for (u, w), ge in m.edge_images.items():
-            if ge not in g.edges:
-                return False
-            a, b = ge
-            bu, bw = m.branch_sets[u], m.branch_sets[w]
-            if not ((a in bu and b in bw) or (a in bw and b in bu)):
-                return False
-        return True
+        return _verifies(h, g.index.nbr, _unlabelled(h, g.index, m))
     except (TypeError, ValueError):  # unhashable or mistyped parts
         return False
 
@@ -457,79 +539,6 @@ class MinorPredicate:
 
     def holds(self, g: Graph) -> bool:
         return is_minor(self.target, g)
-
-
-def naive_is_minor_oracle(h: Graph, g: Graph) -> bool:
-    """Decide the minor question by brute partition enumeration.
-
-    Enumerates every subset of host vertices, every partition of it into
-    as many blocks as the pattern has vertices, and every assignment of
-    pattern vertices to blocks.  Deliberately written from scratch: it
-    shares no search machinery with find_expansion.
-    """
-    if len(g.vertices) > ORACLE_HOST_GUARD:
-        raise GraphError(f"oracle is limited to hosts with at most "
-                         f"{ORACLE_HOST_GUARD} vertices")
-    hverts = sorted(h.vertices)
-    nh = len(hverts)
-    if nh == 0:
-        return True
-    gverts = sorted(g.vertices)
-    if nh > len(gverts):
-        return False
-    gadj: dict[str, set[str]] = {v: set() for v in gverts}
-    for u, v in g.edges:
-        gadj[u].add(v)
-        gadj[v].add(u)
-    hedges = [tuple(e) for e in h.sorted_edges()]
-
-    def connected(block: list[str]) -> bool:
-        todo = [block[0]]
-        inside = set(block)
-        got = {block[0]}
-        while todo:
-            for w in gadj[todo.pop()]:
-                if w in inside and w not in got:
-                    got.add(w)
-                    todo.append(w)
-        return len(got) == len(inside)
-
-    def blocks_linked(a: list[str], b: list[str]) -> bool:
-        bset = set(b)
-        return any(gadj[x] & bset for x in a)
-
-    def partitions(items: list[str], k: int) -> Iterator[list[list[str]]]:
-        blocks: list[list[str]] = []
-
-        def rec(i: int) -> Iterator[list[list[str]]]:
-            if len(blocks) + (len(items) - i) < k:
-                return
-            if i == len(items):
-                if len(blocks) == k:
-                    yield [list(b) for b in blocks]
-                return
-            x = items[i]
-            for b in blocks:
-                b.append(x)
-                yield from rec(i + 1)
-                b.pop()
-            if len(blocks) < k:
-                blocks.append([x])
-                yield from rec(i + 1)
-                blocks.pop()
-
-        return rec(0)
-
-    for size in range(nh, len(gverts) + 1):
-        for subset in combinations(gverts, size):
-            for blocks in partitions(list(subset), nh):
-                if not all(connected(b) for b in blocks):
-                    continue
-                for perm in permutations(range(nh)):
-                    assign = {hverts[i]: blocks[perm[i]] for i in range(nh)}
-                    if all(blocks_linked(assign[u], assign[w]) for u, w in hedges):
-                        return True
-    return False
 
 
 def partition_components(h: Graph, anchor: Graph
@@ -557,16 +566,6 @@ def partition_components(h: Graph, anchor: Graph
 
 
 # -- expansion footprints (for packing and locality scans) ---------------
-
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
 
 def _spanning_trees(vs: int, most: int, ends: list[tuple[int, int]],
                     inc: list[int]) -> list[tuple[int, int]]:
@@ -615,58 +614,50 @@ def _spanning_trees(vs: int, most: int, ends: list[tuple[int, int]],
     return out
 
 
-def iter_expansion_footprints(h: Graph, g: Graph, counter: NodeCounter
-                              ) -> Iterator[tuple[MinorEmbedding, frozenset[Edge]]]:
-    """Yield (model, edge footprint), deduplicated, for the expansion
-    subgraphs (a spanning tree per branch set plus one host edge per
-    pattern edge) whose tree leaves all end an edge image.  Dropping any
-    other leaf leaves a smaller one, so every inclusion-minimal one is
-    yielded, and every subgraph of g with an h minor contains one.
+def _footprints(h: Graph, ix: Index, counter: NodeCounter
+                ) -> Iterator[tuple[Model, int]]:
+    """Yield (model, footprint as a mask over ix's edges), deduplicated
+    by footprint, for the expansion subgraphs (a spanning tree per
+    branch set plus one host edge per pattern edge) whose tree leaves
+    all end an edge image.  Dropping any other leaf leaves a smaller
+    one, so every inclusion-minimal one is yielded, and every subgraph
+    of the host with an h minor contains one.
 
-    Footprints are bit masks over g.sorted_edges().  Per branch set, the
-    trees come in _spanning_trees' order; a branch set with none is
-    rejected as it is placed.  Per tree combination, the image choices
-    run over the pattern edges in sorted order, each over its candidate
-    host edges in order, and a partial choice is dropped once some
-    pattern vertex has more leaves left to end an image than pattern
-    edges left to place.  The choices depend only on each branch set's
-    leaves and candidate image ends, and are shared by every combination
-    with the same ones.  Both caches live for one call.  counter counts
-    the branch sets tried and every (tree combination, image choice)
-    that passes the leaf rule.
+    Per branch set, the trees come in _spanning_trees' order; a branch
+    set with none is rejected as it is placed.  Per tree combination,
+    the image choices run over the pattern edges in sorted order, each
+    over its candidate host edges in order, and a partial choice is
+    dropped once some pattern vertex has more leaves left to end an
+    image than pattern edges left to place.  The choices depend only on
+    each branch set's leaves and candidate image ends, and are shared by
+    every combination with the same ones.  Both caches live for one
+    call.  counter counts the branch sets tried and every (tree
+    combination, image choice) that passes the leaf rule.
     """
-    verts = sorted(g.vertices)
-    vidx = {v: i for i, v in enumerate(verts)}
-    edges = g.sorted_edges()
-    ends = [(vidx[a], vidx[b]) for a, b in edges]
-    inc = [0] * len(verts)
-    for k, (a, b) in enumerate(ends):
-        inc[a] |= 1 << k
-        inc[b] |= 1 << k
-    hverts = sorted(h.vertices)
-    hedges = h.sorted_edges()
-    deg = {u: h.degree(u) for u in hverts}
-    at = [(hverts.index(u), hverts.index(w)) for u, w in hedges]
-    # left[j][p]: the pattern edges at hverts[p] after hedges[j]
-    left = [[sum(p in pq for pq in at[j + 1:]) for p in range(len(hverts))]
+    ends, inc = ix.ends, ix.inc
+    nh = len(h.index.verts)
+    deg = [ns.bit_count() for ns in h.index.nbr]
+    at = h.index.ends
+    # left[j][p]: the pattern edges at pattern vertex p after edge j
+    left = [[sum(p in pq for pq in at[j + 1:]) for p in range(nh)]
             for j in range(len(at))]
 
     @functools.cache
-    def trees_of(vs: frozenset[str], most: int) -> list[tuple[int, int, int]]:
+    def trees_of(vs: int, most: int) -> list[tuple[int, int, int]]:
         """(tree, leaves, image ends): with as many leaves as images,
         each image ends at a leaf."""
-        mask = sum(1 << vidx[v] for v in vs)
-        return [(t, lv, lv if lv.bit_count() == most else mask)
-                for t, lv in _spanning_trees(mask, most, ends, inc)]
+        return [(t, lv, lv if lv.bit_count() == most else vs)
+                for t, lv in _spanning_trees(vs, most, ends, inc)]
 
     @functools.cache
     def choices(leaves: tuple[int, ...], image_ends: tuple[int, ...]
-                ) -> list[int]:
-        # reach[p]: the host edges at hverts[p]'s image ends
+                ) -> list[tuple[int, tuple[int, ...]]]:
+        """(edge mask, edge per pattern edge) of each image choice."""
+        # reach[p]: the host edges at pattern vertex p's image ends
         reach = [functools.reduce(int.__or__, map(inc.__getitem__, _bits(e)),
                                   0) for e in image_ends]
         # (images, the leaves no image ends yet)
-        partial = [(0, functools.reduce(int.__or__, leaves, 0))]
+        partial = [((), functools.reduce(int.__or__, leaves, 0))]
         for j, (p, q) in enumerate(at):
             cands = _bits(reach[p] & reach[q])
             grown = []
@@ -676,26 +667,31 @@ def iter_expansion_footprints(h: Graph, g: Graph, counter: NodeCounter
                     rest = open_ & ~(1 << a | 1 << b)
                     if ((rest & leaves[p]).bit_count() <= left[j][p]
                             and (rest & leaves[q]).bit_count() <= left[j][q]):
-                        grown.append((images | 1 << k, rest))
+                        grown.append((images + (k,), rest))
             partial = grown
-        return [images for images, _ in partial]
+        return [(sum(1 << k for k in images), images) for images, _ in partial]
 
     seen: set[int] = set()
-    for bs in _branch_set_maps(h, g, {}, counter,
-                               lambda u, B: bool(trees_of(B, deg[u]))):
-        for trees in product(*(trees_of(bs[u], deg[u]) for u in hverts)):
+    for bs in _branch_set_maps(h, ix.nbr, (1 << len(ix.verts)) - 1, {},
+                               counter, lambda p, B: bool(trees_of(B, deg[p]))):
+        for trees in product(*(trees_of(bs[p], deg[p]) for p in range(nh))):
             base = 0
             for t, _, _ in trees:
                 base |= t
-            for images in choices(tuple(lv for _, lv, _ in trees),
-                                  tuple(e for _, _, e in trees)):
+            for images, per_edge in choices(tuple(lv for _, lv, _ in trees),
+                                            tuple(e for _, _, e in trees)):
                 counter.spend()
                 usage = base | images
                 if usage not in seen:
                     seen.add(usage)
-                    owner = {v: u for u, B in bs.items() for v in B}
-                    image = {edge(owner[a], owner[b]): (a, b)
-                             for a, b in map(edges.__getitem__, _bits(images))}
-                    yield (MinorEmbedding(dict(bs),
-                                          {he: image[he] for he in hedges}),
-                           frozenset(edges[k] for k in _bits(usage)))
+                    yield (list(bs), [ends[k] for k in per_edge]), usage
+
+
+def iter_expansion_footprints(h: Graph, g: Graph, counter: NodeCounter
+                              ) -> Iterator[tuple[MinorEmbedding, frozenset[Edge]]]:
+    """Yield (model, edge footprint), deduplicated, for the expansion
+    subgraphs of h in g that _footprints enumerates, in its order."""
+    ix = g.index
+    for model, usage in _footprints(h, ix, counter):
+        yield (_labelled(h, ix, model),
+               frozenset(ix.edges[k] for k in _bits(usage)))

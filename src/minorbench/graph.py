@@ -43,6 +43,34 @@ def edge(u: str, v: str) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+class Index:
+    """A graph's vertices and edges numbered in sorted order, with its
+    adjacency and incidence as int bit masks.
+
+    verts[i] is vertex i and vidx maps it back; edges[k] is the k-th of
+    sorted_edges() and joins the vertices ends[k], smaller index first.
+    Bit w of nbr[v] is set when v and w are adjacent, and bit k of
+    inc[v] when edge k meets v.  Ascending set bits list vertices or
+    edges in label order."""
+
+    __slots__ = ("verts", "vidx", "edges", "ends", "nbr", "inc")
+
+    def __init__(self, g: Graph):
+        self.verts = tuple(g.sorted_vertices())
+        self.vidx = {v: i for i, v in enumerate(self.verts)}
+        self.edges = tuple(g.sorted_edges())
+        self.ends = tuple((self.vidx[a], self.vidx[b]) for a, b in self.edges)
+        nbr = [0] * len(self.verts)
+        inc = [0] * len(self.verts)
+        for k, (a, b) in enumerate(self.ends):
+            nbr[a] |= 1 << b
+            nbr[b] |= 1 << a
+            inc[a] |= 1 << k
+            inc[b] |= 1 << k
+        self.nbr = tuple(nbr)
+        self.inc = tuple(inc)
+
+
 @dataclass(frozen=True)
 class Graph:
     """An immutable finite simple graph."""
@@ -98,6 +126,11 @@ class Graph:
         on the graph; callers share it and must not modify the dict."""
         return self._adj
 
+    @functools.cached_property
+    def index(self) -> Index:
+        """The graph's Index, built on first use and cached."""
+        return Index(self)
+
     def neighbors(self, v: str) -> frozenset[str]:
         if v not in self.vertices:
             raise GraphError(f"unknown vertex {v!r}")
@@ -137,14 +170,12 @@ class Graph:
         vs = {x for e in keep for x in e}
         return Graph(frozenset(vs), frozenset(keep), None)
 
-    def _reach(self, start: str,
-               within: frozenset[str] | None = None) -> set[str]:
-        """Vertices connected to start, through within only if given."""
+    def _reach(self, start: str) -> set[str]:
+        """Vertices connected to start."""
         seen = {start}
         stack = [start]
         while stack:
-            ns = self._adj[stack.pop()]
-            for w in ns if within is None else ns & within:
+            for w in self._adj[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -276,24 +307,13 @@ def parse_graph6(text: str) -> Graph:
 # -- operations ----------------------------------------------------------
 
 def delete_edges(g: Graph, x: Iterable[Edge]) -> Graph:
-    """Same vertices, edges minus x.  x must be a subset of the edges.
-
-    When g has built its adjacency, the result starts from a copy of
-    it with only the deleted edges' endpoints changed."""
+    """Same vertices, edges minus x.  x must be a subset of the edges."""
     xs = {edge(u, v) for u, v in x}
     missing = xs - g.edges
     if missing:
         raise GraphError(f"cannot delete absent edges {sorted(missing)!r}")
-    out = Graph(g.vertices, g.edges - xs,
-                dict(g.provenance) if g.provenance is not None else None)
-    adj = g.__dict__.get("_adj")
-    if adj is not None:
-        adj = dict(adj)
-        for u, v in xs:
-            adj[u] -= {v}
-            adj[v] -= {u}
-        out.__dict__["_adj"] = adj
-    return out
+    return Graph(g.vertices, g.edges - xs,
+                 dict(g.provenance) if g.provenance is not None else None)
 
 
 def derived_label(base: str, i: int) -> str:

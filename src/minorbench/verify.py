@@ -13,14 +13,15 @@ import json
 import random
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .graph import (Edge, Graph, GraphError, contract_edge, delete_edges,
-                    edge)
+from .graph import (Edge, Graph, GraphError, Index, contract_edge,
+                    delete_edges)
 from .decompose import branch_vertices
-from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, MinorEmbedding,
-                    MinorPredicate, NodeCounter, SearchStatus, _bits,
-                    _check_roots, find_expansion, iter_expansion_footprints)
+from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, MinorPredicate,
+                    Model, NodeCounter, SearchStatus, _bits, _check_roots,
+                    _find, _footprints, find_expansion,
+                    iter_expansion_footprints)
 from .gadgets import CoreSpec, segment_blowup
 
 __all__ = [
@@ -38,7 +39,7 @@ DEFAULT_SEED = 1729
 @dataclass(frozen=True)
 class Budget:
     """Resource limits: search nodes per expansion search, and
-    expansion searches (find_expansion calls) per command."""
+    expansion searches (deletion probes) per command."""
 
     nodes: int | None = DEFAULT_NODE_BUDGET
     searches: int = 10**5
@@ -109,48 +110,50 @@ def max_edge_disjoint_packing(pattern: Graph, host: Graph,
     """Maximum number of pairwise edge-disjoint pattern expansions in host.
 
     Exact when it completes within the node budget: footprints are
-    enumerated once and sorted in (size, edges) order; then, for t = 1,
-    2, ..., a depth-first search places t disjoint ones, each after the
-    last one placed, so each set is tried once and the witness is the
-    first t-combination in that order.  A footprint comes after, and
-    succeeds only where, the minimal ones inside it do, so all
-    footprints would give the same witness.  Each phase gets
-    node_budget nodes; the search uses what enumeration found before
-    running out.  cap stops once that many copies are found.
+    enumerated once, as edge masks over host.index, and sorted in
+    (size, edges) order; then, for t = 1, 2, ..., a depth-first search
+    places t disjoint ones, each after the last one placed, so each set
+    is tried once and the witness is the first t-combination in that
+    order.  A footprint comes after, and succeeds only where, the
+    minimal ones inside it do, so all footprints would give the same
+    witness.  Each phase gets node_budget nodes; the search uses what
+    enumeration found before running out.  cap stops once that many
+    copies are found.  Only the witness is turned back into edges.
     """
     if not pattern.edges:
         raise GraphError("packing needs a pattern with at least one edge")
+    ix = host.index
     listing = NodeCounter(cap=node_budget)
     exact = True
-    footprints: list[frozenset[Edge]] = []
+    footprints: list[int] = []
     try:
-        for _, usage in iter_expansion_footprints(pattern, host, listing):
+        for _, usage in _footprints(pattern, ix, listing):
             footprints.append(usage)
     except BudgetExceeded:
         exact = False
-    footprints.sort(key=lambda s: (len(s), sorted(s)))
+    footprints.sort(key=lambda fp: (fp.bit_count(), _bits(fp)))
     counter = NodeCounter(cap=node_budget)
 
-    def extend(start: int, remaining: frozenset[Edge], need: int
-               ) -> list[frozenset[Edge]] | None:
+    def extend(start: int, remaining: int, need: int) -> list[int] | None:
         if need == 0:
             return []
         # no footprint after start is smaller than footprints[start]
-        if (start == len(footprints)
-                or len(remaining) < need * len(footprints[start])):
+        if (start == len(footprints) or remaining.bit_count()
+                < need * footprints[start].bit_count()):
             return None
+        outside = ~remaining
         for i in range(start, len(footprints)):
             fp = footprints[i]
-            if fp <= remaining:
+            if not fp & outside:
                 counter.spend()
-                rest = extend(i + 1, remaining - fp, need - 1)
+                rest = extend(i + 1, remaining ^ fp, need - 1)
                 if rest is not None:
                     return [fp] + rest
         return None
 
-    best: list[frozenset[Edge]] = []
+    best: list[int] = []
     t = 1
-    full = frozenset(host.edges)
+    full = (1 << len(ix.edges)) - 1
     while cap is None or t <= cap:
         if len(footprints) < t:
             break
@@ -163,8 +166,10 @@ def max_edge_disjoint_packing(pattern: Graph, host: Graph,
             break
         best = got
         t += 1
-    return PackingResult(len(best), tuple(best), exact,
-                         listing.nodes + counter.nodes)
+    return PackingResult(len(best),
+                         tuple(frozenset(map(ix.edges.__getitem__, _bits(fp)))
+                               for fp in best),
+                         exact, listing.nodes + counter.nodes)
 
 
 @dataclass(frozen=True)
@@ -210,20 +215,41 @@ def min_edge_hitting_set(pattern: Graph, host: Graph,
 
 # -- the hitting-set loop ----------------------------------------------------
 
-def _footprint(g: Graph, emb: MinorEmbedding) -> frozenset[Edge]:
-    """Edges a model needs in g: a BFS spanning tree of each branch set
-    plus the edge images.  Deleting edges outside it keeps the model."""
-    adj = g.adjacency()
-    out = set(emb.edge_images.values())
-    for bs in emb.branch_sets.values():
-        todo = [min(bs)]
-        seen = set(todo)
+def _footprint(ix: Index, nbr: Sequence[int], model: Model) -> int:
+    """Edges a model on the host with adjacency masks nbr needs, as a
+    mask over ix's edges: a BFS spanning tree of each branch set, from
+    its lowest vertex with neighbours in ascending order, plus the edge
+    images.  Deleting edges outside it keeps the model."""
+    inc = ix.inc
+    branch, images = model
+    out = 0
+    for a, b in images:
+        out |= inc[a] & inc[b]
+    for B in branch:
+        seen = B & -B
+        todo = [seen.bit_length() - 1]
         for a in todo:
-            for b in sorted(adj[a] & bs - seen):
-                seen.add(b)
+            new = nbr[a] & B & ~seen
+            seen |= new
+            for b in _bits(new):
                 todo.append(b)
-                out.add(edge(a, b))
-    return frozenset(out)
+                out |= inc[a] & inc[b]
+    return out
+
+
+def _probe(pattern: Graph, ix: Index, deleted: int,
+           pins: Mapping[str, int], node_budget: int | None
+           ) -> tuple[SearchStatus, int, int]:
+    """One expansion search on the host indexed by ix less the edges in
+    the mask deleted, pins mapping pattern vertices to host vertex
+    indices.  Returns (status, footprint mask or 0, nodes)."""
+    nbr = list(ix.nbr)
+    for k in _bits(deleted):
+        a, b = ix.ends[k]
+        nbr[a] ^= 1 << b
+        nbr[b] ^= 1 << a
+    status, model, nodes = _find(pattern, nbr, pins, node_budget)
+    return status, 0 if model is None else _footprint(ix, nbr, model), nodes
 
 
 def _rank(X: tuple[int, ...], m: int) -> int:
@@ -343,8 +369,10 @@ def _first_without_model(pattern: Graph, host: Graph,
     found no model.  BUDGET: the search on host - X ran out of nodes,
     or the command ran out of searches before X could be searched.
 
-    Every model found keeps its footprint as a bitmask over the sorted
-    edges, and a set that misses a known footprint keeps that model.
+    Each search is a _probe: the host's Index plus the mask of X, with
+    no graph built for host - X.  Every model found keeps its footprint
+    as a bitmask over the sorted edges, and a set that misses a known
+    footprint keeps that model.
     Per size, _hitting_sets finds the sets to search, so a size whose
     sets all keep a model costs one search per footprint it needs.
     Once a set has no model, or the searches run out, _meeting names
@@ -354,10 +382,9 @@ def _first_without_model(pattern: Graph, host: Graph,
     decides where it stops.  It reuses the result of every set already
     searched, so no set is searched twice.
     """
-    edges = host.sorted_edges()
-    m = len(edges)
-    bit = {e: 1 << i for i, e in enumerate(edges)}
-    host.adjacency()  # built once; every probe carries it over
+    ix = host.index
+    m = len(ix.edges)
+    pins = {u: ix.vidx[v] for u, v in (roots or {}).items()}
     known: list[int] = []
     tried: dict[tuple[int, ...], tuple[SearchStatus, int]] = {}
     decided = searches = nodes = 0
@@ -368,16 +395,14 @@ def _first_without_model(pattern: Graph, host: Graph,
             return tried[X][0]
         if searches == budget.searches:
             return SearchStatus.BUDGET
-        g = delete_edges(host, [edges[i] for i in X])
-        res = find_expansion(pattern, g, roots, node_budget=budget.nodes)
+        status, fp, spent = _probe(pattern, ix, sum(1 << i for i in X), pins,
+                                   budget.nodes)
         searches += 1
-        nodes += res.nodes
-        fp = 0
-        if res.status is SearchStatus.FOUND:
-            fp = sum(bit[e] for e in _footprint(g, res.embedding))
+        nodes += spent
+        if status is SearchStatus.FOUND:
             known.append(fp)
-        tried[X] = res.status, fp
-        return res.status
+        tried[X] = status, fp
+        return status
 
     for s in sizes:
         scanned = known[:]
@@ -386,7 +411,7 @@ def _first_without_model(pattern: Graph, host: Graph,
             for X in _meeting(m, s, scanned):
                 status = search(X)
                 if status is not SearchStatus.FOUND:
-                    return (status, tuple(edges[i] for i in X),
+                    return (status, tuple(ix.edges[i] for i in X),
                             decided + _rank(X, m), searches, nodes)
                 scanned.append(tried[X][1])
         decided += comb(m, s)

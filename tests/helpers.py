@@ -3,7 +3,8 @@
 The oracles here are deliberately slow and definition-shaped; none of
 them call into the package's search or decomposition code paths, except
 product_footprints and reference_footprints, which share the branch-set
-enumeration with the footprint enumerator they check.
+enumeration with the footprint enumerator they check, and
+reference_packing, which reads the footprints that enumerator yields.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from itertools import combinations, permutations, product
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from minorbench import (Graph, MinorEmbedding, NodeCounter, edge,
-                        enumerate_expansions, load_core_spec)
-from minorbench.embed import _crossing_edges
+from minorbench import (BudgetExceeded, Graph, GraphError, MinorEmbedding,
+                        NodeCounter, PackingResult, edge, enumerate_expansions,
+                        iter_expansion_footprints, load_core_spec)
 from minorbench.graph import Edge
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -221,6 +222,84 @@ def oracle_blocks(g: Graph) -> set[tuple[frozenset, frozenset]]:
     return out
 
 
+# -- independent minor oracle -------------------------------------------------
+
+ORACLE_HOST_GUARD = 8
+
+
+def naive_is_minor_oracle(h: Graph, g: Graph) -> bool:
+    """Decide the minor question by brute partition enumeration.
+
+    Enumerates every subset of host vertices, every partition of it into
+    as many blocks as the pattern has vertices, and every assignment of
+    pattern vertices to blocks.  Deliberately written from scratch: it
+    shares no search machinery with find_expansion.
+    """
+    if len(g.vertices) > ORACLE_HOST_GUARD:
+        raise GraphError(f"oracle is limited to hosts with at most "
+                         f"{ORACLE_HOST_GUARD} vertices")
+    hverts = sorted(h.vertices)
+    nh = len(hverts)
+    if nh == 0:
+        return True
+    gverts = sorted(g.vertices)
+    if nh > len(gverts):
+        return False
+    gadj: dict[str, set[str]] = {v: set() for v in gverts}
+    for u, v in g.edges:
+        gadj[u].add(v)
+        gadj[v].add(u)
+    hedges = [tuple(e) for e in h.sorted_edges()]
+
+    def connected(block: list[str]) -> bool:
+        todo = [block[0]]
+        inside = set(block)
+        got = {block[0]}
+        while todo:
+            for w in gadj[todo.pop()]:
+                if w in inside and w not in got:
+                    got.add(w)
+                    todo.append(w)
+        return len(got) == len(inside)
+
+    def blocks_linked(a: list[str], b: list[str]) -> bool:
+        bset = set(b)
+        return any(gadj[x] & bset for x in a)
+
+    def partitions(items: list[str], k: int) -> Iterator[list[list[str]]]:
+        blocks: list[list[str]] = []
+
+        def rec(i: int) -> Iterator[list[list[str]]]:
+            if len(blocks) + (len(items) - i) < k:
+                return
+            if i == len(items):
+                if len(blocks) == k:
+                    yield [list(b) for b in blocks]
+                return
+            x = items[i]
+            for b in blocks:
+                b.append(x)
+                yield from rec(i + 1)
+                b.pop()
+            if len(blocks) < k:
+                blocks.append([x])
+                yield from rec(i + 1)
+                blocks.pop()
+
+        return rec(0)
+
+    for size in range(nh, len(gverts) + 1):
+        for subset in combinations(gverts, size):
+            for blocks in partitions(list(subset), nh):
+                if not all(connected(b) for b in blocks):
+                    continue
+                for perm in permutations(range(nh)):
+                    assign = {hverts[i]: blocks[perm[i]] for i in range(nh)}
+                    if all(blocks_linked(assign[u], assign[w]) for u, w in hedges):
+                        return True
+    return False
+
+
 # -- independent hitting-set oracle -------------------------------------------
 
 def oracle_min_hitting(h: Graph, g: Graph) -> int | None:
@@ -230,7 +309,7 @@ def oracle_min_hitting(h: Graph, g: Graph) -> int | None:
     test, so it shares nothing with the engine's search or the hitting
     routine under test.
     """
-    from minorbench import delete_edges, naive_is_minor_oracle
+    from minorbench import delete_edges
     if not naive_is_minor_oracle(h, g):
         return 0
     es = g.sorted_edges()
@@ -405,6 +484,12 @@ def oracle_footprints(h: Graph, g: Graph) -> tuple:
 
 # -- footprint sequence reference ---------------------------------------------
 
+def crossing_edges(adj: Mapping[str, frozenset[str]], A: frozenset[str],
+                   B: frozenset[str]) -> list[Edge]:
+    """Sorted edges with one end in A and the other in B."""
+    return sorted({edge(a, b) for a in A for b in adj[a] & B})
+
+
 def reference_spanning_trees(vs: frozenset[str],
                              adj: Mapping[str, frozenset[str]],
                              most: int) -> list[tuple[frozenset[Edge], frozenset[str]]]:
@@ -446,7 +531,7 @@ def reference_footprints(h: Graph, g: Graph, counter: NodeCounter
     adj = g.adjacency()
     hedges = h.sorted_edges()
     trees_of = functools.cache(lambda vs, d: reference_spanning_trees(vs, adj, d))
-    cross = functools.cache(lambda A, B: _crossing_edges(adj, A, B))
+    cross = functools.cache(lambda A, B: crossing_edges(adj, A, B))
     for emb in enumerate_expansions(h, g, None, counter):
         bs = emb.branch_sets
         hverts = sorted(bs)
@@ -486,3 +571,78 @@ def footprint_cases() -> dict[str, tuple[Graph, Graph]]:
         host = seeded_host(random.Random(seed), (1, 4))
         cases[f"{name}-seeded-{seed}"] = (patterns[name], host)
     return cases
+
+
+# -- packing sequence reference ------------------------------------------------
+
+def reference_packing(pattern: Graph, host: Graph, cap: int | None = None,
+                      node_budget: int | None = 10**7) -> PackingResult:
+    """The sequence reference for max_edge_disjoint_packing: the search
+    it replaced, on footprints as frozensets of edges.  Footprints from
+    iter_expansion_footprints are sorted by (size, sorted edges); for
+    t = 1, 2, ... a depth-first search places t disjoint ones, each
+    after the last one placed, one node per footprint that fits."""
+    listing = NodeCounter(cap=node_budget)
+    exact = True
+    footprints: list[frozenset[Edge]] = []
+    try:
+        for _, usage in iter_expansion_footprints(pattern, host, listing):
+            footprints.append(usage)
+    except BudgetExceeded:
+        exact = False
+    footprints.sort(key=lambda s: (len(s), sorted(s)))
+    counter = NodeCounter(cap=node_budget)
+
+    def extend(start: int, remaining: frozenset[Edge], need: int
+               ) -> list[frozenset[Edge]] | None:
+        if need == 0:
+            return []
+        if (start == len(footprints)
+                or len(remaining) < need * len(footprints[start])):
+            return None
+        for i in range(start, len(footprints)):
+            fp = footprints[i]
+            if fp <= remaining:
+                counter.spend()
+                rest = extend(i + 1, remaining - fp, need - 1)
+                if rest is not None:
+                    return [fp] + rest
+        return None
+
+    best: list[frozenset[Edge]] = []
+    t = 1
+    while (cap is None or t <= cap) and len(footprints) >= t:
+        try:
+            got = extend(0, frozenset(host.edges), t)
+        except BudgetExceeded:
+            exact = False
+            break
+        if got is None:
+            break
+        best = got
+        t += 1
+    return PackingResult(len(best), tuple(best), exact,
+                         listing.nodes + counter.nodes)
+
+
+# -- label views of the indexed core -------------------------------------------
+
+def vertex_mask(g: Graph, vs) -> int:
+    return sum(1 << g.index.vidx[v] for v in set(vs))
+
+
+def vertex_labels(g: Graph, mask: int) -> set[str]:
+    return {v for i, v in enumerate(g.index.verts) if mask >> i & 1}
+
+
+def edge_labels(g: Graph, mask: int) -> frozenset[Edge]:
+    return frozenset(e for k, e in enumerate(g.index.edges) if mask >> k & 1)
+
+
+def masks_graph(g: Graph, nbr, alive: int) -> Graph:
+    """The graph on g's vertices in alive with adjacency masks nbr."""
+    verts = g.index.verts
+    return Graph.build(vertex_labels(g, alive),
+                       [(verts[a], verts[b]) for a in range(len(verts))
+                        if alive >> a & 1
+                        for b in range(a + 1, len(verts)) if nbr[a] >> b & 1])

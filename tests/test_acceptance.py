@@ -18,8 +18,9 @@ from minorbench import (DEFAULT_SEED, Graph, MinorPredicate, Outcome,
                         connected_components, core_region, delete_edges,
                         find_expansion, graph_json, is_minor,
                         max_edge_disjoint_packing, min_edge_hitting_set,
-                        naive_is_minor_oracle, SearchStatus)
-from helpers import (complete, graphs_up_to_iso, k5_spec, oracle_blocks,
+                        SearchStatus)
+from helpers import (complete, graphs_up_to_iso, k5_spec,
+                     naive_is_minor_oracle, oracle_blocks,
                      oracle_cutvertices, oracle_footprints, p3_star,
                      random_connected_graph, random_graph, rooted_spec,
                      satisfies_leaf_rule, tailed_square, triangle_with_tail,

@@ -8,22 +8,24 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from minorbench import (BudgetExceeded, Graph, GraphError, MinorEmbedding,
-                        MinorPredicate, NodeCounter, SearchStatus,
-                        connected_components, delete_edges, edge,
-                        enumerate_expansions, find_expansion, is_minor,
-                        iter_expansion_footprints, naive_is_minor_oracle,
+                        MinorPredicate, NodeCounter, Outcome, SearchStatus,
+                        check_assembly_robustness, connected_components,
+                        delete_edges, edge, enumerate_expansions,
+                        find_expansion, is_minor, iter_expansion_footprints,
                         parse_graph, partition_components, segment_blowup,
                         verify_embedding)
 from minorbench import embed
-from minorbench.embed import _lift, _reduce_host, _search
+from minorbench.embed import (_labelled, _lift, _reduce_host, _search,
+                              _unlabelled)
 from helpers import (SAMPLES, brute_force_models, complete, cycle_graph,
-                     footprint_cases, inclusion_minimal, oracle_footprints,
-                     path_graph, pattern_automorphisms,
+                     footprint_cases, inclusion_minimal, masks_graph,
+                     naive_is_minor_oracle, oracle_footprints, path_graph,
+                     pattern_automorphisms,
                      random_connected_graph, random_graph,
                      reference_footprints, reference_spanning_trees,
                      satisfies_leaf_rule, seeded_host, star_graph,
                      subdivided, tailed_square, triangle_with_tail,
-                     wheel_graph)
+                     vertex_labels, vertex_mask, wheel_graph)
 
 PROPERTY = settings(max_examples=50, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -596,6 +598,28 @@ def reduction_hosts():
 REDUCTION_HOSTS = dict(reduction_hosts())
 
 
+def reduced(h, g, keep=()):
+    """_reduce_host on g's Index, read back in labels: the reduced host
+    and the merge map, then the merge map as masks."""
+    nbr, alive, merged = _reduce_host(h, g.index.nbr, vertex_mask(g, keep))
+    return (masks_graph(g, nbr, alive),
+            {g.index.verts[v]: vertex_labels(g, group)
+             for v, group in merged.items()}, merged)
+
+
+def lifted(h, g, model, merged):
+    """_lift of a label model on the reduced host back to g, in labels."""
+    return _labelled(h, g.index, _lift(_unlabelled(h, g.index, model),
+                                       g.index.nbr, merged))
+
+
+def lossy_lift(model, nbr, merged):
+    """_lift, less every vertex the reduction contracted."""
+    branch, images = _lift(model, nbr, merged)
+    drop = sum(merged.values())
+    return [B & ~drop for B in branch], images
+
+
 def small_host(seed):
     """A host of at most 8 vertices with some edges subdivided once."""
     rng = random.Random(seed)
@@ -632,7 +656,7 @@ class TestHostReduction:
         # each of the six K4 edges runs over two parallel 2-vertex paths:
         # one is contracted into its ends, the other deleted whole
         host = gadget(complete("pqst"), 2, 2, 0, 0)
-        small, merged = _reduce_host(complete("wxyz"), host, frozenset())
+        small, merged, _ = reduced(complete("wxyz"), host)
         assert small == complete("pqst")
         absorbed = [v for group in merged.values() for v in group]
         assert len(absorbed) == len(set(absorbed)) == 12
@@ -646,8 +670,8 @@ class TestHostReduction:
     @pytest.mark.parametrize("name", sorted(REDUCTION_HOSTS))
     def test_groups_are_disjoint_and_connected(self, name):
         host, pins = REDUCTION_HOSTS[name]
-        small, merged = _reduce_host(complete("wxyz"), host,
-                                     frozenset((pins or {}).values()))
+        small, merged, _ = reduced(complete("wxyz"), host,
+                                   (pins or {}).values())
         absorbed = [v for group in merged.values() for v in group]
         assert len(absorbed) == len(set(absorbed))
         assert not set(absorbed) & small.vertices
@@ -659,10 +683,10 @@ class TestHostReduction:
 
     def test_pin_absorbs_but_is_never_absorbed(self):
         cycle = cycle_graph("abcdef")
-        small, merged = _reduce_host(complete("wxyz"), cycle, frozenset("a"))
+        small, merged, _ = reduced(complete("wxyz"), cycle, "a")
         assert small.vertices == {"a"}
         assert merged == {"a": set("def")}
-        small, merged = _reduce_host(complete("wxyz"), cycle, frozenset("e"))
+        small, merged, _ = reduced(complete("wxyz"), cycle, "e")
         assert small.vertices == {"e"}
         assert all("e" not in group for group in merged.values())
 
@@ -671,21 +695,22 @@ class TestHostReduction:
         # tree, and the search's model is already a model in the host
         host = Graph.build([], list(complete("pqst").edges) +
                            [("t", "u"), ("u", "v"), ("u", "w")])
-        small, merged = _reduce_host(complete("xyz"), host, frozenset())
+        small, merged, masks = reduced(complete("xyz"), host)
         assert small == complete("pqst") and merged == {}
         model = _search(complete("xyz"), small, node_budget=None).embedding
-        assert _lift(model, host, merged) == model
+        assert lifted(complete("xyz"), host, model, masks) == model
 
     def test_pinned_vertex_is_kept(self):
         cycle = cycle_graph("pqrstuvo")
-        small, _ = _reduce_host(complete("wxyz"), cycle, frozenset("r"))
+        small, _, _ = reduced(complete("wxyz"), cycle, "r")
         assert small.vertices == {"r"}
         res = find_expansion(path_graph("wx"), cycle, {"w": "r"})
         assert "r" in res.embedding.branch_sets["w"]
 
     def test_patterns_with_a_leaf_keep_the_host(self):
         host = seeded_host(random.Random(0))
-        assert _reduce_host(path_graph("xyz"), host, frozenset())[0] is host
+        nbr = host.index.nbr
+        assert _reduce_host(path_graph("xyz"), nbr, 0)[0] is nbr
 
     @pytest.mark.parametrize("name", sorted(REDUCTION_HOSTS))
     def test_lift_keeps_no_hanging_path(self, name):
@@ -693,15 +718,14 @@ class TestHostReduction:
         # needs: inside the set, or leading to the vertex's edge image
         host, pins = REDUCTION_HOSTS[name]
         for pattern in REDUCTION_PATTERNS.values():
-            small, merged = _reduce_host(pattern, host,
-                                         frozenset((pins or {}).values()))
+            small, _, merged = reduced(pattern, host, (pins or {}).values())
             model = _search(pattern, small, pins, node_budget=None).embedding
             if model is None:
                 continue
-            lifted = _lift(model, host, merged)
-            assert verify_embedding(pattern, host, lifted)
-            ends = {v for e in lifted.edge_images.values() for v in e}
-            for u, bs in lifted.branch_sets.items():
+            out = lifted(pattern, host, model, merged)
+            assert verify_embedding(pattern, host, out)
+            ends = {v for e in out.edge_images.values() for v in e}
+            for u, bs in out.branch_sets.items():
                 assert model.branch_sets[u] <= bs
                 for v in bs - model.branch_sets[u] - ends:
                     assert len(host.neighbors(v) & bs) == 2
@@ -718,25 +742,29 @@ class TestHostReduction:
         r = rng.choice([2, 3])
         host = gadget(base, rng.choice([1, 2]), r, r - 1, seed)
         pattern = REDUCTION_PATTERNS[name]
-        small, merged = _reduce_host(pattern, host, frozenset())
+        small, merged, masks = reduced(pattern, host)
         model = _search(pattern, small, node_budget=None).embedding
-        lifted = _lift(model, host, merged)
-        assert verify_embedding(pattern, host, lifted)
+        out = lifted(pattern, host, model, masks)
+        assert verify_embedding(pattern, host, out)
         absorbed = sorted(set().union(*merged.values()))
         assert absorbed  # every pattern edge of the gadget runs over a path
         v = data.draw(st.sampled_from(absorbed))
         broken = MinorEmbedding({u: bs - {v} for u, bs in
-                                 lifted.branch_sets.items()},
-                                lifted.edge_images)
+                                 out.branch_sets.items()},
+                                out.edge_images)
         assert not verify_embedding(pattern, host, broken)
 
     def test_find_expansion_rejects_a_broken_lift(self, monkeypatch):
-        def lossy(m, g, merged):
-            out = _lift(m, g, merged)
-            drop = set().union(*merged.values())
-            return MinorEmbedding({u: bs - drop for u, bs in
-                                   out.branch_sets.items()}, out.edge_images)
-
-        monkeypatch.setattr(embed, "_lift", lossy)
+        monkeypatch.setattr(embed, "_lift", lossy_lift)
         with pytest.raises(RuntimeError):
             find_expansion(complete("wxyz"), subdivided(complete("pqst"), 1))
+
+    def test_scan_rejects_a_broken_lift(self, monkeypatch):
+        # every probe of this scan finds a model on a host whose paths
+        # were contracted; with the lift broken, none may count
+        host = gadget(complete("pqst"), 1, 2, 0, 0)
+        rep = check_assembly_robustness(complete("wxyz"), host, 2)
+        assert rep.outcome is Outcome.HOLDS and rep.stats["searches"] > 0
+        monkeypatch.setattr(embed, "_lift", lossy_lift)
+        with pytest.raises(RuntimeError):
+            check_assembly_robustness(complete("wxyz"), host, 2)

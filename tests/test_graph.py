@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from minorbench import (Graph, GraphError, ParseError, connected_components,
                         contract_edge, delete_edges, edge, parse_graph,
                         parse_graph6, relabeled_union, serialize)
+from minorbench.graph import Index
 from helpers import (complete, cycle_graph, path_graph, random_graph,
                      seeded_host)
 
@@ -101,6 +102,24 @@ class TestGraph:
 def scan_neighbors(g: Graph, v: str) -> set[str]:
     """Neighbours of v by a scan over every edge."""
     return {w for e in g.edges if v in e for w in e if w != v}
+
+
+def check_index(g: Graph):
+    """g.index numbers g's vertices and edges in sorted order, holds its
+    adjacency and incidence, and equals a fresh build."""
+    ix = g.index
+    fresh = Graph(g.vertices, g.edges).index
+    assert all(getattr(ix, f) == getattr(fresh, f) for f in Index.__slots__)
+    assert list(ix.verts) == g.sorted_vertices()
+    assert list(ix.edges) == g.sorted_edges()
+    assert all(ix.vidx[v] == i for i, v in enumerate(ix.verts))
+    for k, (a, b) in enumerate(ix.ends):
+        assert a < b and (ix.verts[a], ix.verts[b]) == ix.edges[k]
+    for i, v in enumerate(ix.verts):
+        assert {w for j, w in enumerate(ix.verts)
+                if ix.nbr[i] >> j & 1} == g.neighbors(v)
+        assert {e for k, e in enumerate(ix.edges)
+                if ix.inc[i] >> k & 1} == {e for e in g.edges if v in e}
 
 
 class TestAdjacency:
@@ -252,22 +271,28 @@ class TestOperations:
         assert out.edges == {("a", "c"), ("b", "c")}
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_delete_edges_carries_the_adjacency_over(self, seed):
+    def test_index_matches_a_fresh_build(self, seed):
         rng = random.Random(seed)
         host = seeded_host(rng)
-        host.adjacency()
+        assert host.index is host.index
+        check_index(host)
         edges = host.sorted_edges()
         for _ in range(10):
-            out = delete_edges(host, rng.sample(edges, rng.randint(0, 6)))
-            assert "_adj" in out.__dict__
-            fresh = Graph(out.vertices, out.edges)
-            assert out.adjacency() == fresh.adjacency()
-        assert host.adjacency() == Graph(host.vertices,
-                                         host.edges).adjacency()
+            out = delete_edges(host, rng.sample(edges, rng.randint(1, 6)))
+            assert "index" not in out.__dict__
+            check_index(out)
+            assert len(out.index.edges) < len(host.index.edges)
+        check_index(host)
 
-    def test_delete_edges_builds_no_adjacency_of_its_own(self):
-        out = delete_edges(complete("abc"), [("a", "b")])
-        assert "_adj" not in out.__dict__
+    def test_delete_edges_numbers_its_own_edges(self):
+        g = complete("abc")
+        g.index
+        out = delete_edges(g, [("a", "b")])
+        assert "index" not in out.__dict__ and "_adj" not in out.__dict__
+        assert out.index.edges == (("a", "c"), ("b", "c"))
+        assert out.index.ends == ((0, 2), (1, 2))
+        assert out.index.nbr == (0b100, 0b100, 0b011)
+        assert out.index.inc == (0b01, 0b10, 0b11)
         assert out.neighbors("a") == {"c"}
 
     def test_delete_absent_edge_rejected(self):

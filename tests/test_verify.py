@@ -19,16 +19,24 @@ from minorbench import (Budget, BudgetExceeded, CoreSpec, Graph, GraphError,
                         core_region, delete_edges, find_expansion, graph_json,
                         is_minor, iter_expansion_footprints,
                         max_edge_disjoint_packing, min_edge_hitting_set,
-                        naive_is_minor_oracle, segment_blowup,
-                        verify_embedding)
+                        segment_blowup, verify_embedding)
 from minorbench import verify
+from minorbench.embed import _unlabelled
 from minorbench.verify import _footprint, _hitting_sets, _meeting, _rank
-from helpers import (complete, cycle_graph, footprint_cases, graphs_up_to_iso,
-                     k5_spec, oracle_footprints, oracle_min_hitting,
-                     oracle_packing, p3_star, path_graph,
-                     random_connected_graph, random_graph, rooted_spec,
+from helpers import (complete, cycle_graph, edge_labels, footprint_cases,
+                     graphs_up_to_iso, k5_spec, naive_is_minor_oracle,
+                     oracle_footprints, oracle_min_hitting, oracle_packing,
+                     p3_star, path_graph, random_connected_graph,
+                     random_graph, reference_packing, rooted_spec,
                      satisfies_leaf_rule, seeded_host, tailed_square,
-                     triangle_with_tail, two_part_host)
+                     triangle_with_tail, two_part_host, wheel_graph)
+
+
+def label_footprint(g, emb):
+    """_footprint of a label model in g, as g's edges."""
+    h = Graph.build(emb.branch_sets, emb.edge_images)
+    return edge_labels(g, _footprint(g.index, g.index.nbr,
+                                     _unlabelled(h, g.index, emb)))
 
 
 class TestReportPlumbing:
@@ -60,6 +68,26 @@ def packing_cases():
 
 
 PACKING_CASES = dict(packing_cases())
+
+
+def packing_reference_cases():
+    """name -> (pattern, host, cap, node budget): the footprint cases,
+    K3 and C4 in seeded 10-12 vertex hosts, and K3 in K6 stopped by the
+    cap and by the node budget in the middle of the search."""
+    for name, (pattern, host) in footprint_cases().items():
+        yield name, (pattern, host, None, None)
+    for seed in range(4):
+        rng = random.Random(seed)
+        host = random_connected_graph(rng, rng.randint(10, 12),
+                                      rng.randint(4, 9))
+        for pname, pattern in (("K3", complete("xyz")),
+                               ("C4", cycle_graph("wxyz"))):
+            yield f"{pname}-seeded-{seed}", (pattern, host, None, None)
+    yield "K3-K6-cap", (complete("xyz"), complete("123456"), 1, None)
+    yield "K3-K6-budget", (complete("xyz"), complete("123456"), None, 140)
+
+
+PACKING_REFERENCE_CASES = dict(packing_reference_cases())
 
 
 class TestPacking:
@@ -104,6 +132,12 @@ class TestPacking:
         res = max_edge_disjoint_packing(complete("xyz"), complete("12345"),
                                         node_budget=3)
         assert not res.exact
+
+    @pytest.mark.parametrize("name", sorted(PACKING_REFERENCE_CASES))
+    def test_mask_search_matches_reference(self, name):
+        pattern, host, cap, budget = PACKING_REFERENCE_CASES[name]
+        got = max_edge_disjoint_packing(pattern, host, cap, budget)
+        assert got == reference_packing(pattern, host, cap, budget)
 
     @pytest.mark.parametrize("name", sorted(PACKING_CASES))
     def test_count_and_witness_match_brute_force(self, name):
@@ -259,7 +293,7 @@ class TestGadgetRobustness:
         host = segment_blowup(g, ctx, 4)
         sets = list(combinations(host.sorted_edges(), 3))
         left = delete_edges(host, sets[0])
-        fp = _footprint(left, find_expansion(g, left).embedding)
+        fp = label_footprint(left, find_expansion(g, left).embedding)
         rank, first = next((i, X) for i, X in enumerate(sets, 1)
                            if not fp.isdisjoint(X))
         rep = check_gadget_robustness(g, ctx, 4, budget=Budget(searches=1))
@@ -352,7 +386,7 @@ def lexicographic_loop(pattern, host, sizes, roots=None, node_budget=None):
             nodes += res.nodes
             if res.status is not SearchStatus.FOUND:
                 return res.status, X, checked, searches, nodes
-            known.append(_footprint(g, res.embedding))
+            known.append(label_footprint(g, res.embedding))
     return SearchStatus.FOUND, None, checked, searches, nodes
 
 
@@ -399,22 +433,30 @@ def scan_cases():
 
 
 def search_each_set_once(monkeypatch, host):
-    """Wrap the scans' find_expansion so that it fails on a deletion set
-    of host searched twice; returns the list of sets searched."""
+    """Wrap the scans' probe so that it fails on a deletion set of host
+    searched twice; returns the list of sets searched."""
     searched = []
-    real = verify.find_expansion
+    real = verify._probe
 
-    def once(pattern, g, *args, **kwargs):
-        X = host.edges - g.edges
+    def once(pattern, ix, deleted, *args, **kwargs):
+        assert ix is host.index
+        X = edge_labels(host, deleted)
         assert X not in searched, f"searched twice: {sorted(X)}"
         searched.append(X)
-        return real(pattern, g, *args, **kwargs)
+        return real(pattern, ix, deleted, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "find_expansion", once)
+    monkeypatch.setattr(verify, "_probe", once)
     return searched
 
 
 SCAN_CASES = dict(scan_cases())
+PROBE_HOSTS = {f"seeded-{seed}": seeded_host(random.Random(seed), (1, 12))
+               for seed in range(6)}
+PROBE_HOSTS["K4-gadget-r3"] = segment_blowup(complete("pqst"),
+                                             complete("pqst"), 3)
+PROBE_PATTERNS = [complete("xyz"), cycle_graph("wxyz"), complete("wxyz"),
+                  wheel_graph("h", "wxyz")]
+PROBE_BUDGETS = (100, 20000)
 OUTCOME_OF = {SearchStatus.FOUND: Outcome.HOLDS,
               SearchStatus.NONE: Outcome.REFUTED,
               SearchStatus.BUDGET: Outcome.BUDGET}
@@ -432,7 +474,7 @@ class TestModelReuse:
             if res.status is not SearchStatus.FOUND:
                 continue
             found += 1
-            fp = _footprint(host, res.embedding)
+            fp = label_footprint(host, res.embedding)
             assert fp <= host.edges
             assert len(fp) == (len(res.embedding.used_vertices())
                                - len(pattern.vertices) + len(pattern.edges))
@@ -447,8 +489,26 @@ class TestModelReuse:
         host = cycle_graph("abcdef")
         emb = MinorEmbedding({"x": frozenset("abc"), "y": frozenset("def")},
                              {("x", "y"): ("c", "d")})
-        assert _footprint(host, emb) == {("a", "b"), ("b", "c"),
-                                         ("c", "d"), ("d", "e"), ("e", "f")}
+        assert label_footprint(host, emb) == {("a", "b"), ("b", "c"), ("c", "d"),
+                                              ("d", "e"), ("e", "f")}
+
+    @pytest.mark.parametrize("name", sorted(PROBE_HOSTS))
+    def test_probe_matches_search_on_the_deleted_host(self, name):
+        host = PROBE_HOSTS[name]
+        rng = random.Random(name)
+        for pattern in PROBE_PATTERNS:
+            for _ in range(4):
+                X = rng.sample(host.sorted_edges(), rng.randint(0, 4))
+                deleted = sum(1 << host.index.edges.index(e) for e in X)
+                budget = rng.choice(PROBE_BUDGETS)
+                status, fp, nodes = verify._probe(pattern, host.index, deleted,
+                                                  {}, budget)
+                g = delete_edges(host, X)
+                res = find_expansion(pattern, g, node_budget=budget)
+                assert (status, nodes) == (res.status, res.nodes)
+                assert edge_labels(host, fp) == (
+                    frozenset() if res.embedding is None
+                    else label_footprint(g, res.embedding))
 
     @pytest.mark.parametrize("name", sorted(SCAN_CASES))
     def test_scan_matches_per_probe_oracle(self, name, monkeypatch):
@@ -744,6 +804,14 @@ def use_product_oracle(monkeypatch):
     """Make the checks in verify read helpers.product_footprints."""
     monkeypatch.setattr(verify, "iter_expansion_footprints",
                         lambda h, g, counter: iter(oracle_footprints(h, g)))
+
+    def masks(h, ix, counter):
+        bit = {e: 1 << k for k, e in enumerate(ix.edges)}
+        g = Graph(frozenset(ix.verts), frozenset(ix.edges))
+        for _, usage in oracle_footprints(h, g):
+            yield None, sum(map(bit.__getitem__, usage))
+
+    monkeypatch.setattr(verify, "_footprints", masks)
 
 
 def component_locality_case():
