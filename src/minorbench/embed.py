@@ -247,18 +247,19 @@ def _symmetry_floors(h: Graph, pinned: frozenset[str]
 
 def _branch_set_maps(h: Graph, nbr: Sequence[int], alive: int,
                      pins: Mapping[str, int], counter: NodeCounter,
-                     admits: Callable[[int, int], bool] | None = None
-                     ) -> Iterator[list[int]]:
+                     admits: Callable[[int, int], bool] | None = None,
+                     volume: int | None = None) -> Iterator[list[int]]:
     """The branch sets of enumerate_expansions' models, in its order, on
     the host with adjacency masks nbr restricted to the vertex mask
     alive.  pins maps pattern vertices to host vertex indices.  Branch
     sets come as one live list of vertex masks, in h.index order, that
     the next step changes: copy it to keep it.  A candidate set that
     admits(position, set) rejects is dropped after it is counted, with
-    everything that would extend it."""
+    everything that would extend it.  volume, if given, caps the branch
+    sets' total size: larger sets are not grown."""
     hix = h.index
     nh = len(hix.verts)
-    ng = alive.bit_count()
+    ng = alive.bit_count() if volume is None else min(alive.bit_count(), volume)
     if not nh:
         yield []
         return
@@ -614,8 +615,8 @@ def _spanning_trees(vs: int, most: int, ends: list[tuple[int, int]],
     return out
 
 
-def _footprints(h: Graph, ix: Index, counter: NodeCounter
-                ) -> Iterator[tuple[Model, int]]:
+def _footprints(h: Graph, ix: Index, counter: NodeCounter,
+                volume: int | None = None) -> Iterator[tuple[Model, int]]:
     """Yield (model, footprint as a mask over ix's edges), deduplicated
     by footprint, for the expansion subgraphs (a spanning tree per
     branch set plus one host edge per pattern edge) whose tree leaves
@@ -633,6 +634,11 @@ def _footprints(h: Graph, ix: Index, counter: NodeCounter
     every combination with the same ones.  Both caches live for one
     call.  counter counts the branch sets tried and every (tree
     combination, image choice) that passes the leaf rule.
+
+    A footprint whose branch sets hold n vertices has n - |V(h)| + |E(h)|
+    edges: a tree has one edge fewer than its branch set, and there are
+    |E(h)| images.  volume, if given, caps n: the footprints of at most
+    volume - |V(h)| + |E(h)| edges come, in the uncapped order.
     """
     ends, inc = ix.ends, ix.inc
     nh = len(h.index.verts)
@@ -673,7 +679,8 @@ def _footprints(h: Graph, ix: Index, counter: NodeCounter
 
     seen: set[int] = set()
     for bs in _branch_set_maps(h, ix.nbr, (1 << len(ix.verts)) - 1, {},
-                               counter, lambda p, B: bool(trees_of(B, deg[p]))):
+                               counter, lambda p, B: bool(trees_of(B, deg[p])),
+                               volume):
         for trees in product(*(trees_of(bs[p], deg[p]) for p in range(nh))):
             base = 0
             for t, _, _ in trees:

@@ -12,6 +12,7 @@ import enum
 import json
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -109,63 +110,102 @@ def max_edge_disjoint_packing(pattern: Graph, host: Graph,
                               ) -> PackingResult:
     """Maximum number of pairwise edge-disjoint pattern expansions in host.
 
-    Exact when it completes within the node budget: footprints are
-    enumerated once, as edge masks over host.index, and sorted in
-    (size, edges) order; then, for t = 1, 2, ..., a depth-first search
-    places t disjoint ones, each after the last one placed, so each set
-    is tried once and the witness is the first t-combination in that
+    Footprints are edge masks over host.index in one list sorted in
+    (size, edges) order.  For t = 1, 2, ..., a depth-first search places
+    t disjoint ones, each after the last one placed, so each set is
+    tried once and the witness is the first t-combination in that
     order.  A footprint comes after, and succeeds only where, the
     minimal ones inside it do, so all footprints would give the same
-    witness.  Each phase gets node_budget nodes; the search uses what
-    enumeration found before running out.  cap stops once that many
-    copies are found.  Only the witness is turned back into edges.
+    witness.  cap stops once that many copies are found.
+
+    A footprint's size fixes its branch sets' total size (_footprints),
+    so the list grows by bands of sizes, each twice as wide as the last,
+    and always holds every footprint up to some size.  A node that has
+    tried every listed footprint lists the next band only if need more
+    of its smallest size fit in the room edges left, and only up to room
+    - (need - 1) * |E(pattern)| edges.  A bitset per host edge over the
+    positions of the footprints holding it gives a node's fitting ones.
+
+    The band walks share one budget of node_budget nodes, and every
+    phase shares another.  When either runs out, exact is False and the
+    witness is the best packing among the footprints listed so far.
     """
     if not pattern.edges:
         raise GraphError("packing needs a pattern with at least one edge")
     ix = host.index
-    listing = NodeCounter(cap=node_budget)
-    exact = True
+    mh = len(pattern.edges)
+    shift = len(pattern.vertices) - mh  # s edges: s + shift branch vertices
+    listing, counter = NodeCounter(node_budget), NodeCounter(node_budget)
     footprints: list[int] = []
-    try:
-        for _, usage in _footprints(pattern, ix, listing):
-            footprints.append(usage)
-    except BudgetExceeded:
-        exact = False
-    footprints.sort(key=lambda fp: (fp.bit_count(), _bits(fp)))
-    counter = NodeCounter(cap=node_budget)
+    holding = [0] * len(ix.edges)  # bitsets over positions, per host edge
+    listed = mh - 1  # every footprint of at most this many edges is listed
+    width = 1
+    done = False  # nothing is left to list, or the listing budget ran out
+    exact = True
+
+    def grow(room: int, need: int) -> bool:
+        """List bands until one adds footprints: True if one did."""
+        nonlocal listed, width, done, exact
+        while not done and room >= need * (listed + 1):
+            hi = min(listed + width, room - (need - 1) * mh)
+            width *= 2
+            band = []
+            try:
+                for _, usage in _footprints(pattern, ix, listing, hi + shift):
+                    if usage.bit_count() > listed:
+                        band.append((usage.bit_count(), _bits(usage), usage))
+            except BudgetExceeded:
+                exact, done = False, True
+            listed = hi
+            done = done or hi + shift >= len(ix.verts)
+            if band:
+                band.sort()
+                rows = [bytearray(b"0" * len(band)) for _ in holding]
+                for p, (_, edges, _) in enumerate(band):
+                    for k in edges:
+                        rows[k][-1 - p] = 49  # "1"
+                for k, row in enumerate(rows):
+                    holding[k] |= int(row, 2) << len(footprints)
+                footprints.extend(fp for _, _, fp in band)
+                return True
+        return False
 
     def extend(start: int, remaining: int, need: int) -> list[int] | None:
         if need == 0:
             return []
-        # no footprint after start is smaller than footprints[start]
-        if (start == len(footprints) or remaining.bit_count()
-                < need * footprints[start].bit_count()):
+        room = remaining.bit_count()
+        if start == len(footprints) and not grow(room, need):
             return None
-        outside = ~remaining
-        for i in range(start, len(footprints)):
-            fp = footprints[i]
-            if not fp & outside:
+        # no footprint after start is smaller than footprints[start]
+        if room < need * footprints[start].bit_count():
+            return None
+        known, free = start, 0
+        while True:
+            if known < len(footprints):  # take in the positions listed since
+                used = _bits(~remaining & (1 << len(ix.edges)) - 1)
+                blocked = reduce(int.__or__, map(holding.__getitem__, used), 0)
+                free |= ~blocked & (1 << len(footprints)) - (1 << known)
+                known = len(footprints)
+            if free:
+                i = (free & -free).bit_length() - 1
+                free ^= 1 << i
                 counter.spend()
-                rest = extend(i + 1, remaining ^ fp, need - 1)
+                rest = extend(i + 1, remaining ^ footprints[i], need - 1)
                 if rest is not None:
-                    return [fp] + rest
-        return None
+                    return [footprints[i]] + rest
+            elif not grow(room, need):
+                return None
 
     best: list[int] = []
-    t = 1
-    full = (1 << len(ix.edges)) - 1
-    while cap is None or t <= cap:
-        if len(footprints) < t:
-            break
+    while cap is None or len(best) < cap:
         try:
-            got = extend(0, full, t)
+            got = extend(0, (1 << len(ix.edges)) - 1, len(best) + 1)
         except BudgetExceeded:
             exact = False
             break
         if got is None:
             break
         best = got
-        t += 1
     return PackingResult(len(best),
                          tuple(frozenset(map(ix.edges.__getitem__, _bits(fp)))
                                for fp in best),

@@ -558,6 +558,61 @@ class TestFootprintSequence:
                         vs, g.adjacency(), most)
 
 
+def capped_footprints(h, g, cap, volume=None):
+    """The (model, footprint) pairs _footprints yields under the volume
+    cap before its node cap runs out, and whether it finished."""
+    out = []
+    try:
+        for item in embed._footprints(h, g.index, NodeCounter(cap=cap),
+                                      volume):
+            out.append(item)
+    except BudgetExceeded:
+        return out, False
+    return out, True
+
+
+def check_volume_caps(h, g, cap):
+    """Every footprint has as many edges as its branch sets' volume
+    less |V(h)| plus |E(h)|, and the walk under a volume cap yields the
+    uncapped walk's footprints of at most that size, in its order.
+    Under a node cap the capped walk gets at least as far: it counts a
+    subsequence of the uncapped walk's nodes."""
+    nh, mh = len(h.vertices), len(h.edges)
+    full, full_done = capped_footprints(h, g, cap)
+    for (branch, _), usage in full:
+        assert usage.bit_count() == sum(B.bit_count() for B in branch) - nh + mh
+    for volume in range(nh - 1, nh + 5):
+        most = volume - nh + mh
+        got, done = capped_footprints(h, g, cap, volume)
+        want = [item for item in full if item[1].bit_count() <= most]
+        assert got[:len(want)] == want
+        assert all(usage.bit_count() <= most for _, usage in got)
+        if full_done:
+            assert done and got == want
+
+
+class TestVolumeCap:
+    """_footprints with a cap on the branch sets' total size, which the
+    packing search lists footprints by."""
+
+    @pytest.mark.parametrize("name", sorted(FOOTPRINT_CASES))
+    def test_footprint_cases(self, name):
+        check_volume_caps(*FOOTPRINT_CASES[name], None)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("name", ["K3", "C4", "K4"])
+    def test_seeded_hosts(self, name, seed):
+        h = {"K3": complete("xyz"), "C4": cycle_graph("wxyz"),
+             "K4": complete("wxyz")}[name]
+        check_volume_caps(h, seeded_host(random.Random(seed)), 5000)
+
+    def test_cap_below_the_pattern_yields_nothing(self):
+        h, g = complete("xyz"), complete("abcde")
+        assert capped_footprints(h, g, None, 2) == ([], True)
+        got, _ = capped_footprints(h, g, None, 3)
+        assert len(got) == comb(5, 3)
+
+
 # -- host reduction against the unreduced search -------------------------------
 
 REDUCTION_PATTERNS = {"K3": complete("xyz"), "C4": cycle_graph("wxyz"),

@@ -108,6 +108,11 @@ CASES = [
     ("robust-k4-gadget-search-budget", 2,
      ["robust", K4, "--ctx", K4, "-r", "4", "--budget", "10000000:5"]),
     ("hit-search-budget", 2, ["hit", TRI, K4, "--budget", "10000000:7"]),
+    # the 16-vertex K4 gadget at r = 2 and its exact packing: footprints
+    # are listed by size only as far as the search can use them
+    ("gtimes-k4-gadget-r2", 0, ["gtimes", K4, "--ctx", K4, "-r", "2"]),
+    ("pack-k4-gadget-r2", 0,
+     ["pack", K4, str(GOLDEN / "gtimes-k4-gadget-r2.out")]),
 ]
 
 

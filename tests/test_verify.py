@@ -135,9 +135,23 @@ class TestPacking:
 
     @pytest.mark.parametrize("name", sorted(PACKING_REFERENCE_CASES))
     def test_mask_search_matches_reference(self, name):
+        """Where the reference is exact, the banded search gives its
+        count and witness; node counts differ, as bands list fewer
+        footprints.  Under a budget both stop, at different places."""
         pattern, host, cap, budget = PACKING_REFERENCE_CASES[name]
         got = max_edge_disjoint_packing(pattern, host, cap, budget)
-        assert got == reference_packing(pattern, host, cap, budget)
+        want = reference_packing(pattern, host, cap, budget)
+        if want.exact:
+            assert (got.count, got.witness, got.exact) == (
+                want.count, want.witness, True)
+            return
+        assert name == "K3-K6-budget"
+        assert not got.exact and got.count <= 4
+        assert got.count == len(got.witness)
+        for a, b in combinations(got.witness, 2):
+            assert not a & b
+        for fp in got.witness:
+            assert is_minor(pattern, host.edge_subgraph(fp))
 
     @pytest.mark.parametrize("name", sorted(PACKING_CASES))
     def test_count_and_witness_match_brute_force(self, name):
@@ -147,6 +161,37 @@ class TestPacking:
         res = max_edge_disjoint_packing(pattern, host, node_budget=None)
         assert res.exact
         assert (res.count, res.witness) == oracle_packing(listed)
+
+
+BANDED_CASES = {
+    **{f"{name}-seeded-{seed}": (pattern, seeded_host(random.Random(seed),
+                                                      chords=(1, 4)))
+       for seed in (1, 2, 4, 6)
+       for name, pattern in (("K3", complete("xyz")),
+                             ("C4", cycle_graph("wxyz")),
+                             ("K4", complete("wxyz")))},
+    "K3-K7": (complete("xyz"), complete("1234567")),
+    "K4-K6": (complete("wxyz"), complete("123456")),
+}
+
+
+class TestBands:
+    """Packing over footprints listed one size band at a time against
+    helpers.reference_packing, which lists them all first."""
+
+    @pytest.mark.parametrize("name", sorted(BANDED_CASES))
+    def test_matches_reference(self, name):
+        pattern, host = BANDED_CASES[name]
+        got = max_edge_disjoint_packing(pattern, host, node_budget=None)
+        want = reference_packing(pattern, host, node_budget=None)
+        assert (got.count, got.witness, got.exact) == (
+            want.count, want.witness, True)
+
+    def test_fano_plane_lists_only_triangles(self):
+        # seven triangles fill K7's 21 edges, so no longer cycle is listed
+        res = max_edge_disjoint_packing(complete("xyz"), complete("1234567"))
+        assert res.count == 7 and res.exact
+        assert res.nodes < 200
 
 
 class TestHitting:
@@ -805,11 +850,14 @@ def use_product_oracle(monkeypatch):
     monkeypatch.setattr(verify, "iter_expansion_footprints",
                         lambda h, g, counter: iter(oracle_footprints(h, g)))
 
-    def masks(h, ix, counter):
+    def masks(h, ix, counter, volume=None):
         bit = {e: 1 << k for k, e in enumerate(ix.edges)}
         g = Graph(frozenset(ix.verts), frozenset(ix.edges))
+        most = len(ix.edges) if volume is None else (
+            volume - len(h.vertices) + len(h.edges))
         for _, usage in oracle_footprints(h, g):
-            yield None, sum(map(bit.__getitem__, usage))
+            if len(usage) <= most:
+                yield None, sum(map(bit.__getitem__, usage))
 
     monkeypatch.setattr(verify, "_footprints", masks)
 
