@@ -298,49 +298,13 @@ def _rank(X: tuple[int, ...], m: int) -> int:
     return comb(m, s) - sum(comb(m - 1 - i, s - d) for d, i in enumerate(X))
 
 
-def _meeting(m: int, s: int, known: list[int]) -> Iterator[tuple[int, ...]]:
-    """Yield the s-subsets of range(m), in combinations() order, that
-    meet every bitmask in known; masks appended between yields prune
-    every later set.
-
-    A depth-first search in that order that reads known at each node.
-    A prefix is dropped when the masks it leaves unmet, cut to the
-    indices still open, include an empty mask or more pairwise-disjoint
-    masks than there are slots.
-    """
-    chosen: list[int] = []
-
-    def walk(lo: int, mask: int) -> Iterator[tuple[int, ...]]:
-        slots = s - len(chosen)
-        taken = disjoint = 0
-        for fp in known:
-            if fp & mask:
-                continue
-            cut = fp >> lo
-            if not cut:
-                return
-            if not cut & taken:
-                taken |= cut
-                disjoint += 1
-                if disjoint > slots:
-                    return
-        if not slots:
-            yield tuple(chosen)
-            return
-        for i in range(lo, m - slots + 1):
-            chosen.append(i)
-            yield from walk(i + 1, mask | 1 << i)
-            chosen.pop()
-
-    return walk(0, 0)
-
-
-def _hitting_sets(m: int, s: int, known: list[int]
-                  ) -> Iterator[tuple[int, ...]]:
-    """Yield s-subsets of range(m) that meet every bitmask in known,
-    none twice.  Masks appended between yields must miss the set just
-    yielded, as the footprint of a model left after deleting it does;
-    once the tree ends, no s-subset meets every mask.
+def _hitting_sets(m: int, s: int, known: list[int], chosen: int = 0,
+                  free: int = -1) -> Iterator[tuple[int, ...]]:
+    """Yield s-subsets of range(m) that hold the indices in the mask
+    chosen, lie otherwise in the mask free (-1: all) and meet every
+    bitmask in known, none twice.  Masks appended between yields must
+    miss the set just yielded, as the footprint of a model left after
+    deleting it does; once the tree ends, no such set meets every mask.
 
     A bounded search tree for s-Hitting Set.  A node holds the chosen
     indices, the indices still open, and the masks the chosen ones
@@ -391,7 +355,8 @@ def _hitting_sets(m: int, s: int, known: list[int]
                             [fp for fp in unmet if not fp & b], seen)
             free &= ~b
 
-    return grow(0, (1 << m) - 1, s, [], 0)
+    return grow(chosen, free & ~chosen & (1 << m) - 1,
+                s - chosen.bit_count(), [], 0)
 
 
 def _first_without_model(pattern: Graph, host: Graph,
@@ -400,40 +365,40 @@ def _first_without_model(pattern: Graph, host: Graph,
                          ) -> tuple[SearchStatus, tuple[Edge, ...] | None,
                                     int, int, int]:
     """The first edge set X, by size in sizes and then in
-    combinations(host.sorted_edges(), size) order, that a scan in that
-    order stops at: host - X keeps no pattern model, or its search runs
-    out of budget.
+    combinations(host.sorted_edges(), size) order, that meets every
+    model footprint the run finds and whose search finds no model or is
+    stopped by the budget.
 
     Returns (status, X, sets decided, searches, nodes).  FOUND: every
     set keeps a model, and X is None.  NONE: the search on host - X
     found no model.  BUDGET: the search on host - X ran out of nodes,
-    or the command ran out of searches before X could be searched.
+    or it never ran, because an earlier one did or the command ran out
+    of searches.
 
     Each search is a _probe: the host's Index plus the mask of X, with
     no graph built for host - X.  Every model found keeps its footprint
     as a bitmask over the sorted edges, and a set that misses a known
-    footprint keeps that model.
-    Per size, _hitting_sets finds the sets to search, so a size whose
-    sets all keep a model costs one search per footprint it needs.
-    Once a set has no model, or the searches run out, _meeting names
-    the stop: the scan in order, from the footprints known when the
-    size began, that searches each set meeting them all.  A set with a
-    model may still run out of nodes, so which sets that scan searches
-    decides where it stops.  It reuses the result of every set already
-    searched, so no set is searched twice.
+    footprint keeps that model, so every set before X keeps one.
+    Per size, first(chosen, free) runs _hitting_sets from those masks
+    and searches each set it yields until a search finds no model.  If
+    first(0, all) finds none, the size holds.  Else a descent moves its
+    set X to the first: for each position j, the first i below X[j]
+    for which first(X[:j] + i, indices above i) finds a set replaces X,
+    and X[j] is then fixed.  Each i is asked once, and a question
+    covers only sets before X, so no set is searched twice.  After the
+    first search that runs out of nodes, or once the searches are
+    spent, none is made, and each set the tree yields counts as found.
     """
     ix = host.index
     m = len(ix.edges)
     pins = {u: ix.vidx[v] for u, v in (roots or {}).items()}
     known: list[int] = []
-    tried: dict[tuple[int, ...], tuple[SearchStatus, int]] = {}
     decided = searches = nodes = 0
+    stopped = False
 
     def search(X: tuple[int, ...]) -> SearchStatus:
-        nonlocal searches, nodes
-        if X in tried:
-            return tried[X][0]
-        if searches == budget.searches:
+        nonlocal searches, nodes, stopped
+        if stopped or searches == budget.searches:
             return SearchStatus.BUDGET
         status, fp, spent = _probe(pattern, ix, sum(1 << i for i in X), pins,
                                    budget.nodes)
@@ -441,20 +406,33 @@ def _first_without_model(pattern: Graph, host: Graph,
         nodes += spent
         if status is SearchStatus.FOUND:
             known.append(fp)
-        tried[X] = status, fp
+        stopped = status is SearchStatus.BUDGET
         return status
 
+    def first(chosen: int, free: int
+              ) -> tuple[tuple[int, ...], SearchStatus] | None:
+        for X in _hitting_sets(m, s, known, chosen, free):
+            status = search(X)
+            if status is not SearchStatus.FOUND:
+                return X, status
+        return None
+
     for s in sizes:
-        scanned = known[:]
-        if any(search(X) is not SearchStatus.FOUND
-               for X in _hitting_sets(m, s, known)):
-            for X in _meeting(m, s, scanned):
-                status = search(X)
-                if status is not SearchStatus.FOUND:
-                    return (status, tuple(ix.edges[i] for i in X),
-                            decided + _rank(X, m), searches, nodes)
-                scanned.append(tried[X][1])
-        decided += comb(m, s)
+        got = first(0, -1)
+        if got is None:
+            decided += comb(m, s)
+            continue
+        X, status = got
+        prefix = 0
+        for j in range(s):
+            for i in range(prefix.bit_length(), X[j]):
+                got = first(prefix | 1 << i, -2 << i)
+                if got is not None:
+                    X, status = got
+                    break
+            prefix |= 1 << X[j]
+        return (status, tuple(ix.edges[i] for i in X),
+                decided + _rank(X, m), searches, nodes)
     return SearchStatus.FOUND, None, decided, searches, nodes
 
 
@@ -465,8 +443,9 @@ def _scan_deletions(check: str, pattern: Graph, host: Graph, r: int,
     """Check that pattern expansions survive every deletion of < r edges.
 
     By monotonicity only deletion sets of the maximum size r-1 count.
-    The verdict is the one a scan of them in label order would give,
-    but only sets meeting every known model footprint are searched.
+    With no budget stop, the verdict is the one a scan of them in label
+    order would give, but only sets meeting every known model footprint
+    are searched.
     """
     if r < 1:
         raise GraphError("deletion radius must be at least 1")

@@ -113,6 +113,12 @@ CASES = [
     ("gtimes-k4-gadget-r2", 0, ["gtimes", K4, "--ctx", K4, "-r", "2"]),
     ("pack-k4-gadget-r2", 0,
      ["pack", K4, str(GOLDEN / "gtimes-k4-gadget-r2.out")]),
+    # the 45-vertex hstar1 host: 9 edges kill every K4 model, and the
+    # first such set in label order is named by a descent over the tree
+    ("robust-k4-hstar1-r10", 1,
+     ["robust", K4, "--host", str(GOLDEN / "hstar1-k4-gadget.out"),
+      "-r", "10"]),
+    ("hit-k4-hstar1", 0, ["hit", K4, str(GOLDEN / "hstar1-k4-gadget.out")]),
 ]
 
 

@@ -22,7 +22,7 @@ from minorbench import (Budget, BudgetExceeded, CoreSpec, Graph, GraphError,
                         segment_blowup, verify_embedding)
 from minorbench import verify
 from minorbench.embed import _unlabelled
-from minorbench.verify import _footprint, _hitting_sets, _meeting, _rank
+from minorbench.verify import _footprint, _hitting_sets, _rank
 from helpers import (complete, cycle_graph, edge_labels, footprint_cases,
                      graphs_up_to_iso, k5_spec, naive_is_minor_oracle,
                      oracle_footprints, oracle_min_hitting, oracle_packing,
@@ -577,12 +577,34 @@ class TestModelReuse:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_scan_matches_lexicographic_loop_on_seeded_hosts(self, seed):
+        # unbudgeted, the scan is the label-order loop; under a node
+        # budget it names the first set in label order meeting every
+        # footprint it found, so every set before that one keeps a model
         rng = random.Random(seed)
         host = seeded_host(rng, chords=(1, 12))
         r = rng.choice([2, 3])
+        sets = list(combinations(host.sorted_edges(), r - 1))
         for pattern in (complete("xyz"), cycle_graph("wxyz")):
-            for node_budget in (None, 1, 5, 20):
-                self.assert_scan_matches(pattern, host, r, None, node_budget)
+            exact = self.assert_scan_matches(pattern, host, r, None, None)
+
+            def status(X):
+                return find_expansion(pattern, delete_edges(host, X),
+                                      node_budget=None).status
+
+            for node_budget in (1, 5, 20):
+                rep = check_assembly_robustness(
+                    pattern, host, r, budget=Budget(nodes=node_budget))
+                if rep.outcome is Outcome.HOLDS:
+                    assert exact.outcome is Outcome.HOLDS
+                    continue
+                stop = (rep.details.get("witness_deletion")
+                        or rep.details["stopped_at"])
+                rank = sets.index(tuple(map(tuple, stop))) + 1
+                assert rep.stats["subsets_checked"] == rank
+                assert all(status(X) is SearchStatus.FOUND
+                           for X in sets[:rank - 1])
+                if rep.outcome is Outcome.REFUTED:
+                    assert status(sets[rank - 1]) is SearchStatus.NONE
 
     def test_sparse_host_refuted_without_search(self):
         # a tree plus one chord: deleting a cycle edge leaves a forest,
@@ -609,12 +631,20 @@ class TestModelReuse:
         assert rep.details.get("stopped_at") == (
             stop if status is SearchStatus.BUDGET else None)
         assert rep.stats["subsets_checked"] == checked
+        return rep
 
     def test_scan_reuse_counts(self):
         g, ctx = tailed_square()
         searches = [check_gadget_robustness(g, ctx, r).stats["searches"]
                     for r in (3, 4)]
         assert searches == [10, 20]
+
+    def test_refutation_search_count(self):
+        # the searches of the tree, and then those of the descent that
+        # names the first refuting set (rank 666)
+        pattern, host, r, _, budget, _ = SCAN_CASES["late-refutation"]
+        rep = check_assembly_robustness(pattern, host, r, budget=budget)
+        assert rep.stats["searches"] == 38
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_hitting_complete_hosts_match_per_probe_oracle(self, n,
@@ -715,30 +745,7 @@ class TestSeededHosts:
                 is SearchStatus.NONE
 
 
-class TestMeeting:
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 10).flatmap(lambda m: st.tuples(
-        st.just(m), st.integers(0, m),
-        st.lists(st.integers(0, 2**m - 1), max_size=6), st.randoms())))
-    def test_each_set_is_the_next_one_meeting_the_known_masks(self, args):
-        # masks appended during the walk miss the set just yielded, as
-        # the footprint of a model found after deleting that set does
-        m, s, start, rng = args
-        known = list(start)
-        sets = list(combinations(range(m), s))
-
-        def meets_all(X):
-            return all(any(fp >> i & 1 for i in X) for fp in known)
-
-        pos = 0
-        for X in _meeting(m, s, known):
-            assert X == next(Y for Y in sets[pos:] if meets_all(Y))
-            pos = sets.index(X) + 1
-            for _ in range(rng.choice([0, 0, 1, 2])):
-                known.append(sum(1 << i for i in range(m)
-                                 if i not in X and rng.random() < 0.5))
-        assert not any(meets_all(Y) for Y in sets[pos:])
-
+class TestRank:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10).flatmap(
         lambda m: st.tuples(st.just(m), st.integers(0, m))))
@@ -755,15 +762,23 @@ class TestHittingSets:
         m = rng.randint(0, 12)
         for s in range(min(m, 5) + 1):
             masks = [rng.randrange(2**m) for _ in range(rng.randint(0, 8))]
-            got = list(_hitting_sets(m, s, masks))
+            chosen = sum(1 << i for i in rng.sample(range(m),
+                                                    rng.randint(0, s)))
+            free = rng.choice([2**m - 1, rng.randrange(2**m)])
+
+            def fits(X):  # holds chosen, else lies in free, meets masks
+                mask = sum(1 << i for i in X)
+                return (mask & chosen == chosen
+                        and not mask & ~chosen & ~free
+                        and all(fp & mask for fp in masks))
+
+            got = list(_hitting_sets(m, s, masks, chosen, free))
             for X in got:
                 assert len(X) == s == len(set(X))
                 assert list(X) == sorted(X) and all(0 <= i < m for i in X)
-                assert all(any(fp >> i & 1 for i in X) for fp in masks)
+                assert fits(X)
             assert len(set(got)) == len(got)
-            assert bool(got) == any(
-                all(any(fp >> i & 1 for i in X) for fp in masks)
-                for X in combinations(range(m), s))
+            assert bool(got) == any(map(fits, combinations(range(m), s)))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10).flatmap(lambda m: st.tuples(
