@@ -177,32 +177,52 @@ def _unlabelled(h: Graph, ix: Index, m: MinorEmbedding) -> Model:
 def _connected_sets_from(root: int, allowed: int, nbr: Sequence[int],
                          max_size: int) -> Iterator[tuple[int, int]]:
     """All connected subsets of the vertex mask allowed that contain
-    root, each once, with the union of their members' neighbour masks.
-
+    root, each once, with the union of their members' neighbour masks,
+    in depth-first order.  An explicit stack keeps one frame per set
+    size: the set, its neighbour mask, its candidates and its closed
+    mask (the set, the candidates banned for it, and its children so
+    far); its open candidates, taken lowest first, are the rest.
     Candidates already branched on are banned for later siblings, which
     makes every subset reachable along exactly one path.
     """
-    def rec(S: int, near: int, size: int, cand: int, banned: int
-            ) -> Iterator[tuple[int, int]]:
+    if not (allowed >> root & 1 and max_size >= 1):
+        return
+    S = 1 << root
+    yield S, nbr[root]
+    top = max_size - 1
+    if not top:
+        return
+    # frame d holds a set of d + 1 vertices
+    sets, nears = [S] * top, [nbr[root]] * top
+    cands, closed = [nbr[root] & allowed] * top, [S] * top
+    d = 0
+    while d >= 0:
+        cand, shut = cands[d], closed[d]
+        open_ = cand & ~shut
+        if not open_:
+            d -= 1
+            continue
+        low = open_ & -open_
+        closed[d] = shut = shut | low
+        S = sets[d] | low
+        ns = nbr[low.bit_length() - 1]
+        near = nears[d] | ns
         yield S, near
-        if size >= max_size:
-            return
-        for v in _bits(cand & ~banned):
-            S2 = S | 1 << v
-            yield from rec(S2, near | nbr[v], size + 1,
-                           (cand | nbr[v] & allowed) & ~S2 & ~banned, banned)
-            banned |= 1 << v
-
-    if allowed >> root & 1 and max_size >= 1:
-        yield from rec(1 << root, nbr[root], 1, nbr[root] & allowed, 0)
+        if d + 1 < top:
+            cand = (cand | ns & allowed) & ~shut
+            if cand:
+                d += 1
+                sets[d], nears[d], cands[d], closed[d] = S, near, cand, shut
 
 
 @functools.cache
 def _symmetry_floors(h: Graph, pinned: frozenset[str]
-                     ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The search order of h's vertices, and for each position the
-    earlier vertices whose anchors must rank below its own, as positions
-    in h.index.
+                     ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...],
+                                tuple[tuple[tuple[int, ...], int], ...]]:
+    """The search order of h's vertices; for each position the earlier
+    vertices whose anchors must rank below its own; and for each
+    position its neighbours placed before it and the number placed
+    after.  Vertices are positions in h.index.
 
     G_i is the group of automorphisms of h that fix order[:i] and every
     pinned vertex.  Every other vertex w in the G_i-orbit of an unpinned
@@ -210,7 +230,10 @@ def _symmetry_floors(h: Graph, pinned: frozenset[str]
     are distinct, so these constraints keep exactly the models that are
     lex-least in their orbit (a stabilizer chain's lex-leader).  w is in
     the orbit when backtracking finds an automorphism that fixes order[:i]
-    and the pins and sends order[i] to w.
+    and the pins and sends order[i] to w.  Colour refinement prunes
+    first: G_i keeps the colours refined from order[:i] and the pins
+    individualised, and an automorphism extending a partial map f keeps
+    colours between the refinements from f's sources and its images.
     """
     adj = h.adjacency()
     order = tuple(sorted(h.vertices, key=lambda u: (-len(adj[u]), u)))
@@ -219,7 +242,25 @@ def _symmetry_floors(h: Graph, pinned: frozenset[str]
         return (len(adj[x]) == len(adj[y])
                 and all((z in adj[x]) == (f[z] in adj[y]) for z in f))
 
-    def extends(f: dict[str, str]) -> bool:
+    def colours(f: dict[str, str]) -> tuple[dict[str, int], dict[str, int]]:
+        """Colour refinement on two copies of h at once, until no class
+        splits: the k-th pair of f is coloured k in both, its source in
+        the first copy and its image in the second, and the rest 0."""
+        a = dict.fromkeys(order, 0)
+        b = dict(a)
+        for k, (x, y) in enumerate(f.items(), 1):
+            a[x] = b[y] = k
+        while True:
+            sigs = [{v: (c[v], *sorted(c[z] for z in adj[v])) for v in order}
+                    for c in (a, b)]
+            ids = {s: k for k, s in enumerate({*sigs[0].values(),
+                                               *sigs[1].values()})}
+            if len(ids) == len({*a.values(), *b.values()}):
+                return a, b
+            a, b = ({v: ids[sig[v]] for v in order} for sig in sigs)
+
+    def extends(f: dict[str, str], a: dict[str, int], b: dict[str, int]
+                ) -> bool:
         # the vertex with the most mapped neighbours, so that a wrong
         # image fails early
         x = max((v for v in order if v not in f), default=None,
@@ -227,22 +268,28 @@ def _symmetry_floors(h: Graph, pinned: frozenset[str]
         if x is None:
             return True
         taken = set(f.values())
-        return any(y not in taken and fits(f, x, y) and extends({**f, x: y})
-                   for y in order)
+        return any(y not in taken and b[y] == a[x] and fits(f, x, y)
+                   and extends({**f, x: y}, a, b) for y in order)
 
     below: list[list[str]] = [[] for _ in order]
     for i, u in enumerate(order):
         if u in pinned:
             continue
         fixed = {v: v for v in (*order[:i], *pinned)}
+        same = colours(fixed)[0]
         for j in range(i + 1, len(order)):
             w = order[j]
-            if (w not in pinned and fits(fixed, u, w)
-                    and extends({**fixed, u: w})):
+            f = {**fixed, u: w}
+            if (w not in pinned and same[w] == same[u] and fits(fixed, u, w)
+                    and extends(f, *colours(f))):
                 below[j].append(u)
     vidx = h.index.vidx
+    rank = {u: i for i, u in enumerate(order)}
     return (tuple(vidx[u] for u in order),
-            tuple(tuple(vidx[u] for u in b) for b in below))
+            tuple(tuple(vidx[u] for u in b) for b in below),
+            tuple((tuple(vidx[w] for w in sorted(adj[u]) if rank[w] < i),
+                   sum(rank[w] > i for w in adj[u]))
+                  for i, u in enumerate(order)))
 
 
 def _branch_set_maps(h: Graph, nbr: Sequence[int], alive: int,
@@ -256,7 +303,14 @@ def _branch_set_maps(h: Graph, nbr: Sequence[int], alive: int,
     the next step changes: copy it to keep it.  A candidate set that
     admits(position, set) rejects is dropped after it is counted, with
     everything that would extend it.  volume, if given, caps the branch
-    sets' total size: larger sets are not grown."""
+    sets' total size: larger sets are not grown.
+
+    One loop walks up and down a list of candidate iterators, one per
+    position of the search order: a candidate that fits steps down, an
+    exhausted iterator steps back up and takes the set above back.  A
+    candidate is one node, counted before it is checked; counter is
+    brought up to date at each yield and stop.
+    """
     hix = h.index
     nh = len(hix.verts)
     ng = alive.bit_count() if volume is None else min(alive.bit_count(), volume)
@@ -266,24 +320,10 @@ def _branch_set_maps(h: Graph, nbr: Sequence[int], alive: int,
     if nh > ng:
         return
 
-    order, below = _symmetry_floors(h, frozenset(pins))
+    order, below, near_h = _symmetry_floors(h, frozenset(pins))
     pinned = [pins.get(u) for u in hix.verts]
-    near_h = [_bits(ns) for ns in hix.nbr]
-    ranked = sorted(_bits(alive), key=lambda v: (-nbr[v].bit_count(), v))
-
-    placed = [0] * nh
-    anchor: list[int | None] = [None] * nh
-    used = 0
-
-    def candidate_ok(p: int, B: int, near: int) -> bool:
-        unplaced = 0
-        for w in near_h[p]:
-            if placed[w]:
-                if not near & placed[w]:
-                    return False
-            else:
-                unplaced += 1
-        return not unplaced or (near & ~used & ~B).bit_count() >= unplaced
+    ranked = [v for _, v in sorted([(-nbr[v].bit_count(), v)
+                                    for v in _bits(alive)])]
 
     def candidates(p: int, free: int, max_size: int, floor: int
                    ) -> Iterator[tuple[int | None, int, int]]:
@@ -304,28 +344,46 @@ def _branch_set_maps(h: Graph, nbr: Sequence[int], alive: int,
                     yield k, B, near
                 shrink ^= 1 << r
 
-    def rec(i: int) -> Iterator[list[int]]:
-        nonlocal used
-        if i == nh:
-            yield placed
-            return
+    placed = [0] * nh  # read only at positions before the current one
+    anchor: list[int | None] = [None] * nh
+    its: list[Iterator[tuple[int | None, int, int]]] = [iter(())] * nh
+    cap, nodes = counter.cap, counter.nodes
+    used = 0
+    i, entering = 0, True
+    while i >= 0:
         p = order[i]
-        max_size = ng - used.bit_count() - (nh - i - 1)
-        if max_size < 1:
-            return
-        floor = max((anchor[w] for w in below[i]), default=-1)
-        for k, B, near in candidates(p, alive & ~used, max_size, floor):
-            counter.spend()
-            if not candidate_ok(p, B, near) or (admits and not admits(p, B)):
-                continue
-            placed[p] = B
-            anchor[p] = k
-            used |= B
-            yield from rec(i + 1)
-            used ^= B
-            placed[p] = 0
-
-    yield from rec(0)
+        earlier, later = near_h[i]
+        if entering:
+            max_size = ng - used.bit_count() - (nh - i - 1)
+            floor = max((anchor[w] for w in below[i]), default=-1)
+            its[i] = candidates(p, alive & ~used, max_size, floor)
+        else:
+            used ^= placed[p]
+        for k, B, near in its[i]:
+            nodes += 1
+            if cap is not None and nodes > cap:
+                counter.nodes = nodes
+                raise BudgetExceeded(nodes)
+            for w in earlier:
+                if not near & placed[w]:
+                    break
+            else:  # B touches every placed neighbour
+                if ((later and (near & ~used & ~B).bit_count() < later)
+                        or (admits and not admits(p, B))):
+                    continue
+                placed[p] = B
+                anchor[p] = k
+                if i + 1 == nh:
+                    counter.nodes = nodes
+                    yield placed
+                    nodes = counter.nodes
+                    continue
+                used |= B
+                i, entering = i + 1, True
+                break
+        else:
+            i, entering = i - 1, False
+    counter.nodes = nodes
 
 
 def _models(h: Graph, nbr: Sequence[int], alive: int,

@@ -5,6 +5,7 @@ them call into the package's search or decomposition code paths, except
 product_footprints and reference_footprints, which share the branch-set
 enumeration with the footprint enumerator they check, and
 reference_packing, which reads the footprints that enumerator yields.
+The branch-set search references read bit masks with embed._bits.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Iterator, Mapping
 from minorbench import (BudgetExceeded, Graph, GraphError, MinorEmbedding,
                         NodeCounter, PackingResult, edge, enumerate_expansions,
                         iter_expansion_footprints, load_core_spec)
+from minorbench.embed import _bits
 from minorbench.graph import Edge
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -646,3 +648,153 @@ def masks_graph(g: Graph, nbr, alive: int) -> Graph:
                        [(verts[a], verts[b]) for a in range(len(verts))
                         if alive >> a & 1
                         for b in range(a + 1, len(verts)) if nbr[a] >> b & 1])
+
+
+# -- branch-set search references ----------------------------------------------
+
+def reference_connected_sets(root: int, allowed: int, nbr, max_size: int
+                             ) -> Iterator[tuple[int, int]]:
+    """The sequence reference for embed._connected_sets_from: the
+    recursive generator it replaced, one frame per set size.  Every
+    connected subset of the vertex mask allowed that contains root, up
+    to max_size vertices, with its members' neighbour masks, in
+    depth-first order."""
+    def rec(S: int, near: int, size: int, cand: int, banned: int):
+        yield S, near
+        if size >= max_size:
+            return
+        for v in _bits(cand & ~banned):
+            S2 = S | 1 << v
+            yield from rec(S2, near | nbr[v], size + 1,
+                           (cand | nbr[v] & allowed) & ~S2 & ~banned, banned)
+            banned |= 1 << v
+
+    if allowed >> root & 1 and max_size >= 1:
+        yield from rec(1 << root, nbr[root], 1, nbr[root] & allowed, 0)
+
+
+@cache
+def reference_symmetry_floors(h: Graph, pinned: frozenset[str]
+                              ) -> tuple[tuple[int, ...],
+                                         tuple[tuple[int, ...], ...]]:
+    """The reference for the first two parts of embed._symmetry_floors:
+    the search order, and per position the earlier vertices whose
+    anchors must rank below its own, found by backtracking for an
+    automorphism with only a degree filter."""
+    adj = h.adjacency()
+    order = tuple(sorted(h.vertices, key=lambda u: (-len(adj[u]), u)))
+
+    def fits(f: dict[str, str], x: str, y: str) -> bool:
+        return (len(adj[x]) == len(adj[y])
+                and all((z in adj[x]) == (f[z] in adj[y]) for z in f))
+
+    def extends(f: dict[str, str]) -> bool:
+        x = max((v for v in order if v not in f), default=None,
+                key=lambda v: len(adj[v] & f.keys()))
+        if x is None:
+            return True
+        taken = set(f.values())
+        return any(y not in taken and fits(f, x, y) and extends({**f, x: y})
+                   for y in order)
+
+    below: list[list[str]] = [[] for _ in order]
+    for i, u in enumerate(order):
+        if u in pinned:
+            continue
+        fixed = {v: v for v in (*order[:i], *pinned)}
+        for j in range(i + 1, len(order)):
+            w = order[j]
+            if (w not in pinned and fits(fixed, u, w)
+                    and extends({**fixed, u: w})):
+                below[j].append(u)
+    vidx = h.index.vidx
+    return (tuple(vidx[u] for u in order),
+            tuple(tuple(vidx[u] for u in b) for b in below))
+
+
+def reference_branch_set_maps(h: Graph, nbr, alive: int,
+                              pins: Mapping[str, int], counter: NodeCounter,
+                              admits=None, volume: int | None = None):
+    """The sequence reference for embed._branch_set_maps: the recursive
+    generator it replaced, one frame per pattern vertex, on
+    reference_connected_sets and reference_symmetry_floors.  Yields the
+    same live list of branch-set masks, in the same order, with the same
+    node count at each yield."""
+    hix = h.index
+    nh = len(hix.verts)
+    ng = alive.bit_count() if volume is None else min(alive.bit_count(), volume)
+    if not nh:
+        yield []
+        return
+    if nh > ng:
+        return
+
+    order, below = reference_symmetry_floors(h, frozenset(pins))
+    pinned = [pins.get(u) for u in hix.verts]
+    near_h = [_bits(ns) for ns in hix.nbr]
+    ranked = sorted(_bits(alive), key=lambda v: (-nbr[v].bit_count(), v))
+
+    placed = [0] * nh
+    anchor: list[int | None] = [None] * nh
+    used = 0
+
+    def candidate_ok(p: int, B: int, near: int) -> bool:
+        unplaced = 0
+        for w in near_h[p]:
+            if placed[w]:
+                if not near & placed[w]:
+                    return False
+            else:
+                unplaced += 1
+        return not unplaced or (near & ~used & ~B).bit_count() >= unplaced
+
+    def candidates(p: int, free: int, max_size: int, floor: int):
+        must = pinned[p]
+        if must is not None:
+            for B, near in reference_connected_sets(must, free, nbr, max_size):
+                yield None, B, near
+            return
+        shrink = free & ~sum(1 << v for v in ranked[:floor + 1])
+        for k in range(floor + 1, len(ranked)):
+            r = ranked[k]
+            if shrink >> r & 1:
+                for B, near in reference_connected_sets(r, shrink, nbr,
+                                                        max_size):
+                    yield k, B, near
+                shrink ^= 1 << r
+
+    def rec(i: int):
+        nonlocal used
+        if i == nh:
+            yield placed
+            return
+        p = order[i]
+        max_size = ng - used.bit_count() - (nh - i - 1)
+        if max_size < 1:
+            return
+        floor = max((anchor[w] for w in below[i]), default=-1)
+        for k, B, near in candidates(p, alive & ~used, max_size, floor):
+            counter.spend()
+            if not candidate_ok(p, B, near) or (admits and not admits(p, B)):
+                continue
+            placed[p] = B
+            anchor[p] = k
+            used |= B
+            yield from rec(i + 1)
+            used ^= B
+            placed[p] = 0
+
+    yield from rec(0)
+
+
+def random_regular_graph(rng: random.Random, n: int, d: int = 3) -> Graph:
+    """A random simple d-regular graph on n vertices (n * d even), by
+    pairing d stubs per vertex and redrawing until no loop or double
+    edge appears."""
+    labels = [f"u{i:02d}" for i in range(n)]
+    while True:
+        stubs = [v for v in labels for _ in range(d)]
+        rng.shuffle(stubs)
+        pairs = {edge(a, b) for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
+        if len(pairs) == n * d // 2:
+            return Graph.build(labels, pairs)

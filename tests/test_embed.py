@@ -1,6 +1,7 @@
 """Expansion search engine, its verifier, and the independent oracle."""
 
 import random
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -18,11 +19,13 @@ from minorbench import embed
 from minorbench.embed import (_labelled, _lift, _reduce_host, _search,
                               _unlabelled)
 from helpers import (SAMPLES, brute_force_models, complete, cycle_graph,
-                     footprint_cases, inclusion_minimal, masks_graph,
-                     naive_is_minor_oracle, oracle_footprints, path_graph,
-                     pattern_automorphisms,
+                     footprint_cases, graphs_up_to_iso, inclusion_minimal,
+                     masks_graph, naive_is_minor_oracle, oracle_footprints,
+                     path_graph, pattern_automorphisms,
                      random_connected_graph, random_graph,
-                     reference_footprints, reference_spanning_trees,
+                     random_regular_graph, reference_branch_set_maps,
+                     reference_connected_sets, reference_footprints,
+                     reference_spanning_trees, reference_symmetry_floors,
                      satisfies_leaf_rule, seeded_host, star_graph,
                      subdivided, tailed_square, triangle_with_tail,
                      vertex_labels, vertex_mask, wheel_graph)
@@ -611,6 +614,184 @@ class TestVolumeCap:
         assert capped_footprints(h, g, None, 2) == ([], True)
         got, _ = capped_footprints(h, g, None, 3)
         assert len(got) == comb(5, 3)
+
+
+# -- the branch-set kernel against its recursive reference ---------------------
+
+def random_masks(rng, n):
+    """Adjacency masks of a random graph on n vertices."""
+    nbr = [0] * n
+    p = rng.uniform(0.1, 0.8)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < p:
+                nbr[a] |= 1 << b
+                nbr[b] |= 1 << a
+    return nbr
+
+
+def map_sequence(search, h, nbr, alive, pins, cap=None, admits=None,
+                 volume=None):
+    """Every branch-set map search yields, copied, with counter.nodes at
+    each yield; the consumer spends nodes too, as _footprints does.
+    Then the final count, whether the budget ran out, and whether every
+    yield was the same live list."""
+    counter = NodeCounter(cap=cap)
+    out, lists = [], []
+    try:
+        for placed in search(h, nbr, alive, pins, counter, admits, volume):
+            out.append((tuple(placed), counter.nodes))
+            lists.append(placed)
+            counter.spend(len(out) % 3)
+    except BudgetExceeded as exc:
+        return out, exc.nodes, True, all(x is lists[0] for x in lists)
+    return out, counter.nodes, False, all(x is lists[0] for x in lists)
+
+
+def check_same_maps(h, nbr, alive, pins, cap=None, admits=None, volume=None,
+                    caps_up_to=0):
+    """_branch_set_maps and reference_branch_set_maps yield the same
+    maps with the same node counts and stop at the same count, also
+    under every node cap up to the full count or caps_up_to, whichever
+    is less."""
+    args = (h, nbr, alive, pins)
+    want = map_sequence(reference_branch_set_maps, *args, cap, admits, volume)
+    got = map_sequence(embed._branch_set_maps, *args, cap, admits, volume)
+    assert got == want and got[3]
+    for c in range(1, min(want[1], caps_up_to) + 1):
+        assert (map_sequence(embed._branch_set_maps, *args, c, admits, volume)
+                == map_sequence(reference_branch_set_maps, *args, c, admits,
+                                volume))
+    return want
+
+
+def rejecting(p, B):
+    """An admits that drops about a third of the candidate sets."""
+    return (B.bit_count() * 7 + B % 5 + p) % 3 != 0
+
+
+KERNEL_PATTERNS = {"K3": complete("xyz"), "C4": cycle_graph("wxyz"),
+                   "K4": complete("wxyz"), "W4": wheel_graph("h", "wxyz"),
+                   "P3": path_graph("abc"),
+                   "tailed-triangle": triangle_with_tail()}
+
+
+def two_cubic_copies():
+    """Two disjoint copies of one random 3-regular graph on 10 vertices."""
+    g = random_regular_graph(random.Random(5), 10)
+    return Graph.build([], [(f"{c}{a}", f"{c}{b}") for c in "pq"
+                            for a, b in g.edges])
+
+
+SYMMETRIC_PATTERNS = {
+    "petersen": Graph.build([], [(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+                            + [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)]
+                            + [(f"o{i}", f"i{i}") for i in range(5)]),
+    "cube": Graph.build([], [(f"c{a}", f"c{a ^ 1 << k}") for a in range(8)
+                             for k in range(3)]),
+    "C8": cycle_graph([f"v{i}" for i in range(8)]),
+    "K3,3": Graph.build([], [(a, b) for a in "abc" for b in "xyz"]),
+    "W6": wheel_graph("h", [f"r{i}" for i in range(6)]),
+    "two-cubic-copies": two_cubic_copies(),
+}
+
+
+class TestKernelSequence:
+    """The iterative _connected_sets_from and _branch_set_maps yield
+    exactly what the recursive generators they replaced
+    (helpers.reference_connected_sets, reference_branch_set_maps) yield,
+    in order, with the same node counts."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_connected_sets(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        nbr = random_masks(rng, n)
+        allowed = rng.getrandbits(n) | rng.getrandbits(n)
+        for root in range(n):
+            for max_size in range(n + 2):
+                args = (root, allowed, nbr, max_size)
+                assert (list(embed._connected_sets_from(*args))
+                        == list(reference_connected_sets(*args)))
+
+    @pytest.mark.parametrize("name", sorted(FOOTPRINT_CASES))
+    def test_footprint_cases(self, name):
+        h, g = FOOTPRINT_CASES[name]
+        nbr, alive = g.index.nbr, (1 << len(g.vertices)) - 1
+        caps = 1000 if len(g.vertices) <= 5 else 100
+        check_same_maps(h, nbr, alive, {}, caps_up_to=caps)
+        check_same_maps(h, nbr, alive, {}, admits=rejecting, caps_up_to=caps)
+        nh = len(h.vertices)
+        for volume in range(nh - 1, nh + 4):
+            check_same_maps(h, nbr, alive, {}, 5000, rejecting, volume)
+        u, v = min(h.vertices), max(g.vertices)
+        check_same_maps(h, nbr, alive, {u: g.index.vidx[v]}, 5000,
+                        caps_up_to=caps)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_hosts(self, seed):
+        """10-25 vertex hosts, whole or reduced, with zero to two pins,
+        an admits that rejects or none, and volume caps, under a node
+        cap; and every cap up to 300."""
+        rng = random.Random(seed)
+        name = sorted(KERNEL_PATTERNS)[seed % len(KERNEL_PATTERNS)]
+        h = KERNEL_PATTERNS[name]
+        g = seeded_host(rng, (4, 16))
+        pins = dict(zip(rng.sample(sorted(h.vertices), seed % 3),
+                        rng.sample(range(len(g.vertices)), seed % 3)))
+        nbr, alive = g.index.nbr, (1 << len(g.vertices)) - 1
+        if seed % 2:
+            nbr, alive, _ = _reduce_host(h, nbr, sum(1 << v for v in
+                                                     pins.values()))
+        nh = len(h.vertices)
+        for admits in (None, rejecting):
+            for volume in (None, nh + 1, nh + 4):
+                check_same_maps(h, nbr, alive, pins, 4000, admits, volume)
+        check_same_maps(h, nbr, alive, pins, 300, rejecting, caps_up_to=300)
+
+    def test_edge_cases(self):
+        g = complete("abc")
+        nbr, alive = g.index.nbr, 0b111
+        # an empty pattern has one empty map; a pattern larger than the
+        # host, or than the volume cap, has none, and costs no node
+        maps, _, ran_out, _ = check_same_maps(Graph.build([], []), nbr,
+                                              alive, {})
+        assert maps == [((), 0)] and not ran_out
+        assert check_same_maps(complete("wxyz"), nbr, alive, {})[:3] == (
+            [], 0, False)
+        assert check_same_maps(complete("xyz"), nbr, alive, {}, volume=2
+                               )[:3] == ([], 0, False)
+        # pinned sets have no anchor, so a floor never reads one
+        check_same_maps(complete("xyz"), nbr, alive,
+                        {"x": 0, "y": 1, "z": 2}, caps_up_to=100)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_floors_on_small_patterns(self, n):
+        """The floors with colour refinement equal the plain
+        backtracking's, unpinned and with every one or two pins."""
+        for h in graphs_up_to_iso(n):
+            for k in (0, 1, 2):
+                for pinned in map(frozenset,
+                                  combinations(sorted(h.vertices), k)):
+                    assert (embed._symmetry_floors(h, pinned)[:2]
+                            == reference_symmetry_floors(h, pinned))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_floors_on_cubic_patterns(self, seed):
+        rng = random.Random(seed)
+        h = random_regular_graph(rng, rng.choice(range(20, 31, 2)))
+        for pinned in (frozenset(), frozenset({rng.choice(sorted(h.vertices))})):
+            assert (embed._symmetry_floors(h, pinned)[:2]
+                    == reference_symmetry_floors(h, pinned))
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_PATTERNS))
+    def test_floors_on_symmetric_patterns(self, name):
+        h = SYMMETRIC_PATTERNS[name]
+        first = min(h.vertices)
+        for pinned in (frozenset(), frozenset({first})):
+            got = embed._symmetry_floors(h, pinned)[:2]
+            assert got == reference_symmetry_floors(h, pinned)
+            assert any(got[1])
 
 
 # -- host reduction against the unreduced search -------------------------------
