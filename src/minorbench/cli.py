@@ -111,9 +111,8 @@ def _json_object(obj):
 
 
 def _write_out(text: str, args) -> None:
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -127,8 +126,7 @@ def _emit_report(rep: Report, args) -> int:
 
 
 def _emit_graph(g: Graph, args) -> int:
-    fmt = getattr(args, "format", None) or "edge-list"
-    _write_out(serialize(g, fmt), args)
+    _write_out(serialize(g, args.format), args)
     return 0
 
 

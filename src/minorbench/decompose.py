@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
-from .graph import Edge, Graph, GraphError, connected_components, edge
+from .graph import Edge, Graph, GraphError, _bits, connected_components
 
 __all__ = [
     "Block", "BlockCutTree", "Segment", "Shape",
@@ -74,62 +74,58 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
         only = Graph(g.vertices, frozenset())
         return BlockCutTree(g, (Block(0, only, False),), frozenset(), frozenset())
 
-    adj = {v: sorted(ns) for v, ns in g.adjacency().items()}
-    root = min(g.vertices)
-    disc: dict[str, int] = {root: 0}
-    low: dict[str, int] = {root: 0}
+    # on vertex numbers from the root 0, neighbours in ascending order
+    verts, nbr = g.index.verts, g.index.nbr
+    disc = [0] + [-1] * (len(verts) - 1)
+    low = [0] * len(verts)
     clock = 1
-    estack: list[Edge] = []
+    estack: list[tuple[int, int]] = []
     block_edge_sets: list[set[Edge]] = []
     cutvx: set[str] = set()
     root_children = 0
 
-    stack: list[tuple[str, str | None, Iterable[str]]] = [(root, None, iter(adj[root]))]
+    stack: list[tuple[int, int, Iterator[int]]] = [(0, -1, iter(_bits(nbr[0])))]
     while stack:
         v, parent, it = stack[-1]
-        advanced = False
         for w in it:
             if w == parent:
                 continue
-            if w in disc:
+            if disc[w] >= 0:
                 if disc[w] < disc[v]:
-                    estack.append(edge(v, w))
+                    estack.append((v, w))
                     low[v] = min(low[v], disc[w])
                 continue
-            estack.append(edge(v, w))
+            estack.append((v, w))
             disc[w] = low[w] = clock
             clock += 1
-            if v == root:
+            if v == 0:
                 root_children += 1
-            stack.append((w, v, iter(adj[w])))
-            advanced = True
+            stack.append((w, v, iter(_bits(nbr[w]))))
             break
-        if advanced:
-            continue
-        stack.pop()
-        if parent is None:
-            continue
-        low[parent] = min(low[parent], low[v])
-        if low[v] >= disc[parent]:
-            blk: set[Edge] = set()
-            closing = edge(parent, v)
-            while True:
-                e = estack.pop()
-                blk.add(e)
-                if e == closing:
-                    break
-            block_edge_sets.append(blk)
-            if parent != root:
-                cutvx.add(parent)
+        else:  # every neighbour of v is seen: v is done
+            stack.pop()
+            if parent < 0:
+                continue
+            low[parent] = min(low[parent], low[v])
+            if low[v] >= disc[parent]:
+                blk: set[Edge] = set()
+                while True:
+                    x, y = e = estack.pop()
+                    blk.add((verts[min(x, y)], verts[max(x, y)]))
+                    if e == (parent, v):
+                        break
+                block_edge_sets.append(blk)
+                if parent != 0:
+                    cutvx.add(verts[parent])
     if root_children >= 2:
-        cutvx.add(root)
+        cutvx.add(verts[0])
     if estack:
         raise GraphError("internal error: unassigned edges after block scan")
 
     raw = [g.edge_subgraph(es) for es in block_edge_sets]
     raw.sort(key=lambda b: (tuple(b.sorted_vertices()), tuple(b.sorted_edges())))
     blocks = tuple(Block(i, bg, len(bg.edges) == 1) for i, bg in enumerate(raw))
-    links = frozenset((b.id, c) for b in blocks for c in sorted(cutvx)
+    links = frozenset((b.id, c) for b in blocks for c in cutvx
                       if c in b.graph.vertices)
     return BlockCutTree(g, blocks, frozenset(cutvx), links)
 
@@ -185,7 +181,8 @@ def branch_vertices(g: Graph, ctx: Graph) -> frozenset[str]:
         raise GraphError("subgraph vertices must lie in the context graph")
     if not g.edges <= ctx.edges:
         raise GraphError("subgraph edges must lie in the context graph")
-    return frozenset(v for v in g.vertices if ctx.degree(v) >= 3)
+    nbr, vidx = ctx.index.nbr, ctx.index.vidx
+    return frozenset(v for v in g.vertices if nbr[vidx[v]].bit_count() >= 3)
 
 
 @dataclass(frozen=True)
@@ -216,39 +213,37 @@ def segment_decomposition(g: Graph, ctx: Graph) -> list[Segment]:
         raise GraphError("segment decomposition requires a connected graph")
     if not branch:
         raise GraphError("no branch vertices: nothing to decompose against")
-    adj = {v: sorted(ns) for v, ns in g.adjacency().items()}
-    visited: set[Edge] = set()
+    verts, nbr = g.index.verts, g.index.nbr
+    at_branch = sum(1 << g.index.vidx[v] for v in branch)
+    visited: set[int] = set()  # each edge as the mask of its two ends
     segments: list[Segment] = []
 
-    for b in sorted(branch):
-        for nb in adj[b]:
-            if edge(b, nb) in visited:
+    for b in _bits(at_branch):
+        for nb in _bits(nbr[b]):
+            if (1 << b | 1 << nb) in visited:
                 continue
-            interior: list[str] = []
+            interior: list[int] = []
             prev, cur = b, nb
-            chain_edges = [edge(b, nb)]
-            while cur not in branch and g.degree(cur) == 2:
+            visited.add(1 << b | 1 << nb)
+            while not at_branch >> cur & 1 and nbr[cur].bit_count() == 2:
                 interior.append(cur)
-                nxt = [w for w in adj[cur] if w != prev][0]
-                chain_edges.append(edge(cur, nxt))
-                prev, cur = cur, nxt
-            visited.update(chain_edges)
-            if cur in branch:
+                prev, cur = cur, (nbr[cur] & ~(1 << prev)).bit_length() - 1
+                visited.add(1 << prev | 1 << cur)
+            inner = tuple(verts[x] for x in interior)
+            if at_branch >> cur & 1:
                 if cur == b:
-                    fwd = tuple(interior)
-                    rev = tuple(reversed(interior))
-                    segments.append(Segment("closed", (b,), min(fwd, rev),
-                                            len(interior) + 1))
+                    segments.append(Segment("closed", (verts[b],),
+                                            min(inner, inner[::-1]),
+                                            len(inner) + 1))
                 else:
-                    a, z = sorted((b, cur))
-                    inner = tuple(interior) if a == b else tuple(reversed(interior))
-                    segments.append(Segment("between", (a, z), inner,
-                                            len(interior) + 1))
+                    segments.append(Segment(
+                        "between", (verts[min(b, cur)], verts[max(b, cur)]),
+                        inner if b < cur else inner[::-1], len(inner) + 1))
             else:
                 # non-branch, degree != 2 can only be a tip of g-degree 1
-                segments.append(Segment("pendant", (b, cur), tuple(interior),
-                                        len(interior) + 1))
-    if visited != g.edges:
+                segments.append(Segment("pendant", (verts[b], verts[cur]),
+                                        inner, len(inner) + 1))
+    if len(visited) != len(g.edges):
         raise GraphError("internal error: segment walk missed edges")
     segments.sort(key=Segment.sort_key)
     return segments
@@ -271,7 +266,7 @@ def classify_shape(g: Graph) -> Shape:
         raise GraphError("cannot classify the empty graph")
     if not g.is_connected():
         raise GraphError("classification requires a connected graph")
-    degrees = [g.degree(v) for v in g.sorted_vertices()]
+    degrees = [ns.bit_count() for ns in g.index.nbr]
     if len(degrees) == 1:
         return Shape.ISOLATED_VERTEX
     if any(d >= 3 for d in degrees):

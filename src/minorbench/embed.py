@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .graph import (Edge, Graph, GraphError, Index, connected_components,
-                    edge)
+from .graph import (Edge, Graph, GraphError, Index, _bits, _reach,
+                    connected_components, edge)
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -120,29 +120,6 @@ def _check_roots(h: Graph, g: Graph, roots: Mapping[str, str]):
 Model = tuple[list[int], list[tuple[int, int]]]
 
 
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _reach(nbr: Sequence[int], within: int) -> int:
-    """The vertices of the mask within connected to its lowest one
-    inside it, by the adjacency masks nbr."""
-    seen = front = within & -within
-    while front:
-        grow = 0
-        for v in _bits(front):
-            grow |= nbr[v]
-        front = grow & within & ~seen
-        seen |= front
-    return seen
-
-
 def _first_edge(nbr: Sequence[int], A: int, B: int) -> tuple[int, int]:
     """The first edge in label order from the vertex mask A to the
     disjoint mask B, as its (smaller, larger) vertex pair."""
@@ -235,59 +212,59 @@ def _symmetry_floors(h: Graph, pinned: frozenset[str]
     individualised, and an automorphism extending a partial map f keeps
     colours between the refinements from f's sources and its images.
     """
-    adj = h.adjacency()
-    order = tuple(sorted(h.vertices, key=lambda u: (-len(adj[u]), u)))
+    nbr = h.index.nbr
+    adj = [_bits(ns) for ns in nbr]
+    vs = range(len(nbr))
+    order = tuple(sorted(vs, key=lambda u: (-len(adj[u]), u)))
+    pins = [h.index.vidx[v] for v in pinned]
 
-    def fits(f: dict[str, str], x: str, y: str) -> bool:
+    def fits(f: dict[int, int], x: int, y: int) -> bool:
         return (len(adj[x]) == len(adj[y])
-                and all((z in adj[x]) == (f[z] in adj[y]) for z in f))
+                and all((nbr[x] >> z & 1) == (nbr[y] >> f[z] & 1) for z in f))
 
-    def colours(f: dict[str, str]) -> tuple[dict[str, int], dict[str, int]]:
+    def colours(f: dict[int, int]) -> tuple[list[int], list[int]]:
         """Colour refinement on two copies of h at once, until no class
         splits: the k-th pair of f is coloured k in both, its source in
         the first copy and its image in the second, and the rest 0."""
-        a = dict.fromkeys(order, 0)
-        b = dict(a)
+        a = [0] * len(vs)
+        b = list(a)
         for k, (x, y) in enumerate(f.items(), 1):
             a[x] = b[y] = k
         while True:
-            sigs = [{v: (c[v], *sorted(c[z] for z in adj[v])) for v in order}
+            sigs = [[(c[v], *sorted(c[z] for z in adj[v])) for v in vs]
                     for c in (a, b)]
-            ids = {s: k for k, s in enumerate({*sigs[0].values(),
-                                               *sigs[1].values()})}
-            if len(ids) == len({*a.values(), *b.values()}):
+            ids = {s: k for k, s in enumerate({*sigs[0], *sigs[1]})}
+            if len(ids) == len({*a, *b}):
                 return a, b
-            a, b = ({v: ids[sig[v]] for v in order} for sig in sigs)
+            a, b = ([ids[s] for s in sig] for sig in sigs)
 
-    def extends(f: dict[str, str], a: dict[str, int], b: dict[str, int]
-                ) -> bool:
+    def extends(f: dict[int, int], a: list[int], b: list[int]) -> bool:
         # the vertex with the most mapped neighbours, so that a wrong
         # image fails early
+        done = sum(1 << z for z in f)
         x = max((v for v in order if v not in f), default=None,
-                key=lambda v: len(adj[v] & f.keys()))
+                key=lambda v: (nbr[v] & done).bit_count())
         if x is None:
             return True
         taken = set(f.values())
         return any(y not in taken and b[y] == a[x] and fits(f, x, y)
                    and extends({**f, x: y}, a, b) for y in order)
 
-    below: list[list[str]] = [[] for _ in order]
+    below: list[list[int]] = [[] for _ in order]
     for i, u in enumerate(order):
-        if u in pinned:
+        if u in pins:
             continue
-        fixed = {v: v for v in (*order[:i], *pinned)}
+        fixed = {v: v for v in (*order[:i], *pins)}
         same = colours(fixed)[0]
         for j in range(i + 1, len(order)):
             w = order[j]
             f = {**fixed, u: w}
-            if (w not in pinned and same[w] == same[u] and fits(fixed, u, w)
+            if (w not in pins and same[w] == same[u] and fits(fixed, u, w)
                     and extends(f, *colours(f))):
                 below[j].append(u)
-    vidx = h.index.vidx
     rank = {u: i for i, u in enumerate(order)}
-    return (tuple(vidx[u] for u in order),
-            tuple(tuple(vidx[u] for u in b) for b in below),
-            tuple((tuple(vidx[w] for w in sorted(adj[u]) if rank[w] < i),
+    return (order, tuple(map(tuple, below)),
+            tuple((tuple(w for w in adj[u] if rank[w] < i),
                    sum(rank[w] > i for w in adj[u]))
                   for i, u in enumerate(order)))
 
@@ -414,22 +391,6 @@ def enumerate_expansions(h: Graph, g: Graph,
     pins = {u: ix.vidx[v] for u, v in roots.items()}
     for model in _models(h, ix.nbr, (1 << len(ix.verts)) - 1, pins, counter):
         yield _labelled(h, ix, model)
-
-
-def _search(h: Graph, g: Graph, roots: Mapping[str, str] | None = None,
-            node_budget: int | None = DEFAULT_NODE_BUDGET) -> SearchResult:
-    """First model in enumeration order on the host as given: the
-    unreduced search, kept as the reference find_expansion is tested
-    against."""
-    counter = NodeCounter(cap=node_budget)
-    gen = enumerate_expansions(h, g, roots, counter)
-    try:
-        emb = next(gen)
-    except StopIteration:
-        return SearchResult(SearchStatus.NONE, None, counter.nodes)
-    except BudgetExceeded:
-        return SearchResult(SearchStatus.BUDGET, None, counter.nodes)
-    return SearchResult(SearchStatus.FOUND, emb, counter.nodes)
 
 
 def _reduce_host(h: Graph, nbr: Sequence[int], keep: int

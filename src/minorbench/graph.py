@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 log = logging.getLogger("minorbench")
 
@@ -43,6 +43,29 @@ def edge(u: str, v: str) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _reach(nbr: Sequence[int], within: int) -> int:
+    """The vertices of the mask within connected to its lowest one
+    inside it, by the adjacency masks nbr."""
+    seen = front = within & -within
+    while front:
+        grow = 0
+        for v in _bits(front):
+            grow |= nbr[v]
+        front = grow & within & ~seen
+        seen |= front
+    return seen
+
+
 class Index:
     """A graph's vertices and edges numbered in sorted order, with its
     adjacency and incidence as int bit masks.
@@ -51,24 +74,36 @@ class Index:
     sorted_edges() and joins the vertices ends[k], smaller index first.
     Bit w of nbr[v] is set when v and w are adjacent, and bit k of
     inc[v] when edge k meets v.  Ascending set bits list vertices or
-    edges in label order."""
-
-    __slots__ = ("verts", "vidx", "edges", "ends", "nbr", "inc")
+    edges in label order.  ends, edges and inc are built on first use."""
 
     def __init__(self, g: Graph):
         self.verts = tuple(g.sorted_vertices())
-        self.vidx = {v: i for i, v in enumerate(self.verts)}
-        self.edges = tuple(g.sorted_edges())
-        self.ends = tuple((self.vidx[a], self.vidx[b]) for a, b in self.edges)
+        self.vidx = vidx = {v: i for i, v in enumerate(self.verts)}
         nbr = [0] * len(self.verts)
+        for a, b in g.edges:
+            i, j = vidx[a], vidx[b]
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+        self.nbr = tuple(nbr)
+
+    @functools.cached_property
+    def ends(self) -> tuple[tuple[int, int], ...]:
+        # each edge from its smaller end, so pairs come in sorted order
+        return tuple((a, b) for a, ns in enumerate(self.nbr)
+                     for b in _bits(ns & -(2 << a)))
+
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        verts = self.verts
+        return tuple((verts[a], verts[b]) for a, b in self.ends)
+
+    @functools.cached_property
+    def inc(self) -> tuple[int, ...]:
         inc = [0] * len(self.verts)
         for k, (a, b) in enumerate(self.ends):
-            nbr[a] |= 1 << b
-            nbr[b] |= 1 << a
             inc[a] |= 1 << k
             inc[b] |= 1 << k
-        self.nbr = tuple(nbr)
-        self.inc = tuple(inc)
+        return tuple(inc)
 
 
 @dataclass(frozen=True)
@@ -114,30 +149,23 @@ class Graph:
     # -- basic queries -------------------------------------------------
 
     @functools.cached_property
-    def _adj(self) -> dict[str, frozenset[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(ns) for v, ns in adj.items()}
-
-    def adjacency(self) -> dict[str, frozenset[str]]:
-        """Neighbour set of every vertex, built on first use and cached
-        on the graph; callers share it and must not modify the dict."""
-        return self._adj
-
-    @functools.cached_property
     def index(self) -> Index:
         """The graph's Index, built on first use and cached."""
         return Index(self)
 
-    def neighbors(self, v: str) -> frozenset[str]:
-        if v not in self.vertices:
+    def _nbr(self, v: str) -> int:
+        """The adjacency mask of v in the graph's Index."""
+        i = self.index.vidx.get(v)
+        if i is None:
             raise GraphError(f"unknown vertex {v!r}")
-        return self._adj[v]
+        return self.index.nbr[i]
+
+    def neighbors(self, v: str) -> frozenset[str]:
+        verts = self.index.verts
+        return frozenset(verts[w] for w in _bits(self._nbr(v)))
 
     def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
+        return self._nbr(v).bit_count()
 
     def has_edge(self, u: str, v: str) -> bool:
         return edge(u, v) in self.edges
@@ -170,20 +198,9 @@ class Graph:
         vs = {x for e in keep for x in e}
         return Graph(frozenset(vs), frozenset(keep), None)
 
-    def _reach(self, start: str) -> set[str]:
-        """Vertices connected to start."""
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in self._adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
     def is_connected(self) -> bool:
-        return (len(self.vertices) <= 1
-                or len(self._reach(min(self.vertices))) == len(self.vertices))
+        full = (1 << len(self.vertices)) - 1
+        return _reach(self.index.nbr, full) == full
 
 
 # -- external formats ---------------------------------------------------
@@ -393,12 +410,13 @@ def relabeled_union(
 
 def connected_components(g: Graph) -> list[Graph]:
     """Induced connected components, sorted by smallest vertex label."""
-    unseen = set(g.vertices)
+    ix = g.index
+    unseen = (1 << len(ix.verts)) - 1
     comps = []
     while unseen:
-        comp = g._reach(min(unseen))
-        unseen -= comp
-        comps.append(g.induced(comp))
+        comp = _reach(ix.nbr, unseen)
+        unseen ^= comp
+        comps.append(g.induced(ix.verts[v] for v in _bits(comp)))
     return comps
 
 

@@ -16,13 +16,12 @@ from functools import reduce
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .graph import (Edge, Graph, GraphError, Index, contract_edge,
+from .graph import (Edge, Graph, GraphError, Index, _bits, contract_edge,
                     delete_edges)
 from .decompose import branch_vertices
 from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, MinorPredicate,
-                    Model, NodeCounter, SearchStatus, _bits, _check_roots,
-                    _find, _footprints, find_expansion,
-                    iter_expansion_footprints)
+                    Model, NodeCounter, SearchStatus, _check_roots, _find,
+                    _footprints, find_expansion, iter_expansion_footprints)
 from .gadgets import CoreSpec, segment_blowup
 
 __all__ = [

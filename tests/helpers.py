@@ -3,9 +3,12 @@
 The oracles here are deliberately slow and definition-shaped; none of
 them call into the package's search or decomposition code paths, except
 product_footprints and reference_footprints, which share the branch-set
-enumeration with the footprint enumerator they check, and
-reference_packing, which reads the footprints that enumerator yields.
-The branch-set search references read bit masks with embed._bits.
+enumeration with the footprint enumerator they check,
+reference_packing, which reads the footprints that enumerator yields,
+and reference_search, the first model of enumerate_expansions.
+The oracles read a graph's neighbours from labelled_adjacency, built
+from its edges, never from its Index.  The branch-set search references
+read bit masks with graph._bits.
 """
 
 from __future__ import annotations
@@ -18,15 +21,16 @@ from itertools import combinations, permutations, product
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from minorbench import (BudgetExceeded, Graph, GraphError, MinorEmbedding,
-                        NodeCounter, PackingResult, edge, enumerate_expansions,
+from minorbench import (DEFAULT_NODE_BUDGET, Block, BlockCutTree,
+                        BudgetExceeded, Graph, GraphError, MinorEmbedding,
+                        NodeCounter, PackingResult, SearchResult, SearchStatus,
+                        Segment, edge, enumerate_expansions,
                         iter_expansion_footprints, load_core_spec)
-from minorbench.embed import _bits
-from minorbench.graph import Edge
+from minorbench.graph import Edge, _bits
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
-SAFE_LABELS = [f"g{i}" for i in range(12)]
+SAFE_LABELS = [f"g{i}" for i in range(40)]
 
 
 def complete(labels) -> Graph:
@@ -164,6 +168,15 @@ def random_connected_graph(rng: random.Random, n: int,
     return Graph.build(labels, es)
 
 
+def labelled_adjacency(g: Graph) -> dict[str, frozenset[str]]:
+    """The neighbour set of every vertex, by a pass over g's edges."""
+    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return {v: frozenset(ns) for v, ns in adj.items()}
+
+
 # -- block and cutvertex oracles ----------------------------------------------
 
 def oracle_cutvertices(g: Graph) -> frozenset[str]:
@@ -178,7 +191,7 @@ def oracle_cutvertices(g: Graph) -> frozenset[str]:
 
 def all_simple_cycles(g: Graph) -> set[frozenset]:
     """Every simple cycle, as a frozenset of its edges."""
-    adj = {v: sorted(ns) for v, ns in g.adjacency().items()}
+    adj = {v: sorted(ns) for v, ns in labelled_adjacency(g).items()}
     cycles: set[frozenset] = set()
 
     def walk(start: str, cur: str, visited: frozenset[str], used: tuple):
@@ -222,6 +235,113 @@ def oracle_blocks(g: Graph) -> set[tuple[frozenset, frozenset]]:
         vs = frozenset(x for e in es for x in e)
         out.add((vs, frozenset(es)))
     return out
+
+
+# -- decomposition references ---------------------------------------------------
+
+def reference_block_cut_tree(g: Graph) -> BlockCutTree:
+    """The reference for decompose.block_cut_tree on a connected host of
+    two or more vertices: the labelled DFS it replaced, from the
+    smallest label, neighbours in sorted order."""
+    adj = {v: sorted(ns) for v, ns in labelled_adjacency(g).items()}
+    root = min(g.vertices)
+    disc: dict[str, int] = {root: 0}
+    low: dict[str, int] = {root: 0}
+    clock = 1
+    estack: list[Edge] = []
+    block_edge_sets: list[set[Edge]] = []
+    cutvx: set[str] = set()
+    root_children = 0
+
+    stack = [(root, None, iter(adj[root]))]
+    while stack:
+        v, parent, it = stack[-1]
+        advanced = False
+        for w in it:
+            if w == parent:
+                continue
+            if w in disc:
+                if disc[w] < disc[v]:
+                    estack.append(edge(v, w))
+                    low[v] = min(low[v], disc[w])
+                continue
+            estack.append(edge(v, w))
+            disc[w] = low[w] = clock
+            clock += 1
+            if v == root:
+                root_children += 1
+            stack.append((w, v, iter(adj[w])))
+            advanced = True
+            break
+        if advanced:
+            continue
+        stack.pop()
+        if parent is None:
+            continue
+        low[parent] = min(low[parent], low[v])
+        if low[v] >= disc[parent]:
+            blk: set[Edge] = set()
+            closing = edge(parent, v)
+            while True:
+                e = estack.pop()
+                blk.add(e)
+                if e == closing:
+                    break
+            block_edge_sets.append(blk)
+            if parent != root:
+                cutvx.add(parent)
+    if root_children >= 2:
+        cutvx.add(root)
+    assert not estack
+
+    raw = [g.edge_subgraph(es) for es in block_edge_sets]
+    raw.sort(key=lambda b: (tuple(b.sorted_vertices()), tuple(b.sorted_edges())))
+    blocks = tuple(Block(i, bg, len(bg.edges) == 1) for i, bg in enumerate(raw))
+    links = frozenset((b.id, c) for b in blocks for c in sorted(cutvx)
+                      if c in b.graph.vertices)
+    return BlockCutTree(g, blocks, frozenset(cutvx), links)
+
+
+def reference_segments(g: Graph, ctx: Graph) -> list[Segment]:
+    """The reference for decompose.segment_decomposition on a connected
+    g with branch vertices: the labelled walk it replaced, with branch
+    vertices by labelled context degree."""
+    cdeg = {v: len(ns) for v, ns in labelled_adjacency(ctx).items()}
+    branch = {v for v in g.vertices if cdeg[v] >= 3}
+    adj = {v: sorted(ns) for v, ns in labelled_adjacency(g).items()}
+    visited: set[Edge] = set()
+    segments: list[Segment] = []
+
+    for b in sorted(branch):
+        for nb in adj[b]:
+            if edge(b, nb) in visited:
+                continue
+            interior: list[str] = []
+            prev, cur = b, nb
+            chain_edges = [edge(b, nb)]
+            while cur not in branch and len(adj[cur]) == 2:
+                interior.append(cur)
+                nxt = [w for w in adj[cur] if w != prev][0]
+                chain_edges.append(edge(cur, nxt))
+                prev, cur = cur, nxt
+            visited.update(chain_edges)
+            if cur in branch:
+                if cur == b:
+                    fwd = tuple(interior)
+                    rev = tuple(reversed(interior))
+                    segments.append(Segment("closed", (b,), min(fwd, rev),
+                                            len(interior) + 1))
+                else:
+                    a, z = sorted((b, cur))
+                    inner = tuple(interior) if a == b else tuple(reversed(interior))
+                    segments.append(Segment("between", (a, z), inner,
+                                            len(interior) + 1))
+            else:
+                segments.append(Segment("pendant", (b, cur), tuple(interior),
+                                        len(interior) + 1))
+    assert visited == g.edges
+    segments.sort(key=Segment.sort_key)
+    return segments
 
 
 # -- independent minor oracle -------------------------------------------------
@@ -530,7 +650,7 @@ def reference_footprints(h: Graph, g: Graph, counter: NodeCounter
     label tuples, then filtered by the leaf rule and deduplicated; one
     node is one image combination, kept or not."""
     seen: set[frozenset[Edge]] = set()
-    adj = g.adjacency()
+    adj = labelled_adjacency(g)
     hedges = h.sorted_edges()
     trees_of = functools.cache(lambda vs, d: reference_spanning_trees(vs, adj, d))
     cross = functools.cache(lambda A, B: crossing_edges(adj, A, B))
@@ -652,6 +772,21 @@ def masks_graph(g: Graph, nbr, alive: int) -> Graph:
 
 # -- branch-set search references ----------------------------------------------
 
+def reference_search(h: Graph, g: Graph, roots: Mapping[str, str] | None = None,
+                     node_budget: int | None = DEFAULT_NODE_BUDGET
+                     ) -> SearchResult:
+    """First model of enumerate_expansions on the host as given: the
+    unreduced search that find_expansion is tested against."""
+    counter = NodeCounter(cap=node_budget)
+    try:
+        emb = next(enumerate_expansions(h, g, roots, counter))
+    except StopIteration:
+        return SearchResult(SearchStatus.NONE, None, counter.nodes)
+    except BudgetExceeded:
+        return SearchResult(SearchStatus.BUDGET, None, counter.nodes)
+    return SearchResult(SearchStatus.FOUND, emb, counter.nodes)
+
+
 def reference_connected_sets(root: int, allowed: int, nbr, max_size: int
                              ) -> Iterator[tuple[int, int]]:
     """The sequence reference for embed._connected_sets_from: the
@@ -681,7 +816,7 @@ def reference_symmetry_floors(h: Graph, pinned: frozenset[str]
     the search order, and per position the earlier vertices whose
     anchors must rank below its own, found by backtracking for an
     automorphism with only a degree filter."""
-    adj = h.adjacency()
+    adj = labelled_adjacency(h)
     order = tuple(sorted(h.vertices, key=lambda u: (-len(adj[u]), u)))
 
     def fits(f: dict[str, str], x: str, y: str) -> bool:

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from minorbench import (Graph, GraphError, MinorPredicate, Segment, Shape,
                         block_cut_tree, branch_vertices, choose_leaf_block,
-                        classify_shape, minimal_subtree, segment_decomposition)
+                        classify_shape, connected_components, minimal_subtree,
+                        segment_decomposition)
 from helpers import (complete, cycle_graph, oracle_blocks, oracle_cutvertices,
-                     path_graph, random_connected_graph, star_graph,
-                     tailed_square)
+                     path_graph, random_connected_graph,
+                     reference_block_cut_tree, reference_segments,
+                     seeded_host, star_graph, subdivided, tailed_square)
 
 PROPERTY = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -115,6 +117,63 @@ class TestBlockCutTree:
         # the incidence structure is a tree
         nodes = len(t.blocks) + len(t.cutvertices)
         assert len(t.links) == nodes - 1
+
+
+def reference_host(seed: int) -> Graph:
+    """A connected host of 10-40 vertices, from seeded_host or from
+    random_connected_graph, with some edges subdivided on odd seeds so
+    that segments have interiors."""
+    rng = random.Random(seed)
+    g = (seeded_host(rng) if seed % 4 < 2
+         else random_connected_graph(rng, rng.randint(10, 40),
+                                     extra=rng.randint(2, 12)))
+    if seed % 2:
+        g = subdivided(g, rng.randint(1, 3), rng.sample(g.sorted_edges(), 3))
+    return g
+
+
+def check_block_reference(g: Graph):
+    t, ref = block_cut_tree(g), reference_block_cut_tree(g)
+    assert t.block_ids() == ref.block_ids()
+    assert t.cutvertices == ref.cutvertices and t.links == ref.links
+    assert t == ref  # block graphs and host too
+
+
+def check_segment_reference(g: Graph, ctx: Graph):
+    if any(ctx.degree(v) >= 3 for v in g.vertices):
+        assert segment_decomposition(g, ctx) == reference_segments(g, ctx)
+
+
+class TestReferenceWalks:
+    """The mask walks equal the labelled walks they replaced."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_seeded_hosts(self, seed):
+        g = reference_host(seed)
+        assert 10 <= len(g.vertices)
+        check_block_reference(g)
+        check_segment_reference(g, g)
+        for b in block_cut_tree(g).blocks:
+            check_segment_reference(b.graph, g)
+
+    @PROPERTY
+    @given(connected_graphs())
+    def test_connected_graphs(self, g):
+        assume(len(g.vertices) > 1)
+        check_block_reference(g)
+        check_segment_reference(g, g)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_decompose_builds_no_edge_numbering(self, seed):
+        g = reference_host(seed)
+        ctx = Graph(g.vertices, g.edges)
+        block_cut_tree(g)
+        segment_decomposition(g, ctx)
+        classify_shape(g)
+        branch_vertices(g, ctx)
+        connected_components(g)
+        for x in (g, ctx):
+            assert not {"ends", "edges", "inc"} & x.index.__dict__.keys()
 
 
 class TestMinimalSubtree:

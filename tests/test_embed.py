@@ -16,16 +16,17 @@ from minorbench import (BudgetExceeded, Graph, GraphError, MinorEmbedding,
                         parse_graph, partition_components, segment_blowup,
                         verify_embedding)
 from minorbench import embed
-from minorbench.embed import (_labelled, _lift, _reduce_host, _search,
-                              _unlabelled)
+from minorbench.embed import _labelled, _lift, _reduce_host, _unlabelled
+from minorbench.graph import _bits
 from helpers import (SAMPLES, brute_force_models, complete, cycle_graph,
                      footprint_cases, graphs_up_to_iso, inclusion_minimal,
-                     masks_graph, naive_is_minor_oracle, oracle_footprints,
-                     path_graph, pattern_automorphisms,
+                     labelled_adjacency, masks_graph, naive_is_minor_oracle,
+                     oracle_footprints, path_graph, pattern_automorphisms,
                      random_connected_graph, random_graph,
                      random_regular_graph, reference_branch_set_maps,
                      reference_connected_sets, reference_footprints,
-                     reference_spanning_trees, reference_symmetry_floors,
+                     reference_search, reference_spanning_trees,
+                     reference_symmetry_floors,
                      satisfies_leaf_rule, seeded_host, star_graph,
                      subdivided, tailed_square, triangle_with_tail,
                      vertex_labels, vertex_mask, wheel_graph)
@@ -92,8 +93,8 @@ class TestFindExpansion:
 
     def test_budget_exhaustion_reported(self):
         # the unreduced search; find_expansion suppresses the whole cycle
-        res = _search(complete("wxyz"), cycle_graph("pqrstuvo"),
-                      node_budget=5)
+        res = reference_search(complete("wxyz"), cycle_graph("pqrstuvo"),
+                               node_budget=5)
         assert res.status is SearchStatus.BUDGET
         assert res.embedding is None
         assert res.nodes == 6
@@ -555,10 +556,10 @@ class TestFootprintSequence:
             most = rng.randint(0, 4)
             got = embed._spanning_trees(sum(1 << vidx[v] for v in vs), most,
                                         ends, inc)
-            assert [(frozenset(edges[k] for k in embed._bits(t)),
-                     frozenset(verts[i] for i in embed._bits(lv)))
+            assert [(frozenset(edges[k] for k in _bits(t)),
+                     frozenset(verts[i] for i in _bits(lv)))
                     for t, lv in got] == reference_spanning_trees(
-                        vs, g.adjacency(), most)
+                        vs, labelled_adjacency(g), most)
 
 
 def capped_footprints(h, g, cap, volume=None):
@@ -870,7 +871,8 @@ class TestHostReduction:
     def test_matches_unreduced_search(self, name):
         host, pins = REDUCTION_HOSTS[name]
         for pattern in REDUCTION_PATTERNS.values():
-            ref = _search(pattern, host, pins, node_budget=UNREDUCED_CAP)
+            ref = reference_search(pattern, host, pins,
+                                   node_budget=UNREDUCED_CAP)
             got = find_expansion(pattern, host, pins, node_budget=None)
             if ref.status is not SearchStatus.BUDGET:
                 assert got.status is ref.status
@@ -933,7 +935,8 @@ class TestHostReduction:
                            [("t", "u"), ("u", "v"), ("u", "w")])
         small, merged, masks = reduced(complete("xyz"), host)
         assert small == complete("pqst") and merged == {}
-        model = _search(complete("xyz"), small, node_budget=None).embedding
+        model = reference_search(complete("xyz"), small,
+                                 node_budget=None).embedding
         assert lifted(complete("xyz"), host, model, masks) == model
 
     def test_pinned_vertex_is_kept(self):
@@ -955,7 +958,8 @@ class TestHostReduction:
         host, pins = REDUCTION_HOSTS[name]
         for pattern in REDUCTION_PATTERNS.values():
             small, _, merged = reduced(pattern, host, (pins or {}).values())
-            model = _search(pattern, small, pins, node_budget=None).embedding
+            model = reference_search(pattern, small, pins,
+                                     node_budget=None).embedding
             if model is None:
                 continue
             out = lifted(pattern, host, model, merged)
@@ -979,7 +983,8 @@ class TestHostReduction:
         host = gadget(base, rng.choice([1, 2]), r, r - 1, seed)
         pattern = REDUCTION_PATTERNS[name]
         small, merged, masks = reduced(pattern, host)
-        model = _search(pattern, small, node_budget=None).embedding
+        model = reference_search(pattern, small,
+                                 node_budget=None).embedding
         out = lifted(pattern, host, model, masks)
         assert verify_embedding(pattern, host, out)
         absorbed = sorted(set().union(*merged.values()))

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from minorbench import (Graph, GraphError, ParseError, connected_components,
                         contract_edge, delete_edges, edge, parse_graph,
                         parse_graph6, relabeled_union, serialize)
-from minorbench.graph import Index
-from helpers import (complete, cycle_graph, path_graph, random_graph,
-                     seeded_host)
+from helpers import (complete, cycle_graph, labelled_adjacency, path_graph,
+                     random_graph, seeded_host)
 
 PROPERTY = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -104,12 +103,32 @@ def scan_neighbors(g: Graph, v: str) -> set[str]:
     return {w for e in g.edges if v in e for w in e if w != v}
 
 
+INDEX_FIELDS = ("verts", "vidx", "nbr", "ends", "edges", "inc")
+LAZY_FIELDS = ("ends", "edges", "inc")
+
+
+def labelled_components(g: Graph) -> list[set[str]]:
+    """Vertex sets of g's components, smallest label first, by a
+    breadth-first search over labelled_adjacency."""
+    adj = labelled_adjacency(g)
+    unseen = set(g.vertices)
+    out = []
+    while unseen:
+        front = seen = {min(unseen)}
+        while front:
+            front = {w for v in front for w in adj[v]} - seen
+            seen = seen | front
+        unseen -= seen
+        out.append(seen)
+    return out
+
+
 def check_index(g: Graph):
     """g.index numbers g's vertices and edges in sorted order, holds its
     adjacency and incidence, and equals a fresh build."""
     ix = g.index
     fresh = Graph(g.vertices, g.edges).index
-    assert all(getattr(ix, f) == getattr(fresh, f) for f in Index.__slots__)
+    assert all(getattr(ix, f) == getattr(fresh, f) for f in INDEX_FIELDS)
     assert list(ix.verts) == g.sorted_vertices()
     assert list(ix.edges) == g.sorted_edges()
     assert all(ix.vidx[v] == i for i, v in enumerate(ix.verts))
@@ -126,42 +145,43 @@ class TestAdjacency:
     @PROPERTY
     @given(small_graphs())
     def test_matches_edge_scan(self, g):
-        adj = g.adjacency()
-        assert set(adj) == g.vertices
         for v in g.vertices:
-            assert adj[v] == scan_neighbors(g, v)
             assert g.neighbors(v) == scan_neighbors(g, v)
             assert g.degree(v) == sum(1 for e in g.edges if v in e)
 
     def test_unknown_vertex_rejected(self):
         with pytest.raises(GraphError):
             path_graph("abc").neighbors("z")
+        with pytest.raises(GraphError):
+            path_graph("abc").degree("z")
 
     def test_neighbour_sets_are_frozen(self):
         g = path_graph("abc")
-        assert all(type(ns) is frozenset for ns in g.adjacency().values())
-        assert type(g.neighbors("b")) is frozenset
+        assert all(type(g.neighbors(v)) is frozenset for v in g.vertices)
         with pytest.raises(AttributeError):
             g.neighbors("b").add("z")
-        assert g.adjacency()["b"] == {"a", "c"}
+        assert g.neighbors("b") == {"a", "c"}
 
     def test_built_once_per_graph(self):
         g = cycle_graph("abcd")
-        assert g.adjacency() is g.adjacency()
+        assert g.index is g.index
 
     def test_cache_is_not_part_of_equality(self):
         g = complete("abc")
-        g.adjacency()
+        g.index.inc
         assert g == complete("abc") and hash(g) == hash(complete("abc"))
 
     def test_pickle_round_trip(self):
         g = Graph(frozenset("abc"), frozenset([("a", "b"), ("b", "c")]),
                   {"a": "x", "b": "y", "c": "z"})
         fresh = pickle.loads(pickle.dumps(g))
-        assert fresh == g and fresh.adjacency() == g.adjacency()
+        assert fresh == g and "index" not in fresh.__dict__
+        g.index.edges, g.index.inc
         cached = pickle.loads(pickle.dumps(g))
-        assert cached == g and cached.adjacency() == g.adjacency()
-        assert cached.provenance == g.provenance
+        assert cached == g and cached.provenance == g.provenance
+        assert all(f in cached.index.__dict__ for f in LAZY_FIELDS)
+        check_index(cached)
+        assert cached.neighbors("b") == g.neighbors("b")
 
 
 class TestContractEdge:
@@ -288,7 +308,7 @@ class TestOperations:
         g = complete("abc")
         g.index
         out = delete_edges(g, [("a", "b")])
-        assert "index" not in out.__dict__ and "_adj" not in out.__dict__
+        assert "index" not in out.__dict__
         assert out.index.edges == (("a", "c"), ("b", "c"))
         assert out.index.ends == ((0, 2), (1, 2))
         assert out.index.nbr == (0b100, 0b100, 0b011)
@@ -379,3 +399,14 @@ class TestComponents:
         assert sorted(seen) == sorted(g.vertices)
         assert all(c.is_connected() for c in comps)
         assert sum(len(c.edges) for c in comps) == len(g.edges)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_labelled_bfs(self, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(2, 30), rng.uniform(0.02, 0.12))
+        got = connected_components(g)
+        want = labelled_components(g)
+        assert [c.vertices for c in got] == want
+        assert got == [g.induced(c) for c in want]
+        assert g.is_connected() == (len(want) <= 1)
+        assert all(c.is_connected() for c in got)
