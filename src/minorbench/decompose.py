@@ -232,8 +232,8 @@ def segment_decomposition(g: Graph, ctx: Graph) -> list[Segment]:
             inner = tuple(verts[x] for x in interior)
             if at_branch >> cur & 1:
                 if cur == b:
-                    segments.append(Segment("closed", (verts[b],),
-                                            min(inner, inner[::-1]),
+                    # the walk leaves b by its lower neighbour first
+                    segments.append(Segment("closed", (verts[b],), inner,
                                             len(inner) + 1))
                 else:
                     segments.append(Segment(

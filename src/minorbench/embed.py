@@ -660,6 +660,7 @@ def _footprints(h: Graph, ix: Index, counter: NodeCounter,
     volume - |V(h)| + |E(h)| edges come, in the uncapped order.
     """
     ends, inc = ix.ends, ix.inc
+    ends_mask = [1 << a | 1 << b for a, b in ends]  # host edge k's two ends
     nh = len(h.index.verts)
     deg = [ns.bit_count() for ns in h.index.nbr]
     at = h.index.ends
@@ -681,20 +682,19 @@ def _footprints(h: Graph, ix: Index, counter: NodeCounter,
         # reach[p]: the host edges at pattern vertex p's image ends
         reach = [functools.reduce(int.__or__, map(inc.__getitem__, _bits(e)),
                                   0) for e in image_ends]
-        # (images, the leaves no image ends yet)
-        partial = [((), functools.reduce(int.__or__, leaves, 0))]
+        # (images, their edge mask, the leaves no image ends yet)
+        partial = [((), 0, functools.reduce(int.__or__, leaves, 0))]
         for j, (p, q) in enumerate(at):
             cands = _bits(reach[p] & reach[q])
             grown = []
-            for images, open_ in partial:
+            for images, used, open_ in partial:
                 for k in cands:
-                    a, b = ends[k]
-                    rest = open_ & ~(1 << a | 1 << b)
+                    rest = open_ & ~ends_mask[k]
                     if ((rest & leaves[p]).bit_count() <= left[j][p]
                             and (rest & leaves[q]).bit_count() <= left[j][q]):
-                        grown.append((images + (k,), rest))
+                        grown.append((images + (k,), used | 1 << k, rest))
             partial = grown
-        return [(sum(1 << k for k in images), images) for images, _ in partial]
+        return [(used, images) for images, used, _ in partial]
 
     seen: set[int] = set()
     for bs in _branch_set_maps(h, ix.nbr, (1 << len(ix.verts)) - 1, {},

@@ -211,7 +211,7 @@ def _parse_edge_block(text: str) -> tuple[Graph, list[tuple[int, str]]]:
     with ``#`` are skipped.  Returns the graph and the significant lines
     after the block as (line number, stripped text) pairs."""
     lines = [(i, ln) for i, ln in enumerate(map(str.strip, text.splitlines()), 1)
-             if ln and not ln.startswith("#")]
+             if ln and ln[0] != "#"]
     if not lines:
         raise ParseError("empty input")
     lineno, header = lines[0]

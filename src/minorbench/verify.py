@@ -13,6 +13,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from functools import reduce
+from json.encoder import encode_basestring
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -58,7 +59,40 @@ _OUTCOME = {SearchStatus.FOUND: Outcome.HOLDS,
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The text of json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False) and a newline, in one join per container: given
+    an indent, json.dumps runs a Python generator per container."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(o, nl: str) -> str:
+    if isinstance(o, str):
+        return encode_basestring(o)
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)) and o:
+        if isinstance(o[0], str):
+            try:  # all strings, or a TypeError at the first that is not
+                return ("[" + inner + ("," + inner).join(
+                    map(encode_basestring, o)) + nl + "]")
+            except TypeError:
+                pass
+        return ("[" + inner + ("," + inner).join(
+            [_encode(x, inner) for x in o]) + nl + "]")
+    if isinstance(o, dict) and o:
+        return ("{" + inner + ("," + inner).join(
+            [_key(k) + ": " + _encode(v, inner)
+             for k, v in sorted(o.items())]) + nl + "}")
+    if isinstance(o, int) and not isinstance(o, bool):
+        return int.__repr__(o)
+    return json.dumps(o)  # floats, bools, None and empty containers
+
+
+def _key(k) -> str:
+    """A dict key as json.dumps writes it; json.dumps converts (or
+    refuses) a key that is not a str."""
+    if isinstance(k, str):
+        return encode_basestring(k)
+    return json.dumps({k: 0})[1:-4]
 
 
 def graph_json(g: Graph) -> dict:

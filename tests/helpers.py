@@ -14,6 +14,7 @@ read bit masks with graph._bits.
 from __future__ import annotations
 
 import functools
+import json
 import random
 from collections import Counter
 from functools import cache, lru_cache
@@ -31,6 +32,12 @@ from minorbench.graph import Edge, _bits
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 SAFE_LABELS = [f"g{i}" for i in range(40)]
+
+
+def reference_canonical_json(obj) -> str:
+    """The reference for verify.canonical_json: the standard library's
+    encoder with the report layout."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def complete(labels) -> Graph:

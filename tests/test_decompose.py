@@ -13,7 +13,8 @@ from minorbench import (Graph, GraphError, MinorPredicate, Segment, Shape,
 from helpers import (complete, cycle_graph, oracle_blocks, oracle_cutvertices,
                      path_graph, random_connected_graph,
                      reference_block_cut_tree, reference_segments,
-                     seeded_host, star_graph, subdivided, tailed_square)
+                     seeded_host, star_graph, subdivided, tailed_square,
+                     wheel_graph)
 
 PROPERTY = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -174,6 +175,53 @@ class TestReferenceWalks:
         connected_components(g)
         for x in (g, ctx):
             assert not {"ends", "edges", "inc"} & x.index.__dict__.keys()
+
+
+def petalled_wheel(seed: int) -> Graph:
+    """A wheel on 4-8 rim vertices with subdivided edges and a cycle of
+    3-5 vertices hung at some rim vertices, on shuffled labels; each
+    cycle is a closed segment at its rim vertex."""
+    rng = random.Random(seed)
+    labels = [f"x{i}" for i in range(80)]
+    rng.shuffle(labels)
+    hub, *rim = (labels.pop() for _ in range(rng.randint(5, 9)))
+    g = wheel_graph(hub, rim)
+    es = set(subdivided(g, rng.randint(1, 2),
+                        rng.sample(g.sorted_edges(), 3)).edges)
+    for v in rng.sample(rim, 3):
+        petal = [v, *(labels.pop() for _ in range(rng.randint(2, 4)))]
+        es.update(cycle_graph(petal).edges)
+    return Graph.build([], es)
+
+
+def closed_segments_start_low(g: Graph, ctx: Graph) -> int:
+    """Check that each closed segment's interior starts at the lower of
+    its branch vertex's two cycle neighbours, the one the walk leaves
+    by; return how many closed segments there are."""
+    closed = [s for s in segment_decomposition(g, ctx) if s.kind == "closed"]
+    for s in closed:
+        first, last = s.interior[0], s.interior[-1]
+        assert {first, last} <= g.neighbors(s.ends[0])
+        assert first < last
+    return len(closed)
+
+
+class TestClosedSegments:
+    def test_reference_hosts(self):
+        found = 0
+        for seed in range(24):
+            g = reference_host(seed)
+            for x in [g, *(b.graph for b in block_cut_tree(g).blocks)]:
+                if any(g.degree(v) >= 3 for v in x.vertices):
+                    found += closed_segments_start_low(x, g)
+        assert found
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_petalled_wheels(self, seed):
+        g = petalled_wheel(seed)
+        assert closed_segments_start_low(g, g) == 3
+        for b in block_cut_tree(g).blocks:
+            closed_segments_start_low(b.graph, g)
 
 
 class TestMinimalSubtree:

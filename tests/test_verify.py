@@ -1,7 +1,10 @@
 """Packing, hitting, deletion scans, locality, and report determinism."""
 
+import enum
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -27,7 +30,8 @@ from helpers import (complete, cycle_graph, edge_labels, footprint_cases,
                      graphs_up_to_iso, k5_spec, naive_is_minor_oracle,
                      oracle_footprints, oracle_min_hitting, oracle_packing,
                      p3_star, path_graph, random_connected_graph,
-                     random_graph, reference_packing, rooted_spec,
+                     random_graph, reference_canonical_json,
+                     reference_packing, rooted_spec,
                      satisfies_leaf_rule, seeded_host, tailed_square,
                      triangle_with_tail, two_part_host, wheel_graph)
 
@@ -52,6 +56,97 @@ class TestReportPlumbing:
         (Outcome.HOLDS, 0), (Outcome.REFUTED, 1), (Outcome.BUDGET, 2)])
     def test_exit_codes(self, outcome, code):
         assert Report("x", outcome).exit_code == code
+
+
+class Text(str):
+    """A str subclass, which the encoder writes as its characters."""
+
+    def __repr__(self):
+        return f"Text({str.__repr__(self)})"
+
+
+class Level(enum.IntEnum):
+    LOW = 3
+
+
+class Ratio(float):
+    """A float subclass, which the encoder writes as its value."""
+
+    def __repr__(self):
+        return "Ratio()"
+
+
+# quotes, backslashes, control characters and non-ASCII, among any others
+TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t é\u2028\U0001f600')
+               | st.characters())
+STRINGS = TEXT | TEXT.map(Text)
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+           | STRINGS)
+
+
+def json_values(keys=STRINGS):
+    return st.recursive(
+        SCALARS,
+        lambda kids: (st.lists(kids, max_size=5)
+                      | st.lists(STRINGS, max_size=5)
+                      | st.tuples(kids, kids)
+                      | st.dictionaries(keys, kids, max_size=5)),
+        max_leaves=25)
+
+
+# int, float and bool keys sort together; None sorts only alone
+OTHER_KEYS = st.integers() | st.floats() | st.booleans()
+
+
+def json_goldens() -> list[Path]:
+    """The files under tests/golden/ that hold one JSON value."""
+    found = []
+    for path in sorted((Path(__file__).parent / "golden").iterdir()):
+        try:
+            json.loads(path.read_bytes())
+        except ValueError:
+            continue
+        found.append(path)
+    return found
+
+
+class TestCanonicalJson:
+    """canonical_json writes what reference_canonical_json writes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_values())
+    def test_matches_reference(self, obj):
+        assert canonical_json(obj) == reference_canonical_json(obj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(OTHER_KEYS, json_values(OTHER_KEYS), max_size=5)
+           | st.dictionaries(st.none(), json_values(), max_size=1))
+    def test_matches_reference_with_other_keys(self, obj):
+        assert canonical_json(obj) == reference_canonical_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, (), [[], {}], {"a": []}, "", Text(""), [Text("x"), 1],
+        ["a", ["b"], "c"], float("nan"), [float("inf"), -float("inf")],
+        {float("nan"): 0, 2: 1, True: 3, 0.5: 4}, {None: [1]}, -0.0, 10**40,
+        {Level.LOW: Level.LOW, 7: [Ratio(0.5)]}, {Ratio(1.5): Ratio(2.0)},
+    ], ids=repr)
+    def test_edge_cases(self, obj):
+        assert canonical_json(obj) == reference_canonical_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        {(1, 2): 0}, {1: 0, "a": 1}, {"a": {1, 2}}, [object()]],
+        ids=["tuple-key", "mixed-keys", "set-value", "object-item"])
+    def test_refuses_what_the_reference_refuses(self, obj):
+        with pytest.raises(TypeError) as ref:
+            reference_canonical_json(obj)
+        with pytest.raises(TypeError) as got:
+            canonical_json(obj)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("path", json_goldens(), ids=lambda p: p.name)
+    def test_golden_round_trips(self, path):
+        text = path.read_bytes()
+        assert canonical_json(json.loads(text)).encode("utf-8") == text
 
 
 def packing_cases():
