@@ -61,6 +61,13 @@ def _load_graph(path: str) -> Graph:
     return parse_graph(text)
 
 
+def _load_graphs(*paths: str) -> list[Graph]:
+    """The graph at each path, reading and parsing a path named more
+    than once (such as ``-`` for stdin) only the first time."""
+    loaded = {p: _load_graph(p) for p in dict.fromkeys(paths)}
+    return [loaded[p] for p in paths]
+
+
 def _parse_budget(text: str) -> Budget:
     parts = text.split(":")
     if len(parts) > 2:
@@ -169,8 +176,7 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_segments(args) -> int:
-    g = _load_graph(args.file)
-    ctx = _load_graph(args.ctx)
+    g, ctx = _load_graphs(args.file, args.ctx)
     segs = segment_decomposition(g, ctx)
     if args.format == "json":
         obj = {"branch_vertices": sorted(branch_vertices(g, ctx)),
@@ -199,8 +205,7 @@ def cmd_classify(args) -> int:
 # -- construction commands ---------------------------------------------------
 
 def cmd_gtimes(args) -> int:
-    g = _load_graph(args.file)
-    ctx = _load_graph(args.ctx)
+    g, ctx = _load_graphs(args.file, args.ctx)
     if args.check_branch_count:
         return _emit_report(check_branch_count(g, ctx, args.r), args)
     return _emit_graph(segment_blowup(g, ctx, args.r), args)
@@ -218,9 +223,8 @@ def cmd_hstar1(args) -> int:
 
 
 def cmd_hstar2(args) -> int:
-    h = _load_graph(args.file)
+    h, target = _load_graphs(args.file, args.predicate)
     spec = load_core_spec(_read_text(args.spec))
-    target = _load_graph(args.predicate)
     pred = MinorPredicate(f"contains-minor:{args.predicate}", target)
     out, trace = assemble_block_counterexample(h, pred, spec, args.r)
     if args.trace:
@@ -232,8 +236,7 @@ def cmd_hstar2(args) -> int:
 # -- query commands ----------------------------------------------------------
 
 def cmd_minor(args) -> int:
-    h = _load_graph(args.pattern)
-    g = _load_graph(args.host)
+    h, g = _load_graphs(args.pattern, args.host)
     if args.verify:
         with open(args.verify, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -262,8 +265,7 @@ def cmd_minor(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    h = _load_graph(args.pattern)
-    g = _load_graph(args.host)
+    h, g = _load_graphs(args.pattern, args.host)
     res = max_edge_disjoint_packing(h, g, cap=args.cap,
                                     node_budget=args.budget)
     details = {"count": res.count, "cap": args.cap,
@@ -275,8 +277,7 @@ def cmd_pack(args) -> int:
 
 
 def cmd_hit(args) -> int:
-    h = _load_graph(args.pattern)
-    g = _load_graph(args.host)
+    h, g = _load_graphs(args.pattern, args.host)
     res = min_edge_hitting_set(h, g, bound=args.bound, budget=args.budget)
     if not res.exact:
         outcome = Outcome.BUDGET
@@ -300,12 +301,11 @@ def cmd_hit(args) -> int:
 def cmd_robust(args) -> int:
     if args.roots and not args.host:
         raise GraphError("--roots only applies together with --host")
-    pattern = _load_graph(args.file)
     if args.ctx:
-        ctx = _load_graph(args.ctx)
+        pattern, ctx = _load_graphs(args.file, args.ctx)
         rep = check_gadget_robustness(pattern, ctx, args.r, args.budget)
     else:
-        host = _load_graph(args.host)
+        pattern, host = _load_graphs(args.file, args.host)
         roots = _parse_roots(args.roots) if args.roots else None
         rep = check_assembly_robustness(pattern, host, args.r, roots,
                                         args.budget)
@@ -313,9 +313,7 @@ def cmd_robust(args) -> int:
 
 
 def cmd_locality(args) -> int:
-    h = _load_graph(args.pattern)
-    hstar = _load_graph(args.host)
-    anchor = _load_graph(args.anchor)
+    h, hstar, anchor = _load_graphs(args.pattern, args.host, args.anchor)
     region = _parse_region(args.region)
     rep = check_expansion_locality(h, hstar, anchor, region,
                                    Budget(nodes=args.budget))
@@ -331,8 +329,7 @@ def cmd_gencheck(args) -> int:
 
 def cmd_hereditary(args) -> int:
     print(f"seed: {args.seed}", file=sys.stderr)
-    target = _load_graph(args.target)
-    corpus = [_load_graph(p) for p in args.corpus]
+    target, *corpus = _load_graphs(args.target, *args.corpus)
     pred = MinorPredicate(f"contains-minor:{args.target}", target)
     rep = check_hereditary_sampled(pred, corpus, args.trials, args.steps,
                                    args.seed)

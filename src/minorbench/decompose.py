@@ -185,6 +185,9 @@ def branch_vertices(g: Graph, ctx: Graph) -> frozenset[str]:
     return frozenset(v for v in g.vertices if nbr[vidx[v]].bit_count() >= 3)
 
 
+_KIND_RANK = {"between": 0, "closed": 1, "pendant": 2}
+
+
 @dataclass(frozen=True)
 class Segment:
     """One replicable chain of g.
@@ -202,8 +205,7 @@ class Segment:
     length: int
 
     def sort_key(self):
-        rank = {"between": 0, "closed": 1, "pendant": 2}[self.kind]
-        return (rank, self.ends, self.interior)
+        return (_KIND_RANK[self.kind], self.ends, self.interior)
 
 
 def segment_decomposition(g: Graph, ctx: Graph) -> list[Segment]:

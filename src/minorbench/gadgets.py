@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .graph import (Graph, GraphError, ParseError, _parse_edge_block,
+from .graph import (Edge, Graph, GraphError, ParseError, _parse_edge_block,
                     connected_components, derived_label, relabeled_union)
 from .decompose import (Shape, block_cut_tree, branch_vertices,
                         choose_leaf_block, classify_shape, minimal_subtree,
@@ -42,20 +42,11 @@ def segment_blowup(g: Graph, ctx: Graph, r: int) -> Graph:
     if r < 1:
         raise GraphError("replication count must be at least 1")
     segments = segment_decomposition(g, ctx)
-    branch = branch_vertices(g, ctx)
-
-    used: set[str] = set(branch)
-    prov: dict[str, str] = {v: f"branch:{v}" for v in branch}
-    edges: list[tuple[str, str]] = []
-
-    def fresh(base: str, tag: str) -> str:
-        lab = base
-        while lab in used:
-            lab += "+"
-        used.add(lab)
-        prov[lab] = tag
-        return lab
-
+    # provenance also serves as the set of labels taken so far: a
+    # generated label that is taken gains "+" until it is free
+    prov: dict[str, str] = {v: f"branch:{v}"
+                            for v in branch_vertices(g, ctx)}
+    edges: list[Edge] = []
     for j, seg in enumerate(segments):
         a, end = seg.ends[0], seg.ends[-1]
         # each copy runs from a through span - 1 fresh vertices; between
@@ -63,16 +54,19 @@ def segment_blowup(g: Graph, ctx: Graph, r: int) -> Graph:
         span, closes = {"between": (max(seg.length, 2), True),
                         "closed": (max(seg.length, 3), True),
                         "pendant": (seg.length + 1, False)}[seg.kind]
+        stem, tag = f"{a}~{end}.{j}.", f"path:{a}~{end}.{j}:copy"
         for i in range(r):
             prev = a
             for k in range(1, span):
-                cur = fresh(f"{a}~{end}.{j}.{i}.{k}",
-                            f"path:{a}~{end}.{j}:copy{i}:pos{k}")
-                edges.append((prev, cur))
+                cur = f"{stem}{i}.{k}"
+                while cur in prov:
+                    cur += "+"
+                prov[cur] = f"{tag}{i}:pos{k}"
+                edges.append((prev, cur) if prev < cur else (cur, prev))
                 prev = cur
             if closes:
-                edges.append((prev, end))
-    return Graph.build(used, edges, prov)
+                edges.append((prev, end) if prev < end else (end, prev))
+    return Graph(frozenset(prov), frozenset(edges), prov)
 
 
 @dataclass(frozen=True)

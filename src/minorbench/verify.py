@@ -636,7 +636,7 @@ def check_branch_count(g: Graph, ctx: Graph, r: int) -> Report:
         raise GraphError("branch counting needs replication at least 3")
     expected = branch_vertices(g, ctx)
     gx = segment_blowup(g, ctx, r)
-    got = frozenset(v for v in gx.vertices if gx.degree(v) >= 3)
+    got = branch_vertices(gx, gx)
     outcome = Outcome.HOLDS if got == expected else Outcome.REFUTED
     details = {"expected": sorted(expected), "found": sorted(got),
                "count": len(expected), "replication": r,

@@ -5,7 +5,9 @@ them call into the package's search or decomposition code paths, except
 product_footprints and reference_footprints, which share the branch-set
 enumeration with the footprint enumerator they check,
 reference_packing, which reads the footprints that enumerator yields,
-and reference_search, the first model of enumerate_expansions.
+reference_search, the first model of enumerate_expansions, and
+reference_segment_blowup, which reads the segments and branch
+vertices of the decomposition.
 The oracles read a graph's neighbours from labelled_adjacency, built
 from its edges, never from its Index.  The branch-set search references
 read bit masks with graph._bits.
@@ -24,9 +26,10 @@ from typing import Iterator, Mapping
 
 from minorbench import (DEFAULT_NODE_BUDGET, Block, BlockCutTree,
                         BudgetExceeded, Graph, GraphError, MinorEmbedding,
-                        NodeCounter, PackingResult, SearchResult, SearchStatus,
-                        Segment, edge, enumerate_expansions,
-                        iter_expansion_footprints, load_core_spec)
+                        NodeCounter, Outcome, PackingResult, Report,
+                        SearchResult, SearchStatus, Segment, branch_vertices,
+                        edge, enumerate_expansions, iter_expansion_footprints,
+                        load_core_spec, segment_decomposition)
 from minorbench.graph import Edge, _bits
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -173,6 +176,36 @@ def random_connected_graph(rng: random.Random, n: int,
     for e in free[:rng.randint(0, extra)]:
         es.add(e)
     return Graph.build(labels, es)
+
+
+def reference_host(seed: int) -> Graph:
+    """A connected host of 10-40 vertices, from seeded_host or from
+    random_connected_graph, with some edges subdivided on odd seeds so
+    that segments have interiors."""
+    rng = random.Random(seed)
+    g = (seeded_host(rng) if seed % 4 < 2
+         else random_connected_graph(rng, rng.randint(10, 40),
+                                     extra=rng.randint(2, 12)))
+    if seed % 2:
+        g = subdivided(g, rng.randint(1, 3), rng.sample(g.sorted_edges(), 3))
+    return g
+
+
+def petalled_wheel(seed: int) -> Graph:
+    """A wheel on 4-8 rim vertices with subdivided edges and a cycle of
+    3-5 vertices hung at some rim vertices, on shuffled labels; each
+    cycle is a closed segment at its rim vertex."""
+    rng = random.Random(seed)
+    labels = [f"x{i}" for i in range(80)]
+    rng.shuffle(labels)
+    hub, *rim = (labels.pop() for _ in range(rng.randint(5, 9)))
+    g = wheel_graph(hub, rim)
+    es = set(subdivided(g, rng.randint(1, 2),
+                        rng.sample(g.sorted_edges(), 3)).edges)
+    for v in rng.sample(rim, 3):
+        petal = [v, *(labels.pop() for _ in range(rng.randint(2, 4)))]
+        es.update(cycle_graph(petal).edges)
+    return Graph.build([], es)
 
 
 def labelled_adjacency(g: Graph) -> dict[str, frozenset[str]]:
@@ -350,6 +383,63 @@ def reference_segments(g: Graph, ctx: Graph) -> list[Segment]:
     segments.sort(key=Segment.sort_key)
     return segments
 
+
+def reference_segment_blowup(g: Graph, ctx: Graph, r: int) -> Graph:
+    """The reference for gadgets.segment_blowup: each label made through
+    a closure that appends "+" while it is taken, each edge normalised
+    again by Graph.build."""
+    if r < 1:
+        raise GraphError("replication count must be at least 1")
+    segments = segment_decomposition(g, ctx)
+    branch = branch_vertices(g, ctx)
+
+    used: set[str] = set(branch)
+    prov: dict[str, str] = {v: f"branch:{v}" for v in branch}
+    edges: list[tuple[str, str]] = []
+
+    def fresh(base: str, tag: str) -> str:
+        lab = base
+        while lab in used:
+            lab += "+"
+        used.add(lab)
+        prov[lab] = tag
+        return lab
+
+    for j, seg in enumerate(segments):
+        a, end = seg.ends[0], seg.ends[-1]
+        span, closes = {"between": (max(seg.length, 2), True),
+                        "closed": (max(seg.length, 3), True),
+                        "pendant": (seg.length + 1, False)}[seg.kind]
+        for i in range(r):
+            prev = a
+            for k in range(1, span):
+                cur = fresh(f"{a}~{end}.{j}.{i}.{k}",
+                            f"path:{a}~{end}.{j}:copy{i}:pos{k}")
+                edges.append((prev, cur))
+                prev = cur
+            if closes:
+                edges.append((prev, end))
+    return Graph.build(used, edges, prov)
+
+
+
+def reference_branch_count(g: Graph, ctx: Graph, r: int) -> Report:
+    """The reference for verify.check_branch_count: the branch vertices
+    of the reference blowup by a labelled degree count per vertex."""
+    if r < 3:
+        raise GraphError("branch counting needs replication at least 3")
+    gx = reference_segment_blowup(g, ctx, r)
+    cdeg = {v: len(ns) for v, ns in labelled_adjacency(ctx).items()}
+    expected = sorted(v for v in g.vertices if cdeg[v] >= 3)
+    found = sorted(v for v, ns in labelled_adjacency(gx).items()
+                   if len(ns) >= 3)
+    details = {"expected": expected, "found": found,
+               "count": len(expected), "replication": r,
+               "blowup_vertices": len(gx.vertices),
+               "blowup_edges": len(gx.edges)}
+    return Report("branch-count",
+                  Outcome.HOLDS if found == expected else Outcome.REFUTED,
+                  details, {"nodes": 0})
 
 # -- independent minor oracle -------------------------------------------------
 

@@ -116,6 +116,20 @@ class TestInspection:
         code, out, _ = run(capsys, "classify", "-")
         assert (code, out) == (0, "Cycle\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["gtimes", "-", "--ctx", "-", "-r", "2"],
+        ["segments", "-", "--ctx", "-"],
+        ["robust", "-", "--ctx", "-", "-r", "2"],
+        ["minor", "-", "-"],
+    ])
+    def test_stdin_named_twice_is_read_once(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdin",
+                            io.StringIO((SAMPLES / "k4.el").read_text()))
+        code, out, _ = run(capsys, *argv)
+        by_path = [K4 if a == "-" else a for a in argv]
+        assert (code, out) == run(capsys, *by_path)[:2]
+        assert code == 0
+
 
 class TestConstruction:
     def test_gtimes_sizes(self, capsys):

@@ -11,10 +11,9 @@ from minorbench import (Graph, GraphError, MinorPredicate, Segment, Shape,
                         classify_shape, connected_components, minimal_subtree,
                         segment_decomposition)
 from helpers import (complete, cycle_graph, oracle_blocks, oracle_cutvertices,
-                     path_graph, random_connected_graph,
-                     reference_block_cut_tree, reference_segments,
-                     seeded_host, star_graph, subdivided, tailed_square,
-                     wheel_graph)
+                     path_graph, petalled_wheel, random_connected_graph,
+                     reference_block_cut_tree, reference_host,
+                     reference_segments, star_graph, tailed_square)
 
 PROPERTY = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -120,19 +119,6 @@ class TestBlockCutTree:
         assert len(t.links) == nodes - 1
 
 
-def reference_host(seed: int) -> Graph:
-    """A connected host of 10-40 vertices, from seeded_host or from
-    random_connected_graph, with some edges subdivided on odd seeds so
-    that segments have interiors."""
-    rng = random.Random(seed)
-    g = (seeded_host(rng) if seed % 4 < 2
-         else random_connected_graph(rng, rng.randint(10, 40),
-                                     extra=rng.randint(2, 12)))
-    if seed % 2:
-        g = subdivided(g, rng.randint(1, 3), rng.sample(g.sorted_edges(), 3))
-    return g
-
-
 def check_block_reference(g: Graph):
     t, ref = block_cut_tree(g), reference_block_cut_tree(g)
     assert t.block_ids() == ref.block_ids()
@@ -175,23 +161,6 @@ class TestReferenceWalks:
         connected_components(g)
         for x in (g, ctx):
             assert not {"ends", "edges", "inc"} & x.index.__dict__.keys()
-
-
-def petalled_wheel(seed: int) -> Graph:
-    """A wheel on 4-8 rim vertices with subdivided edges and a cycle of
-    3-5 vertices hung at some rim vertices, on shuffled labels; each
-    cycle is a closed segment at its rim vertex."""
-    rng = random.Random(seed)
-    labels = [f"x{i}" for i in range(80)]
-    rng.shuffle(labels)
-    hub, *rim = (labels.pop() for _ in range(rng.randint(5, 9)))
-    g = wheel_graph(hub, rim)
-    es = set(subdivided(g, rng.randint(1, 2),
-                        rng.sample(g.sorted_edges(), 3)).edges)
-    for v in rng.sample(rim, 3):
-        petal = [v, *(labels.pop() for _ in range(rng.randint(2, 4)))]
-        es.update(cycle_graph(petal).edges)
-    return Graph.build([], es)
 
 
 def closed_segments_start_low(g: Graph, ctx: Graph) -> int:

@@ -5,13 +5,14 @@ import pytest
 from minorbench import (CoreSpec, Graph, GraphError, MinorPredicate,
                         ParseError, SearchStatus,
                         assemble_block_counterexample,
-                        assemble_component_counterexample,
-                        connected_components, core_region, delete_edges,
-                        find_expansion, is_minor, load_core_spec,
-                        parse_graph, segment_blowup)
+                        assemble_component_counterexample, block_cut_tree,
+                        check_branch_count, connected_components,
+                        core_region, delete_edges, find_expansion, is_minor,
+                        load_core_spec, parse_graph, segment_blowup)
 from helpers import (SAMPLES, complete, cycle_graph, k5_spec, path_graph,
-                     rooted_spec, tailed_square, triangle_with_tail,
-                     two_part_host)
+                     petalled_wheel, reference_branch_count, reference_host,
+                     reference_segment_blowup, rooted_spec, subdivided,
+                     tailed_square, triangle_with_tail, two_part_host)
 
 
 class TestSegmentBlowup:
@@ -86,6 +87,77 @@ class TestSegmentBlowup:
     def test_connected(self):
         g, ctx = tailed_square()
         assert segment_blowup(g, ctx, 3).is_connected()
+
+
+def collision_hosts() -> list[tuple[Graph, Graph]]:
+    """Hosts with branch vertices named like generated labels.  In the
+    triangle the a-b segment sorts to index 1 behind the one ending at
+    the clash; in K4 it sorts to index 2, and its first label is taken
+    with and without one "+"."""
+    clash = "a~b.1.0.1"
+    g = Graph.build([], [("a", "b"), ("a", clash), ("b", clash)])
+    ctx = Graph.build([], list(g.edges) +
+                      [("a", "l1"), ("b", "l2"), (clash, "l3")])
+    k4 = complete(["a", "b", "a~b.2.0.1", "a~b.2.0.1+"])
+    return [(g, ctx), (k4, k4)]
+
+
+def blowup_or_error(build, g: Graph, ctx: Graph, r: int):
+    """Vertices, edges and provenance of build(g, ctx, r), or the text
+    of the GraphError it raises."""
+    try:
+        b = build(g, ctx, r)
+    except GraphError as exc:
+        return str(exc)
+    return b.vertices, b.edges, dict(b.provenance)
+
+
+def report_or_error(check, g: Graph, ctx: Graph, r: int) -> str:
+    try:
+        return check(g, ctx, r).to_json()
+    except GraphError as exc:
+        return f"error: {exc}"
+
+
+def check_blowup_reference(g: Graph, ctx: Graph) -> None:
+    """segment_blowup equals its reference for r = 1..5 and
+    check_branch_count for r = 3..5.  Provenance is compared on its
+    own: Graph equality ignores it."""
+    for r in range(1, 6):
+        assert (blowup_or_error(segment_blowup, g, ctx, r)
+                == blowup_or_error(reference_segment_blowup, g, ctx, r))
+    for r in range(3, 6):
+        assert (report_or_error(check_branch_count, g, ctx, r)
+                == report_or_error(reference_branch_count, g, ctx, r))
+
+
+def check_host_and_blocks(host: Graph) -> None:
+    for g in [host, *(b.graph for b in block_cut_tree(host).blocks)]:
+        check_blowup_reference(g, host)
+
+
+class TestBlowupReference:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_reference_hosts(self, seed):
+        check_host_and_blocks(reference_host(seed))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_petalled_wheels(self, seed):
+        check_host_and_blocks(petalled_wheel(seed))
+
+    def test_long_segments(self):
+        # past position 9 a path's labels no longer come in sorted order
+        check_host_and_blocks(Graph.build(
+            [], subdivided(complete("abcd"), 11, [("a", "b")]).edges
+            | cycle_graph(["c", *"pqrstuvwxyz"]).edges))
+
+    @pytest.mark.parametrize("host", range(2))
+    def test_label_collisions(self, host):
+        g, ctx = collision_hosts()[host]
+        plus = {v for v in segment_blowup(g, ctx, 1).vertices
+                if v.endswith("+") and v not in g.vertices}
+        assert len(plus) == 1
+        check_blowup_reference(g, ctx)
 
 
 class TestCoreSpec:

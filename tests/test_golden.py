@@ -22,10 +22,12 @@ import io
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from minorbench import cli
 from minorbench.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -143,6 +145,25 @@ def test_output_matches_golden(name, code, argv, tmp_path, monkeypatch):
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     for fname, text in files.items():
         assert text == (GOLDEN / f"{name}.{fname}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "name,code,argv", CASES,
+    ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(CASES)])
+def test_no_path_is_read_twice(name, code, argv, tmp_path, monkeypatch):
+    # a command that names one path twice (FILE --ctx FILE, minor P P)
+    # must read it once, or stdin named twice reads nothing the second time
+    monkeypatch.chdir(ROOT)
+    reads: Counter[str] = Counter()
+    read = cli._read_text
+
+    def counted(path: str) -> str:
+        reads[path] += 1
+        return read(path)
+
+    monkeypatch.setattr(cli, "_read_text", counted)
+    assert run_case(argv, tmp_path)[0] == code
+    assert reads and max(reads.values()) == 1, reads
 
 
 COUNT_KEYS = ('"nodes"', '"searches"')
