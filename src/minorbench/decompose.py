@@ -210,7 +210,11 @@ class Segment:
 
 def segment_decomposition(g: Graph, ctx: Graph) -> list[Segment]:
     """Split the edges of g into segments between branch vertices."""
-    branch = branch_vertices(g, ctx)
+    return _segments(g, branch_vertices(g, ctx))
+
+
+def _segments(g: Graph, branch: frozenset[str]) -> list[Segment]:
+    """segment_decomposition with branch = branch_vertices(g, ctx)."""
     if not g.is_connected():
         raise GraphError("segment decomposition requires a connected graph")
     if not branch:

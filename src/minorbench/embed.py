@@ -44,8 +44,8 @@ class NodeCounter:
         self.nodes = 0
         self.cap = cap
 
-    def spend(self, k: int = 1):
-        self.nodes += k
+    def spend(self):
+        self.nodes += 1
         if self.cap is not None and self.nodes > self.cap:
             raise BudgetExceeded(self.nodes)
 
@@ -60,12 +60,6 @@ class MinorEmbedding:
 
     branch_sets: Mapping[str, frozenset[str]]
     edge_images: Mapping[Edge, Edge]
-
-    def used_vertices(self) -> frozenset[str]:
-        out: set[str] = set()
-        for bs in self.branch_sets.values():
-            out |= bs
-        return frozenset(out)
 
     def to_json_obj(self) -> dict:
         return {
@@ -393,35 +387,35 @@ def enumerate_expansions(h: Graph, g: Graph,
         yield _labelled(h, ix, model)
 
 
-def _reduce_host(h: Graph, nbr: Sequence[int], keep: int
+def _reduce_host(h: Graph, nbr: Sequence[int], alive: int, keep: int
                  ) -> tuple[Sequence[int], int, dict[int, int]]:
-    """Shrink the host with adjacency masks nbr by deletions and
-    contractions that keep whether h is a minor of it.
+    """Shrink the host with adjacency masks nbr inside the vertex mask
+    alive by deletions and contractions that keep whether h is a minor.
 
     If h has minimum degree 2 or more, vertices of degree at most 1 are
     deleted; if 3 or more, a vertex of degree 2 is also contracted into
     its smaller neighbour, or deleted when its two neighbours are already
     adjacent.  No vertex in the mask keep is removed.  Returns the
-    reduced adjacency (nbr itself when nothing applies, else a new
+    reduced adjacency (nbr itself when nothing leaves alive, else a new
     list), the mask of the vertices left, and the merge map: every
     surviving vertex that absorbed others, with the mask of the host
     vertices contracted into it.  A contracted vertex takes its own
     group along; a deleted one drops it.
     """
-    alive = full = (1 << len(nbr)) - 1
     low = min((ns.bit_count() for ns in h.index.nbr), default=0)
     if low < 2:
-        return nbr, full, {}
+        return nbr, alive, {}
     top = 2 if low >= 3 else 1
     out = list(nbr)
+    left = alive
     merged: dict[int, int] = {}
-    todo = list(range(len(out)))
+    todo = _bits(alive)
     while todo:
         v = todo.pop()
         ns = out[v]
-        if ns.bit_count() > top or keep >> v & 1 or not alive >> v & 1:
+        if ns.bit_count() > top or keep >> v & 1 or not left >> v & 1:
             continue
-        alive ^= 1 << v
+        left ^= 1 << v
         out[v] = 0
         group = merged.pop(v, 0)
         ws = _bits(ns)
@@ -434,7 +428,7 @@ def _reduce_host(h: Graph, nbr: Sequence[int], keep: int
                 out[a] |= 1 << b
                 out[b] |= 1 << a
                 merged[a] = merged.get(a, 0) | group | 1 << v
-    return (nbr, full, {}) if alive == full else (out, alive, merged)
+    return (nbr, alive, {}) if left == alive else (out, left, merged)
 
 
 def _lift(model: Model, nbr: Sequence[int], merged: Mapping[int, int]
@@ -488,12 +482,13 @@ def _verifies(h: Graph, nbr: Sequence[int], model: Model) -> bool:
     return True
 
 
-def _find(h: Graph, nbr: Sequence[int], pins: Mapping[str, int],
+def _find(h: Graph, nbr: Sequence[int], alive: int, pins: Mapping[str, int],
           node_budget: int | None) -> tuple[SearchStatus, Model | None, int]:
-    """find_expansion on the host with adjacency masks nbr, pins mapping
-    pattern vertices to host vertex indices: (status, model, nodes)."""
+    """find_expansion on the host with adjacency masks nbr inside the
+    vertex mask alive, pins mapping pattern vertices to host vertex
+    indices: (status, model, nodes)."""
     keep = sum(1 << v for v in set(pins.values()))
-    small, alive, merged = _reduce_host(h, nbr, keep)
+    small, alive, merged = _reduce_host(h, nbr, alive, keep)
     counter = NodeCounter(cap=node_budget)
     try:
         model = next(_models(h, small, alive, pins, counter), None)
@@ -520,7 +515,7 @@ def find_expansion(h: Graph, g: Graph, roots: Mapping[str, str] | None = None,
     roots = roots or {}
     _check_roots(h, g, roots)
     ix = g.index
-    status, model, nodes = _find(h, ix.nbr,
+    status, model, nodes = _find(h, ix.nbr, (1 << len(ix.verts)) - 1,
                                  {u: ix.vidx[v] for u, v in roots.items()},
                                  node_budget)
     return SearchResult(status, None if model is None
@@ -542,12 +537,13 @@ def verify_embedding(h: Graph, g: Graph, m: MinorEmbedding) -> bool:
 
 
 def is_minor(h: Graph, g: Graph) -> bool:
-    """Exact minor test on a host of any size: find_expansion under
+    """Exact minor test on a host of any size: _find on g's Index under
     DEFAULT_NODE_BUDGET, read at each call; BudgetExceeded if it runs out."""
-    res = find_expansion(h, g, None, node_budget=DEFAULT_NODE_BUDGET)
-    if res.status is SearchStatus.BUDGET:
-        raise BudgetExceeded(res.nodes)
-    return res.status is SearchStatus.FOUND
+    status, _, nodes = _find(h, g.index.nbr, (1 << len(g.vertices)) - 1,
+                             {}, DEFAULT_NODE_BUDGET)
+    if status is SearchStatus.BUDGET:
+        raise BudgetExceeded(nodes)
+    return status is SearchStatus.FOUND
 
 
 @dataclass(frozen=True)

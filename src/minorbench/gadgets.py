@@ -18,9 +18,8 @@ from typing import Mapping
 
 from .graph import (Edge, Graph, GraphError, ParseError, _parse_edge_block,
                     connected_components, derived_label, relabeled_union)
-from .decompose import (Shape, block_cut_tree, branch_vertices,
-                        choose_leaf_block, classify_shape, minimal_subtree,
-                        segment_decomposition)
+from .decompose import (Shape, _segments, block_cut_tree, branch_vertices,
+                        choose_leaf_block, classify_shape, minimal_subtree)
 from .embed import MinorPredicate, is_minor, partition_components
 
 __all__ = [
@@ -41,13 +40,12 @@ def segment_blowup(g: Graph, ctx: Graph, r: int) -> Graph:
     """
     if r < 1:
         raise GraphError("replication count must be at least 1")
-    segments = segment_decomposition(g, ctx)
+    branch = branch_vertices(g, ctx)
     # provenance also serves as the set of labels taken so far: a
     # generated label that is taken gains "+" until it is free
-    prov: dict[str, str] = {v: f"branch:{v}"
-                            for v in branch_vertices(g, ctx)}
+    prov: dict[str, str] = {v: f"branch:{v}" for v in branch}
     edges: list[Edge] = []
-    for j, seg in enumerate(segments):
+    for j, seg in enumerate(_segments(g, branch)):
         a, end = seg.ends[0], seg.ends[-1]
         # each copy runs from a through span - 1 fresh vertices; between
         # and closed copies then close at their end vertex
@@ -123,6 +121,11 @@ def load_core_spec(text: str) -> CoreSpec:
     return CoreSpec(core, roots, params["k"], params["r"])
 
 
+def _kept_branches(blowup: Graph) -> dict[str, str]:
+    return {v: v for v, tag in blowup.provenance.items()
+            if tag.startswith("branch:")}
+
+
 def _with_tag(g: Graph, prefix: str) -> Graph:
     return Graph(g.vertices, g.edges, {v: f"{prefix}:{v}" for v in g.vertices})
 
@@ -152,9 +155,6 @@ def assemble_component_counterexample(h: Graph, anchor: Graph,
     if classify_shape(anchor) is not Shape.HAS_DEGREE3_VERTEX:
         raise GraphError("anchor component has maximum degree at most 2")
     lacking, containing = partition_components(h, anchor)
-    for comp in containing:
-        if not branch_vertices(comp, h):
-            raise GraphError("component to blow up has no branch vertex")
     parts: list[Graph] = [_with_tag(spec.core, "core")]
     for comp in lacking:
         for j in range(r):
@@ -240,7 +240,6 @@ def assemble_block_counterexample(h: Graph, predicate: MinorPredicate,
         [e for b in outside_blocks for e in b.graph.edges])
     hangers = connected_components(outside_union)
 
-    chain_nontrivial = [b for b in chain if not b.is_trivial]
     chain_trivial = [b for b in chain if b.is_trivial]
     trivial_union = Graph.build(
         {v for b in chain_trivial for v in b.graph.vertices},
@@ -254,7 +253,7 @@ def assemble_block_counterexample(h: Graph, predicate: MinorPredicate,
     copies: list[dict[str, str]] = [dict(spec.roots)]
     for blk in containing:
         parts.append(segment_blowup(blk.graph, h, r))
-        copies.append({v: v for v in branch_vertices(blk.graph, h)})
+        copies.append(_kept_branches(parts[-1]))
     hanger_attach: list[str] = []
     for d in hangers:
         attach = sorted(d.vertices & sub_vertices)
@@ -265,12 +264,9 @@ def assemble_block_counterexample(h: Graph, predicate: MinorPredicate,
         for j in range(r):
             parts.append(_with_tag(d, f"copy{j}"))
             copies.append({attach[0]: attach[0]})
-    for blk in chain_nontrivial:
-        parts.append(segment_blowup(blk.graph, h, r))
-        copies.append({v: v for v in branch_vertices(blk.graph, h)})
-    for p in trivial_paths:
-        parts.append(segment_blowup(p, h, r))
-        copies.append({v: v for v in branch_vertices(p, h)})
+    for part in [b.graph for b in chain if not b.is_trivial] + trivial_paths:
+        parts.append(segment_blowup(part, h, r))
+        copies.append(_kept_branches(parts[-1]))
 
     occurrences: dict[str, list[str]] = {}
     for i, table in enumerate(copies):

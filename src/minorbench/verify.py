@@ -22,7 +22,7 @@ from .graph import (Edge, Graph, GraphError, Index, _bits, contract_edge,
 from .decompose import branch_vertices
 from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, MinorPredicate,
                     Model, NodeCounter, SearchStatus, _check_roots, _find,
-                    _footprints, find_expansion, iter_expansion_footprints)
+                    _footprints, _labelled)
 from .gadgets import CoreSpec, segment_blowup
 
 __all__ = [
@@ -321,7 +321,8 @@ def _probe(pattern: Graph, ix: Index, deleted: int,
         a, b = ix.ends[k]
         nbr[a] ^= 1 << b
         nbr[b] ^= 1 << a
-    status, model, nodes = _find(pattern, nbr, pins, node_budget)
+    status, model, nodes = _find(pattern, nbr, (1 << len(nbr)) - 1, pins,
+                                 node_budget)
     return status, 0 if model is None else _footprint(ix, nbr, model), nodes
 
 
@@ -573,11 +574,13 @@ def check_expansion_locality(h: Graph, hstar: Graph, anchor: Graph,
                              budget: Budget | None = None) -> Report:
     """Every h expansion in hstar realizes the anchor inside the region.
 
-    For each footprint of iter_expansion_footprints, which include every
-    inclusion-minimal expansion subgraph of h and may include larger
-    ones, its restriction to the region must itself contain an anchor
-    expansion.  Footprints whose anchor-part branch sets and edge images
-    already sit inside the region pass without a search.
+    For each footprint of _footprints on hstar's Index, which include
+    every inclusion-minimal expansion subgraph of h and may include
+    larger ones, its restriction to the region must itself contain an
+    anchor expansion.  Footprints whose anchor branch sets, and so the
+    anchor's edge images, sit inside the region pass without a search.
+    The restricted search is _find on the mask of the branch sets'
+    vertices in the region, with the footprint's edges among them.
     """
     budget = budget or Budget()
     if not anchor.vertices <= h.vertices or not anchor.edges <= h.edges:
@@ -587,36 +590,36 @@ def check_expansion_locality(h: Graph, hstar: Graph, anchor: Graph,
     if unknown:
         raise GraphError(f"region outside the host: {sorted(unknown)!r}")
 
+    ix = hstar.index
+    inside = sum(1 << ix.vidx[v] for v in reg)
+    parts = [h.index.vidx[u] for u in anchor.vertices]
     counter = NodeCounter(cap=budget.nodes)
-    footprints = 0
-    searches = 0
-    inner_nodes = 0
+    footprints = searches = inner_nodes = 0
     outcome = Outcome.HOLDS
     details: dict = {"pattern": graph_json(h), "anchor": graph_json(anchor),
                      "region_size": len(reg)}
     try:
-        for emb, usage in iter_expansion_footprints(h, hstar, counter):
+        for (branch, images), usage in _footprints(h, ix, counter):
             footprints += 1
-            if (all(emb.branch_sets[u] <= reg for u in anchor.vertices)
-                    and all(emb.edge_images[pe][0] in reg
-                            and emb.edge_images[pe][1] in reg
-                            for pe in anchor.edges)):
+            anchored = reduce(int.__or__, map(branch.__getitem__, parts), 0)
+            if not anchored & ~inside:  # the anchor's images end in it too
                 continue
-            used = emb.used_vertices() & reg
-            restricted = Graph(frozenset(used),
-                               frozenset(e for e in usage
-                                         if e[0] in used and e[1] in used))
+            used = reduce(int.__or__, branch, 0) & inside
+            nbr = [0] * len(ix.verts)
+            for a, b in map(ix.ends.__getitem__, _bits(usage)):
+                if used >> a & used >> b & 1:
+                    nbr[a] |= 1 << b
+                    nbr[b] |= 1 << a
             searches += 1
-            res = find_expansion(anchor, restricted,
-                                 node_budget=budget.nodes)
-            inner_nodes += res.nodes
-            if res.status is SearchStatus.NONE:
-                outcome = Outcome.REFUTED
-                details["witness_embedding"] = emb.to_json_obj()
-                details["witness_footprint"] = _sorted_footprint(usage)
-                break
-            if res.status is SearchStatus.BUDGET:
-                outcome = Outcome.BUDGET
+            status, _, nodes = _find(anchor, nbr, used, {}, budget.nodes)
+            inner_nodes += nodes
+            if status is not SearchStatus.FOUND:
+                outcome = _OUTCOME[status]
+                if status is SearchStatus.NONE:
+                    details["witness_embedding"] = _labelled(
+                        h, ix, (branch, images)).to_json_obj()
+                    details["witness_footprint"] = [list(ix.edges[k])
+                                                    for k in _bits(usage)]
                 break
     except BudgetExceeded:
         outcome = Outcome.BUDGET

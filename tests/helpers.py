@@ -5,8 +5,9 @@ them call into the package's search or decomposition code paths, except
 product_footprints and reference_footprints, which share the branch-set
 enumeration with the footprint enumerator they check,
 reference_packing, which reads the footprints that enumerator yields,
-reference_search, the first model of enumerate_expansions, and
-reference_segment_blowup, which reads the segments and branch
+reference_locality, which reads them too and searches with
+find_expansion, reference_search, the first model of
+enumerate_expansions, and reference_segment_blowup, which reads the segments and branch
 vertices of the decomposition.
 The oracles read a graph's neighbours from labelled_adjacency, built
 from its edges, never from its Index.  The branch-set search references
@@ -24,11 +25,12 @@ from itertools import combinations, permutations, product
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from minorbench import (DEFAULT_NODE_BUDGET, Block, BlockCutTree,
+from minorbench import (DEFAULT_NODE_BUDGET, Block, BlockCutTree, Budget,
                         BudgetExceeded, Graph, GraphError, MinorEmbedding,
                         NodeCounter, Outcome, PackingResult, Report,
                         SearchResult, SearchStatus, Segment, branch_vertices,
-                        edge, enumerate_expansions, iter_expansion_footprints,
+                        edge, enumerate_expansions, find_expansion,
+                        graph_json, iter_expansion_footprints,
                         load_core_spec, segment_decomposition)
 from minorbench.graph import Edge, _bits
 
@@ -842,6 +844,60 @@ def reference_packing(pattern: Graph, host: Graph, cap: int | None = None,
         t += 1
     return PackingResult(len(best), tuple(best), exact,
                          listing.nodes + counter.nodes)
+
+
+# -- locality reference ----------------------------------------------------------
+
+def reference_locality(h: Graph, hstar: Graph, anchor: Graph, region,
+                       budget: Budget | None = None) -> Report:
+    """The reference for verify.check_expansion_locality: the labelled
+    check it replaced.  Each footprint of iter_expansion_footprints is
+    read in labels, and a footprint whose anchor part leaves the region
+    gets a find_expansion on a Graph built from its edges inside the
+    region and its branch sets."""
+    budget = budget or Budget()
+    if not anchor.vertices <= h.vertices or not anchor.edges <= h.edges:
+        raise GraphError("anchor must be a subgraph of the pattern")
+    reg = frozenset(region)
+    unknown = reg - hstar.vertices
+    if unknown:
+        raise GraphError(f"region outside the host: {sorted(unknown)!r}")
+
+    counter = NodeCounter(cap=budget.nodes)
+    footprints = searches = inner_nodes = 0
+    outcome = Outcome.HOLDS
+    details: dict = {"pattern": graph_json(h), "anchor": graph_json(anchor),
+                     "region_size": len(reg)}
+    try:
+        for emb, usage in iter_expansion_footprints(h, hstar, counter):
+            footprints += 1
+            if (all(emb.branch_sets[u] <= reg for u in anchor.vertices)
+                    and all(emb.edge_images[pe][0] in reg
+                            and emb.edge_images[pe][1] in reg
+                            for pe in anchor.edges)):
+                continue
+            used = frozenset().union(*emb.branch_sets.values()) & reg
+            restricted = Graph(used, frozenset(e for e in usage
+                                               if e[0] in used
+                                               and e[1] in used))
+            searches += 1
+            res = find_expansion(anchor, restricted,
+                                 node_budget=budget.nodes)
+            inner_nodes += res.nodes
+            if res.status is SearchStatus.NONE:
+                outcome = Outcome.REFUTED
+                details["witness_embedding"] = emb.to_json_obj()
+                details["witness_footprint"] = [[u, v]
+                                                for u, v in sorted(usage)]
+                break
+            if res.status is SearchStatus.BUDGET:
+                outcome = Outcome.BUDGET
+                break
+    except BudgetExceeded:
+        outcome = Outcome.BUDGET
+    stats = {"footprints": footprints, "restricted_searches": searches,
+             "nodes": counter.nodes + inner_nodes}
+    return Report("expansion-locality", outcome, details, stats)
 
 
 # -- label views of the indexed core -------------------------------------------

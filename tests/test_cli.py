@@ -423,6 +423,18 @@ class TestVerification:
                            "--roots", "a=b", "-r", "2")
         assert code == 65 and "--roots" in err
 
+    @pytest.mark.parametrize("roots,message", [
+        ("s", "not 'pattern=host'"), ("s=s=t", "not 'pattern=host'"),
+        ("=s", "not 'pattern=host'"), ("s= ", "not 'pattern=host'"),
+        ("s=s,s=c", "duplicate root for 's'")])
+    def test_robust_rejects_malformed_roots(self, capsys, roots, message):
+        code, out, err = run(capsys, "robust", TWT, "--host", TWT,
+                             "--roots", roots, "-r", "2")
+        assert code == 65 and out == ""
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["robust", P3, "--ctx", P3_CTX, "-r", "2", "--gadget", P3],
         ["gencheck", K4, CORE, "--jobs", "2"]])

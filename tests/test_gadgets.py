@@ -372,6 +372,28 @@ class TestBlockAssembly:
         assert trace.identifications == (("p#1", ("p#1", "z1#0")),)
         assert (len(out.vertices), len(out.edges)) == (5 + 40 - 1, 10 + 72)
 
+    def test_nontrivial_chain_block_is_blown_up(self):
+        # K4 on a b c d, 5-cycle d e f g h, K5 on g w x y z: the K4 sorts
+        # first and is the anchor, the K5 contains it, the cycle is chain
+        h = Graph.build([], list(complete("abcd").edges)
+                        + list(cycle_graph("defgh").edges)
+                        + list(complete("gwxyz").edges))
+        pred = MinorPredicate("contains-K4", complete("pqst"))
+        spec = CoreSpec(complete(["z1", "z2", "z3", "z4", "z5"]),
+                        {"d": "z1"}, k=2, r=2)
+        out, trace = assemble_block_counterexample(h, pred, spec, 2)
+        assert trace.anchor_block == ("a", "b", "c", "d")
+        assert trace.containing_blocks == (("g", "w", "x", "y", "z"),)
+        assert trace.chain_blocks == (("d", "e", "f", "g", "h"),)
+        assert trace.trivial_paths == trace.outside_components == ()
+        assert trace.identifications == (("d#2", ("d#2", "z1#0")),
+                                         ("g#1", ("g#1", "g#2")))
+        # core 5 + 10; K5: 5 branch vertices and 10 edges, each 2 paths
+        # of length 2; cycle: branch vertices d and g, its segments of
+        # length 3 and 2 each 2 paths; d and g merged once each
+        assert len(out.vertices) == 5 + (5 + 10 * 2) + (2 + 2 * 2 + 2 * 1) - 2
+        assert len(out.edges) == 10 + 10 * 2 * 2 + (2 * 3 + 2 * 2)
+
     def test_hanger_copies_stay_separate(self):
         h = Graph.build([], [
             ("a", "b"), ("a", "c"), ("b", "c"),

@@ -253,6 +253,10 @@ class TestParse:
         dot = serialize(g, "dot")
         assert 'role="branch:a"' in dot and '"a" -- "b";' in dot
 
+    def test_serialize_dot_without_provenance(self):
+        assert serialize(path_graph("ab"), "dot") == (
+            'graph {\n  "a";\n  "b";\n  "a" -- "b";\n}\n')
+
     def test_serialize_unknown_format(self):
         with pytest.raises(GraphError):
             serialize(complete("ab"), "png")
@@ -277,6 +281,20 @@ class TestGraph6:
     def test_truncated_rejected(self):
         with pytest.raises(ParseError):
             parse_graph6("D")
+
+    def test_long_size_header(self):
+        # n >= 63 takes a 126 byte and three 6-bit size bytes; this is
+        # the path 0-1-...-63
+        n = 64
+        bits = [int(i + 1 == j) for j in range(1, n) for i in range(j)]
+        bits += [0] * (-len(bits) % 6)
+        body = "".join(chr(63 + int("".join(map(str, bits[k:k + 6])), 2))
+                       for k in range(0, len(bits), 6))
+        text = "~" + chr(63) + chr(63 + 1) + chr(63) + body
+        assert parse_graph6(text) == path_graph([str(i) for i in range(n)])
+        for cut in (text[:3], text[:-1]):
+            with pytest.raises(ParseError, match="truncated"):
+                parse_graph6(cut)
 
     def test_byte_out_of_range(self):
         with pytest.raises(ParseError):

@@ -31,7 +31,7 @@ from helpers import (complete, cycle_graph, edge_labels, footprint_cases,
                      oracle_footprints, oracle_min_hitting, oracle_packing,
                      p3_star, path_graph, random_connected_graph,
                      random_graph, reference_canonical_json,
-                     reference_packing, rooted_spec,
+                     reference_locality, reference_packing, rooted_spec,
                      satisfies_leaf_rule, seeded_host, tailed_square,
                      triangle_with_tail, two_part_host, wheel_graph)
 
@@ -616,7 +616,8 @@ class TestModelReuse:
             found += 1
             fp = label_footprint(host, res.embedding)
             assert fp <= host.edges
-            assert len(fp) == (len(res.embedding.used_vertices())
+            used = frozenset().union(*res.embedding.branch_sets.values())
+            assert len(fp) == (len(used)
                                - len(pattern.vertices) + len(pattern.edges))
             spare = sorted(host.edges - fp)
             for X in [spare] + [rng.sample(spare, rng.randint(0, len(spare)))
@@ -956,18 +957,17 @@ class TestGenericCounterexample:
 
 
 def use_product_oracle(monkeypatch):
-    """Make the checks in verify read helpers.product_footprints."""
-    monkeypatch.setattr(verify, "iter_expansion_footprints",
-                        lambda h, g, counter: iter(oracle_footprints(h, g)))
-
+    """Make the checks in verify read helpers.product_footprints: its
+    models and footprints as masks over the host's Index."""
     def masks(h, ix, counter, volume=None):
         bit = {e: 1 << k for k, e in enumerate(ix.edges)}
         g = Graph(frozenset(ix.verts), frozenset(ix.edges))
         most = len(ix.edges) if volume is None else (
             volume - len(h.vertices) + len(h.edges))
-        for _, usage in oracle_footprints(h, g):
+        for emb, usage in oracle_footprints(h, g):
             if len(usage) <= most:
-                yield None, sum(map(bit.__getitem__, usage))
+                yield (_unlabelled(h, ix, emb),
+                       sum(map(bit.__getitem__, usage)))
 
     monkeypatch.setattr(verify, "_footprints", masks)
 
@@ -1088,6 +1088,55 @@ class TestAgainstProductOracle:
         use_product_oracle(monkeypatch)
         want = check_expansion_locality(*case)
         assert got.outcome is want.outcome is not Outcome.BUDGET
+
+
+LOCALITY_PATTERNS = {
+    "K3": complete("xyz"), "tailed-K3": triangle_with_tail(),
+    "P3": path_graph("xyz"),
+    "K3+K1": Graph.build("wxyz", complete("xyz").edges)}
+
+
+def seeded_locality_cases(seed):
+    """(pattern, host, anchor, region, budget) for one seeded host of
+    5-8 vertices: each pattern with itself and two induced subgraphs as
+    anchors, a random region of two thirds of the host, and node
+    budgets 20,000 and 40."""
+    rng = random.Random(seed)
+    host = random_connected_graph(rng, rng.randint(5, 8), extra=4)
+    vs = host.sorted_vertices()
+    for _, h in sorted(LOCALITY_PATTERNS.items()):
+        hv = h.sorted_vertices()
+        anchors = [h] + [h.induced(rng.sample(hv, rng.randint(1, len(hv) - 1)))
+                         for _ in range(2)]
+        for anchor in anchors:
+            region = rng.sample(vs, round(2 * len(vs) / 3))
+            for nodes in (20000, 40):
+                yield h, host, anchor, region, Budget(nodes=nodes)
+
+
+class TestLocalityReference:
+    """check_expansion_locality against helpers.reference_locality, the
+    labelled check with a Graph per restricted search."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_reports_match(self, seed):
+        for case in seeded_locality_cases(seed):
+            assert (check_expansion_locality(*case).to_json()
+                    == reference_locality(*case).to_json())
+
+    def test_cases_cover_every_outcome(self):
+        reports = [reference_locality(*case) for seed in range(24)
+                   for case in seeded_locality_cases(seed)]
+        assert len(reports) == 576
+        assert {r.outcome for r in reports} == set(Outcome)
+        searched = [r for r in reports if r.stats["restricted_searches"]]
+        assert {r.outcome for r in searched} == set(Outcome)
+
+    def test_verify_binds_no_labelled_search(self):
+        # verify's checks run on the Index; labels come only at the end
+        for name in ("find_expansion", "iter_expansion_footprints",
+                     "enumerate_expansions"):
+            assert not hasattr(verify, name)
 
 
 class TestBranchCount:
