@@ -16,8 +16,7 @@ from .decompose import (Block, BlockCutTree, Segment, Shape, block_cut_tree,
 from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, MinorEmbedding,
                     MinorPredicate, NodeCounter, SearchResult, SearchStatus,
                     enumerate_expansions, find_expansion,
-                    iter_expansion_footprints, is_minor,
-                    partition_components, verify_embedding)
+                    iter_expansion_footprints, is_minor, verify_embedding)
 from .gadgets import (BuildTrace, CoreSpec, assemble_block_counterexample,
                       assemble_component_counterexample, core_region,
                       load_core_spec, segment_blowup)
@@ -46,6 +45,6 @@ __all__ = [
     "is_minor", "iter_expansion_footprints", "load_core_spec",
     "max_edge_disjoint_packing", "min_edge_hitting_set", "minimal_subtree",
     "parse_graph", "parse_graph6",
-    "partition_components", "relabeled_union", "segment_blowup",
+    "relabeled_union", "segment_blowup",
     "segment_decomposition", "serialize", "verify_embedding",
 ]

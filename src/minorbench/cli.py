@@ -20,8 +20,8 @@ from time import perf_counter
 
 from .graph import (Graph, GraphError, connected_components, parse_graph,
                     parse_graph6, serialize)
-from .decompose import (block_cut_tree, branch_vertices, classify_shape,
-                        segment_decomposition)
+from .decompose import (_segments, block_cut_tree, branch_vertices,
+                        classify_shape)
 from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, MinorEmbedding,
                     MinorPredicate, find_expansion, verify_embedding)
 from .gadgets import (assemble_block_counterexample,
@@ -177,9 +177,10 @@ def cmd_blocks(args) -> int:
 
 def cmd_segments(args) -> int:
     g, ctx = _load_graphs(args.file, args.ctx)
-    segs = segment_decomposition(g, ctx)
+    branch = branch_vertices(g, ctx)
+    segs = _segments(g, branch)
     if args.format == "json":
-        obj = {"branch_vertices": sorted(branch_vertices(g, ctx)),
+        obj = {"branch_vertices": sorted(branch),
                "segments": [{"kind": s.kind, "ends": list(s.ends),
                              "interior": list(s.interior),
                              "length": s.length} for s in segs]}
@@ -189,7 +190,7 @@ def cmd_segments(args) -> int:
     for s in segs:
         via = f" via {' '.join(s.interior)}" if s.interior else ""
         lines.append(f"{s.kind} {' '.join(s.ends)} length {s.length}{via}")
-    lines.append("branch vertices: " + " ".join(sorted(branch_vertices(g, ctx))))
+    lines.append("branch vertices: " + " ".join(sorted(branch)))
     _write_out("\n".join(lines) + "\n", args)
     return 0
 

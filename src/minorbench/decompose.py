@@ -9,16 +9,16 @@ have g-degree 2; segments are what the gadget builder replicates.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .graph import Edge, Graph, GraphError, _bits, connected_components
+from .graph import Edge, Graph, GraphError, _bits
 
 __all__ = [
     "Block", "BlockCutTree", "Segment", "Shape",
     "block_cut_tree", "branch_vertices", "choose_leaf_block",
-    "classify_shape", "connected_components", "minimal_subtree",
-    "segment_decomposition",
+    "classify_shape", "minimal_subtree", "segment_decomposition",
 ]
 
 
@@ -30,16 +30,15 @@ class Block:
     graph: Graph
     is_trivial: bool  # exactly one edge
 
-    def sort_key(self):
-        return (tuple(self.graph.sorted_vertices()), tuple(self.graph.sorted_edges()))
-
 
 @dataclass(frozen=True)
 class BlockCutTree:
     """Bipartite incidence tree between blocks and cutvertices.
 
-    ``links`` holds (block id, cutvertex label) pairs.  A restriction
-    produced by minimal_subtree keeps the original block ids.
+    ``blocks`` is in id order, and block_cut_tree numbers the blocks
+    by their sorted vertices, then sorted edges.  ``links`` holds
+    (block id, cutvertex label) pairs.  A restriction produced by
+    minimal_subtree keeps the original block ids.
     """
 
     host: Graph
@@ -55,9 +54,6 @@ class BlockCutTree:
 
     def block_ids(self) -> list[int]:
         return [b.id for b in self.blocks]
-
-    def tree_degree(self, bid: int) -> int:
-        return sum(1 for b, _ in self.links if b == bid)
 
 
 def block_cut_tree(g: Graph) -> BlockCutTree:
@@ -133,46 +129,42 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
 def minimal_subtree(t: BlockCutTree, marked: Iterable[int]) -> BlockCutTree:
     """Smallest subtree of the block-cut tree spanning the marked blocks."""
     want = set(marked)
-    known = set(t.block_ids())
-    unknown = want - known
+    unknown = want - set(t.block_ids())
     if unknown:
         raise GraphError(f"unknown block ids {sorted(unknown)!r}")
     if not want:
         raise GraphError("need at least one marked block")
 
-    nodes: set[tuple[str, object]] = {("b", b.id) for b in t.blocks}
-    nodes |= {("c", c) for c in t.cutvertices}
-    nbrs: dict[tuple[str, object], set[tuple[str, object]]] = {x: set() for x in nodes}
+    # tree nodes: a block by its id, a cutvertex by its label
+    nbrs: dict[object, set[object]] = {b.id: set() for b in t.blocks}
+    nbrs.update((c, set()) for c in t.cutvertices)
     for bid, c in t.links:
-        nbrs[("b", bid)].add(("c", c))
-        nbrs[("c", c)].add(("b", bid))
+        nbrs[bid].add(c)
+        nbrs[c].add(bid)
 
-    # prune unmarked leaves until fixpoint
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(nodes, key=repr):
-            if x[0] == "b" and x[1] in want:
-                continue
-            if len(nbrs[x] & nodes) <= 1:
-                nodes.discard(x)
-                changed = True
-
-    keep_blocks = tuple(b for b in t.blocks if ("b", b.id) in nodes)
-    keep_cuts = frozenset(c for c in t.cutvertices if ("c", c) in nodes)
-    keep_links = frozenset((bid, c) for bid, c in t.links
-                           if ("b", bid) in nodes and ("c", c) in nodes)
-    return BlockCutTree(t.host, keep_blocks, keep_cuts, keep_links)
+    # peel unmarked leaves; a node whose degree falls to one is a new leaf
+    leaves = [x for x, ns in nbrs.items() if len(ns) <= 1 and x not in want]
+    while leaves:
+        x = leaves.pop()
+        for y in nbrs.pop(x):
+            nbrs[y].discard(x)
+            if len(nbrs[y]) == 1 and y not in want:
+                leaves.append(y)
+    return BlockCutTree(
+        t.host, tuple(b for b in t.blocks if b.id in nbrs),
+        frozenset(c for c in t.cutvertices if c in nbrs),
+        frozenset((bid, c) for bid, c in t.links if bid in nbrs and c in nbrs))
 
 
 def choose_leaf_block(t: BlockCutTree) -> Block:
-    """A block that is a leaf of the tree; smallest label order breaks ties."""
+    """The first block, in id order, that is a leaf of the tree."""
     if not t.blocks:
         raise GraphError("empty block tree")
-    leaves = [b for b in t.blocks if t.tree_degree(b.id) <= 1]
-    if not leaves:
-        raise GraphError("internal error: tree without leaf blocks")
-    return min(leaves, key=Block.sort_key)
+    degree = Counter(bid for bid, _ in t.links)
+    for b in t.blocks:
+        if degree[b.id] <= 1:
+            return b
+    raise GraphError("internal error: tree without leaf blocks")
 
 
 def branch_vertices(g: Graph, ctx: Graph) -> frozenset[str]:

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .graph import (Edge, Graph, GraphError, Index, _bits, _reach,
-                    connected_components, edge)
+from .graph import Edge, Graph, GraphError, Index, _bits, _reach, edge
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -555,30 +554,6 @@ class MinorPredicate:
 
     def holds(self, g: Graph) -> bool:
         return is_minor(self.target, g)
-
-
-def partition_components(h: Graph, anchor: Graph
-                         ) -> tuple[list[Graph], list[Graph]]:
-    """Split the other components of h by whether the anchor embeds in them.
-
-    Returns (lacking, containing): components without an anchor minor,
-    then components with one.  The anchor component itself is excluded
-    by identity, not by isomorphism.  Each test is an is_minor call, so
-    BudgetExceeded may propagate.
-    """
-    comps = connected_components(h)
-    if anchor not in comps:
-        raise GraphError("anchor is not a component of the graph")
-    lacking: list[Graph] = []
-    containing: list[Graph] = []
-    for comp in comps:
-        if comp.vertices == anchor.vertices:
-            continue
-        if is_minor(anchor, comp):
-            containing.append(comp)
-        else:
-            lacking.append(comp)
-    return lacking, containing
 
 
 # -- expansion footprints (for packing and locality scans) ---------------

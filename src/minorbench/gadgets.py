@@ -18,9 +18,10 @@ from typing import Mapping
 
 from .graph import (Edge, Graph, GraphError, ParseError, _parse_edge_block,
                     connected_components, derived_label, relabeled_union)
-from .decompose import (Shape, _segments, block_cut_tree, branch_vertices,
-                        choose_leaf_block, classify_shape, minimal_subtree)
-from .embed import MinorPredicate, is_minor, partition_components
+from .decompose import (Block, Shape, _segments, block_cut_tree,
+                        branch_vertices, choose_leaf_block, classify_shape,
+                        minimal_subtree)
+from .embed import MinorPredicate, is_minor
 
 __all__ = [
     "BuildTrace", "CoreSpec", "assemble_block_counterexample",
@@ -126,6 +127,13 @@ def _kept_branches(blowup: Graph) -> dict[str, str]:
             if tag.startswith("branch:")}
 
 
+def _pieces(blocks: list[Block]) -> list[Graph]:
+    """The connected components of the union of the given blocks."""
+    return connected_components(Graph(
+        frozenset(v for b in blocks for v in b.graph.vertices),
+        frozenset(e for b in blocks for e in b.graph.edges)))
+
+
 def _with_tag(g: Graph, prefix: str) -> Graph:
     return Graph(g.vertices, g.edges, {v: f"{prefix}:{v}" for v in g.vertices})
 
@@ -142,11 +150,12 @@ def assemble_component_counterexample(h: Graph, anchor: Graph,
                                       spec: CoreSpec, r: int) -> Graph:
     """Swap the anchor component of h for the core, replicate the rest.
 
-    Components where the anchor is not a minor appear r times verbatim;
-    components properly containing an anchor minor are blown up.  All
-    parts stay disjoint.  The anchor must have a degree-3 vertex (a
-    cycle, path, or single vertex never needs this treatment).  Minor
-    tests run through is_minor, so BudgetExceeded may propagate.
+    The anchor must be a component of h.  Other components where the
+    anchor is not a minor appear r times verbatim; those containing an
+    anchor minor are blown up, after all the copies.  All parts stay
+    disjoint.  The anchor must have a degree-3 vertex (a cycle, path, or
+    single vertex never needs this treatment).  Minor tests run through
+    is_minor, so BudgetExceeded may propagate.
     """
     if r < 1:
         raise GraphError("replication count must be at least 1")
@@ -154,14 +163,19 @@ def assemble_component_counterexample(h: Graph, anchor: Graph,
         raise GraphError("component assembly takes a spec without roots")
     if classify_shape(anchor) is not Shape.HAS_DEGREE3_VERTEX:
         raise GraphError("anchor component has maximum degree at most 2")
-    lacking, containing = partition_components(h, anchor)
+    comps = connected_components(h)
+    if anchor not in comps:
+        raise GraphError("anchor is not a component of the graph")
     parts: list[Graph] = [_with_tag(spec.core, "core")]
-    for comp in lacking:
-        for j in range(r):
-            parts.append(_with_tag(comp, f"copy{j}"))
-    for comp in containing:
-        parts.append(segment_blowup(comp, h, r))
-    out, _ = relabeled_union(parts, ())
+    blowups: list[Graph] = []
+    for comp in comps:
+        if comp.vertices == anchor.vertices:
+            continue
+        if is_minor(anchor, comp):
+            blowups.append(segment_blowup(comp, h, r))
+        else:
+            parts.extend(_with_tag(comp, f"copy{j}") for j in range(r))
+    out, _ = relabeled_union(parts + blowups, ())
     return out
 
 
@@ -200,14 +214,15 @@ def assemble_block_counterexample(h: Graph, predicate: MinorPredicate,
                                   ) -> tuple[Graph, BuildTrace]:
     """Swap a leaf predicate block of h for the core, glue the rest back.
 
-    The distinguished block is a leaf of the minimal block subtree over
-    the blocks satisfying the predicate.  Blocks containing it as a
-    minor are blown up, as are the non-trivial connecting blocks on the
-    subtree between them and paths formed by the trivial ones; material
-    hanging outside that subtree is copied r times.  Copies of the same
-    host vertex are identified with each other, and the spec roots are
-    identified with the copies of their cutvertices.  Minor tests run
-    through is_minor, so BudgetExceeded may propagate.
+    The distinguished block is the first leaf, in block order, of the
+    minimal block subtree over the blocks satisfying the predicate.
+    Blocks containing it as a minor are blown up, as are the non-trivial
+    connecting blocks on the subtree between them and paths formed by
+    the trivial ones; material hanging outside that subtree is copied r
+    times.  Copies of the same host vertex are identified with each
+    other, and the spec roots are identified with the copies of their
+    cutvertices.  Minor tests run through is_minor, so BudgetExceeded
+    may propagate.
     """
     if r < 1:
         raise GraphError("replication count must be at least 1")
@@ -229,23 +244,12 @@ def assemble_block_counterexample(h: Graph, predicate: MinorPredicate,
 
     containing = [b for b in tree.blocks
                   if b.id != anchor.id and is_minor(anchor.graph, b.graph)]
-    sub = minimal_subtree(tree, [b.id for b in containing] + [anchor.id])
+    pinned = {anchor.id} | {b.id for b in containing}
+    sub = minimal_subtree(tree, pinned)
     sub_ids = set(sub.block_ids())
-    chain = [b for b in sub.blocks
-             if b.id != anchor.id and b.id not in {c.id for c in containing}]
-
-    outside_blocks = [b for b in tree.blocks if b.id not in sub_ids]
-    outside_union = Graph.build(
-        {v for b in outside_blocks for v in b.graph.vertices},
-        [e for b in outside_blocks for e in b.graph.edges])
-    hangers = connected_components(outside_union)
-
-    chain_trivial = [b for b in chain if b.is_trivial]
-    trivial_union = Graph.build(
-        {v for b in chain_trivial for v in b.graph.vertices},
-        [e for b in chain_trivial for e in b.graph.edges])
-    trivial_paths = connected_components(trivial_union)
-
+    chain = [b for b in sub.blocks if b.id not in pinned]
+    hangers = _pieces([b for b in tree.blocks if b.id not in sub_ids])
+    trivial_paths = _pieces([b for b in chain if b.is_trivial])
     sub_vertices = {v for b in sub.blocks for v in b.graph.vertices}
 
     # parts and, per part, where the copies of original host vertices live
@@ -284,8 +288,8 @@ def assemble_block_counterexample(h: Graph, predicate: MinorPredicate,
     trace = BuildTrace(
         mode="blocks",
         anchor_block=tuple(anchor.graph.sorted_vertices()),
-        predicate_blocks=tuple(tuple(tree.block_by_id(i).graph.sorted_vertices())
-                               for i in sorted(marked)),
+        predicate_blocks=tuple(tuple(tree.blocks[i].graph.sorted_vertices())
+                               for i in marked),
         containing_blocks=tuple(tuple(b.graph.sorted_vertices()) for b in containing),
         chain_blocks=tuple(tuple(b.graph.sorted_vertices()) for b in chain),
         outside_components=tuple(tuple(d.sorted_vertices()) for d in hangers),

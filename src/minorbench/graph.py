@@ -271,15 +271,22 @@ def serialize(g: Graph, format: str = "edge-list") -> str:
         out.extend(f"{u} {v}" for u, v in g.sorted_edges())
         return "\n".join(out) + "\n"
     if format == "dot":
-        out = ["graph {"]
+        # a DOT quoted string escapes '"' as '\"' and cannot end in '\'
+        ids = {}
         for v in g.sorted_vertices():
+            if v.endswith("\\"):
+                raise GraphError(f"vertex label {v!r} ends in a backslash, "
+                                 "which DOT cannot quote")
+            ids[v] = '"' + v.replace('"', '\\"') + '"'
+        out = ["graph {"]
+        for v, q in ids.items():
             if g.provenance is not None:
                 role = g.provenance[v].replace('"', "'")
-                out.append(f'  "{v}" [role="{role}"];')
+                out.append(f'  {q} [role="{role}"];')
             else:
-                out.append(f'  "{v}";')
+                out.append(f'  {q};')
         for u, v in g.sorted_edges():
-            out.append(f'  "{u}" -- "{v}";')
+            out.append(f'  {ids[u]} -- {ids[v]};')
         out.append("}")
         return "\n".join(out) + "\n"
     raise GraphError(f"unknown format {format!r}")
@@ -306,8 +313,11 @@ def parse_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) < need:
         raise ParseError("truncated graph6 bit data")
+    if len(body) > need:
+        raise ParseError(f"graph6 data runs {len(body) - need} byte(s) past "
+                         f"the {n}-vertex adjacency")
     bits: list[int] = []
-    for b in body[:need]:
+    for b in body:
         for k in range(5, -1, -1):
             bits.append((b >> k) & 1)
     vertices = [str(i) for i in range(n)]

@@ -23,7 +23,7 @@ from .decompose import branch_vertices
 from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, MinorPredicate,
                     Model, NodeCounter, SearchStatus, _check_roots, _find,
                     _footprints, _labelled)
-from .gadgets import CoreSpec, segment_blowup
+from .gadgets import CoreSpec, _kept_branches, segment_blowup
 
 __all__ = [
     "DEFAULT_SEED", "Budget", "HitResult", "Outcome", "PackingResult",
@@ -637,8 +637,8 @@ def check_branch_count(g: Graph, ctx: Graph, r: int) -> Report:
     """
     if r < 3:
         raise GraphError("branch counting needs replication at least 3")
-    expected = branch_vertices(g, ctx)
     gx = segment_blowup(g, ctx, r)
+    expected = frozenset(_kept_branches(gx))
     got = branch_vertices(gx, gx)
     outcome = Outcome.HOLDS if got == expected else Outcome.REFUTED
     details = {"expected": sorted(expected), "found": sorted(got),

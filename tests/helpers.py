@@ -344,6 +344,55 @@ def reference_block_cut_tree(g: Graph) -> BlockCutTree:
     return BlockCutTree(g, blocks, frozenset(cutvx), links)
 
 
+def reference_minimal_subtree(t: BlockCutTree, marked) -> BlockCutTree:
+    """The reference for decompose.minimal_subtree: prune unmarked
+    leaves, re-sorting every tree node on each pass, until nothing
+    changes."""
+    want = set(marked)
+    unknown = want - set(t.block_ids())
+    if unknown:
+        raise GraphError(f"unknown block ids {sorted(unknown)!r}")
+    if not want:
+        raise GraphError("need at least one marked block")
+
+    nodes: set[tuple[str, object]] = {("b", b.id) for b in t.blocks}
+    nodes |= {("c", c) for c in t.cutvertices}
+    nbrs: dict[tuple[str, object], set[tuple[str, object]]] = {x: set() for x in nodes}
+    for bid, c in t.links:
+        nbrs[("b", bid)].add(("c", c))
+        nbrs[("c", c)].add(("b", bid))
+
+    changed = True
+    while changed:
+        changed = False
+        for x in sorted(nodes, key=repr):
+            if x[0] == "b" and x[1] in want:
+                continue
+            if len(nbrs[x] & nodes) <= 1:
+                nodes.discard(x)
+                changed = True
+
+    keep_blocks = tuple(b for b in t.blocks if ("b", b.id) in nodes)
+    keep_cuts = frozenset(c for c in t.cutvertices if ("c", c) in nodes)
+    keep_links = frozenset((bid, c) for bid, c in t.links
+                           if ("b", bid) in nodes and ("c", c) in nodes)
+    return BlockCutTree(t.host, keep_blocks, keep_cuts, keep_links)
+
+
+def reference_choose_leaf_block(t: BlockCutTree) -> Block:
+    """The reference for decompose.choose_leaf_block: the leaf block
+    with the smallest sorted vertices, then sorted edges, each block's
+    degree by a scan over all links."""
+    if not t.blocks:
+        raise GraphError("empty block tree")
+    leaves = [b for b in t.blocks
+              if sum(1 for bid, _ in t.links if bid == b.id) <= 1]
+    if not leaves:
+        raise GraphError("internal error: tree without leaf blocks")
+    return min(leaves, key=lambda b: (b.graph.sorted_vertices(),
+                                      b.graph.sorted_edges()))
+
+
 def reference_segments(g: Graph, ctx: Graph) -> list[Segment]:
     """The reference for decompose.segment_decomposition on a connected
     g with branch vertices: the labelled walk it replaced, with branch

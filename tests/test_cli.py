@@ -10,7 +10,8 @@ from itertools import combinations
 
 import pytest
 
-from minorbench import embed, parse_graph, serialize
+from minorbench import cli, decompose, embed, gadgets, parse_graph, serialize
+from minorbench import verify
 from minorbench.cli import main
 from helpers import SAMPLES, seeded_host
 
@@ -110,6 +111,33 @@ class TestInspection:
         assert code == 0
         assert "n=4 m=6" in out
 
+    def test_graph6_bytes_past_the_adjacency_are_a_data_error(self, capsys,
+                                                              tmp_path):
+        f = tmp_path / "triangle.g6"
+        f.write_text("BwXYZ\n")
+        code, out, err = run(capsys, "components", str(f))
+        assert code == 65 and out == "" and "past" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["segments", SQ, "--ctx", SQ_CTX],
+        ["segments", SQ, "--ctx", SQ_CTX, "--format", "json"],
+        ["gtimes", SQ, "--ctx", SQ_CTX, "-r", "3", "--check-branch-count"],
+    ])
+    def test_branch_vertices_once_per_command(self, capsys, monkeypatch,
+                                              argv):
+        g = parse_graph((SAMPLES / "square-with-tail.el").read_text())
+        seen = []
+        real = decompose.branch_vertices
+
+        def counted(sub, ctx):
+            seen.append(sub)
+            return real(sub, ctx)
+
+        for mod in (cli, decompose, gadgets, verify):
+            monkeypatch.setattr(mod, "branch_vertices", counted)
+        assert run(capsys, *argv)[0] == 0
+        assert seen.count(g) == 1
+
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin",
                             io.StringIO((SAMPLES / "triangle.el").read_text()))
@@ -143,6 +171,20 @@ class TestConstruction:
                            "--format", "dot")
         assert code == 0
         assert out.startswith("graph {")
+
+    def gtimes_dot_of_star(self, capsys, tmp_path, centre):
+        # the star's centre is its one branch vertex and keeps its label
+        star = tmp_path / "star.el"
+        star.write_text(f"4 3\n{centre}\na\nb\nc\n"
+                        f"{centre} a\n{centre} b\n{centre} c\n")
+        return run(capsys, "gtimes", str(star), "--ctx", str(star), "-r",
+                   "2", "--format", "dot")
+
+    def test_gtimes_dot_quotes_labels(self, capsys, tmp_path):
+        code, out, _ = self.gtimes_dot_of_star(capsys, tmp_path, 'x"y')
+        assert code == 0 and '"x\\"y" [role="branch:x\'y"];' in out
+        code, out, err = self.gtimes_dot_of_star(capsys, tmp_path, "x\\")
+        assert code == 65 and out == "" and "backslash" in err
 
     def test_gtimes_branch_count_report(self, capsys):
         code, obj, _ = run_json(capsys, "gtimes", SQ, "--ctx", SQ_CTX,

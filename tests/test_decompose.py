@@ -12,7 +12,8 @@ from minorbench import (Graph, GraphError, MinorPredicate, Segment, Shape,
                         segment_decomposition)
 from helpers import (complete, cycle_graph, oracle_blocks, oracle_cutvertices,
                      path_graph, petalled_wheel, random_connected_graph,
-                     reference_block_cut_tree, reference_host,
+                     reference_block_cut_tree, reference_choose_leaf_block,
+                     reference_host, reference_minimal_subtree,
                      reference_segments, star_graph, tailed_square)
 
 PROPERTY = settings(max_examples=60, deadline=None,
@@ -78,7 +79,8 @@ class TestBlockCutTree:
 
     def test_ids_follow_sorted_order(self):
         t = block_cut_tree(caterpillar())
-        keys = [b.sort_key() for b in t.blocks]
+        keys = [(b.graph.sorted_vertices(), b.graph.sorted_edges())
+                for b in t.blocks]
         assert keys == sorted(keys)
         assert t.block_ids() == list(range(len(t.blocks)))
 
@@ -249,6 +251,48 @@ class TestChooseLeafBlock:
         empty = type(t)(t.host, (), frozenset(), frozenset())
         with pytest.raises(GraphError):
             choose_leaf_block(empty)
+
+
+def check_tree_reference(t, marked):
+    sub, ref = minimal_subtree(t, marked), reference_minimal_subtree(t, marked)
+    assert sub.block_ids() == ref.block_ids()
+    assert sub.cutvertices == ref.cutvertices and sub.links == ref.links
+    assert choose_leaf_block(sub) is reference_choose_leaf_block(ref)
+    return sub
+
+
+def random_marks(rng: random.Random, t) -> list[list[int]]:
+    """A single mark, a random subset and every block of the tree."""
+    ids = t.block_ids()
+    return [[rng.choice(ids)], rng.sample(ids, rng.randint(1, len(ids))), ids]
+
+
+class TestTreeReference:
+    """The one-pass peel and leaf choice equal the fixpoint prune and
+    the sorted leaf choice they replaced."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_reference_hosts(self, seed):
+        rng = random.Random(seed)
+        t = block_cut_tree(reference_host(seed))
+        assert choose_leaf_block(t) is reference_choose_leaf_block(t)
+        for marked in random_marks(rng, t):
+            check_tree_reference(t, marked)
+
+    def test_seeded_hosts(self):
+        rng = random.Random(2501)
+        shapes = set()
+        for _ in range(300):
+            t = block_cut_tree(random_connected_graph(
+                rng, rng.randint(1, 14), extra=rng.randint(0, 4)))
+            assert choose_leaf_block(t) is reference_choose_leaf_block(t)
+            for marked in random_marks(rng, t):
+                sub = check_tree_reference(t, marked)
+                shapes.add((len(sub.blocks) == len(t.blocks),
+                            len(sub.blocks) == 1))
+        # cases that keep the whole tree, one block, and a proper part
+        assert shapes == {(True, True), (True, False), (False, True),
+                          (False, False)}
 
 
 class TestBranchVertices:

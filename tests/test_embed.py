@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 
 from minorbench import (BudgetExceeded, Graph, GraphError, MinorEmbedding,
                         MinorPredicate, NodeCounter, Outcome, SearchStatus,
+                        assemble_component_counterexample,
                         check_assembly_robustness, connected_components,
                         delete_edges, edge, enumerate_expansions,
                         find_expansion, is_minor, iter_expansion_footprints,
-                        parse_graph, partition_components, segment_blowup,
+                        parse_graph, segment_blowup,
                         verify_embedding)
 from minorbench import embed
 from minorbench.embed import _labelled, _lift, _reduce_host, _unlabelled
 from minorbench.graph import _bits
 from helpers import (SAMPLES, brute_force_models, complete, cycle_graph,
                      footprint_cases, graphs_up_to_iso, inclusion_minimal,
+                     k5_spec,
                      labelled_adjacency, masks_graph, naive_is_minor_oracle,
                      oracle_footprints, path_graph, pattern_automorphisms,
                      random_connected_graph, random_graph,
@@ -360,44 +362,36 @@ class TestIsMinorBudget:
         monkeypatch.setattr(embed, "DEFAULT_NODE_BUDGET", 100)
         assert is_minor(complete("wxyz"), self.GADGET)
 
-    def test_predicate_and_partition_raise_on_exhaustion(self, monkeypatch):
-        h = parse_graph((SAMPLES / "k4-and-gadget.el").read_text())
-        anchor = next(c for c in connected_components(h) if "p" in c.vertices)
+    def test_predicate_raises_on_exhaustion(self, monkeypatch):
         monkeypatch.setattr(embed, "DEFAULT_NODE_BUDGET", 1)
         with pytest.raises(BudgetExceeded):
-            MinorPredicate("contains-K4", anchor).holds(self.GADGET)
-        with pytest.raises(BudgetExceeded):
-            partition_components(h, anchor)
+            MinorPredicate("contains-K4", complete("pqst")).holds(self.GADGET)
 
 
 class TestPartitionComponents:
-    def test_split_by_anchor_minor(self):
-        h = Graph.build([], [("a", "b"), ("b", "c"), ("a", "c"),
-                             ("p", "q"), ("p", "r"), ("p", "s"),
-                             ("q", "r"), ("q", "s"), ("r", "s"),
-                             ("x", "y")])
-        comps = connected_components(h)
-        anchor = next(c for c in comps if c.vertices == frozenset("abc"))
-        lacking, containing = partition_components(h, anchor)
-        assert [sorted(c.vertices) for c in lacking] == [["x", "y"]]
-        assert [sorted(c.vertices) for c in containing] == [["p", "q", "r", "s"]]
+    """The split of a host's components by whether they hold an anchor
+    minor, as assemble_component_counterexample makes it."""
 
     def test_anchor_must_be_a_component(self):
-        h = complete("abc")
-        with pytest.raises(GraphError):
-            partition_components(h, complete("ab"))
-
-    def test_sole_component_yields_nothing(self):
-        h = complete("abc")
-        lacking, containing = partition_components(h, h)
-        assert lacking == [] and containing == []
+        # a K4 with one vertex outside the host is no component of it
+        h = Graph.build([], complete("pqst").edges | {("y", "z")})
+        with pytest.raises(GraphError, match="not a component"):
+            assemble_component_counterexample(h, complete("pqsx"),
+                                              k5_spec(), 2)
 
     def test_k4_gadget_component_contains_the_anchor(self):
         h = parse_graph((SAMPLES / "k4-and-gadget.el").read_text())
-        anchor = next(c for c in connected_components(h) if "p" in c.vertices)
-        lacking, containing = partition_components(h, anchor)
-        assert lacking == []
-        assert [len(c.vertices) for c in containing] == [22]
+        anchor, gadget = sorted(connected_components(h),
+                                key=lambda c: "p" not in c.vertices)
+        assert len(gadget.vertices) == 22 and is_minor(anchor, gadget)
+        out = assemble_component_counterexample(h, anchor, k5_spec(), 2)
+        tags = out.provenance
+        # nothing lacks the anchor, so nothing is copied; the gadget is
+        # the one part after the core, blown up around its branch vertices
+        assert not any(t.startswith("copy") for t in tags.values())
+        assert {v.rsplit("#", 1)[1] for v in out.vertices} == {"0", "1"}
+        assert {t.split(":")[1] for t in tags.values()
+                if t.startswith("branch:")} <= gadget.vertices
 
 
 class TestFootprints:

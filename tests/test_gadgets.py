@@ -2,13 +2,14 @@
 
 import pytest
 
-from minorbench import (CoreSpec, Graph, GraphError, MinorPredicate,
-                        ParseError, SearchStatus,
+from minorbench import (BudgetExceeded, CoreSpec, Graph, GraphError,
+                        MinorPredicate, ParseError, SearchStatus,
                         assemble_block_counterexample,
                         assemble_component_counterexample, block_cut_tree,
                         check_branch_count, connected_components,
                         core_region, delete_edges, find_expansion, is_minor,
                         load_core_spec, parse_graph, segment_blowup)
+from minorbench import embed
 from helpers import (SAMPLES, complete, cycle_graph, k5_spec, path_graph,
                      petalled_wheel, reference_branch_count, reference_host,
                      reference_segment_blowup, rooted_spec, subdivided,
@@ -265,10 +266,45 @@ class TestComponentAssembly:
 
     def test_k4_gadget_component_is_blown_up(self):
         h = parse_graph((SAMPLES / "k4-and-gadget.el").read_text())
-        anchor = next(c for c in connected_components(h) if "p" in c.vertices)
+        anchor, gadget = sorted(connected_components(h),
+                                key=lambda c: "p" not in c.vertices)
+        assert len(gadget.vertices) == 22
         out = assemble_component_counterexample(h, anchor, k5_spec(), 2)
         # core K5 plus the gadget's 18 paths, each copied twice
         assert (len(out.vertices), len(out.edges)) == (5 + 4 + 36, 10 + 72)
+        assert not any(t.startswith("copy") for t in out.provenance.values())
+
+    def test_split_by_anchor_minor(self):
+        # the K5 contains the K4 anchor and is blown up last; the edge
+        # and the triangle lack it and are copied r times, in order
+        h = Graph.build([], complete("abcd").edges | complete("pqrst").edges
+                        | complete("uv").edges | complete("xyz").edges)
+        anchor = connected_components(h)[0]
+        out = assemble_component_counterexample(h, anchor, k5_spec(), 2)
+        tags = out.provenance
+        assert {v for v, t in tags.items() if t.startswith("copy")} == {
+            "u#1", "v#1", "u#2", "v#2",
+            "x#3", "y#3", "z#3", "x#4", "y#4", "z#4"}
+        assert {v for v, t in tags.items() if t.startswith("branch:")} == {
+            f"{v}#5" for v in "pqrst"}
+        # 10 K5 edges, each 2 paths of length 2
+        assert (len(out.vertices), len(out.edges)) == (
+            5 + 4 + 6 + 5 + 20, 10 + 2 + 6 + 40)
+
+    def test_sole_component_is_replaced_by_the_core(self):
+        h = complete("pqst")
+        out = assemble_component_counterexample(h, h, k5_spec(), 2)
+        assert out == Graph(frozenset(f"{i}#0" for i in "12345"),
+                            frozenset((f"{a}#0", f"{b}#0")
+                                      for a, b in complete("12345").edges))
+        assert core_region(out) == out.vertices
+
+    def test_budget_exhaustion_propagates(self, monkeypatch):
+        h = parse_graph((SAMPLES / "k4-and-gadget.el").read_text())
+        anchor = next(c for c in connected_components(h) if "p" in c.vertices)
+        monkeypatch.setattr(embed, "DEFAULT_NODE_BUDGET", 1)
+        with pytest.raises(BudgetExceeded):
+            assemble_component_counterexample(h, anchor, k5_spec(), 2)
 
     def test_rejects_anchor_without_degree3_vertex(self):
         h = Graph.build([], [("a", "b"), ("b", "c"), ("c", "a"), ("y", "z")])
@@ -290,9 +326,10 @@ class TestComponentAssembly:
             assemble_component_counterexample(h, anchor, k5_spec(), 0)
 
     def test_rejects_non_component_anchor(self):
-        h = two_part_host()
-        with pytest.raises(GraphError):
-            assemble_component_counterexample(h, complete("pqs"), k5_spec(), 2)
+        # a K4 inside a K5 has a degree-3 vertex but is no component
+        with pytest.raises(GraphError, match="not a component"):
+            assemble_component_counterexample(
+                complete("pqstu"), complete("pqst"), k5_spec(), 2)
 
 
 class TestBlockAssembly:

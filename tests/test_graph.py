@@ -257,6 +257,17 @@ class TestParse:
         assert serialize(path_graph("ab"), "dot") == (
             'graph {\n  "a";\n  "b";\n  "a" -- "b";\n}\n')
 
+    def test_serialize_dot_escapes_quotes(self):
+        g = Graph.build([], [('a"b', "c")])
+        assert serialize(g, "dot") == (
+            'graph {\n  "a\\"b";\n  "c";\n  "a\\"b" -- "c";\n}\n')
+
+    def test_serialize_dot_rejects_trailing_backslash(self):
+        g = Graph.build([], [("d\\", "e")])
+        with pytest.raises(GraphError, match=r"'d\\\\'"):
+            serialize(g, "dot")
+        assert serialize(g) == "2 1\nd\\\ne\nd\\ e\n"
+
     def test_serialize_unknown_format(self):
         with pytest.raises(GraphError):
             serialize(complete("ab"), "png")
@@ -281,6 +292,13 @@ class TestGraph6:
     def test_truncated_rejected(self):
         with pytest.raises(ParseError):
             parse_graph6("D")
+
+    def test_bytes_past_the_adjacency_rejected(self):
+        # a triangle takes one data byte and a single vertex none
+        assert parse_graph6("Bw") == complete(["0", "1", "2"])
+        for text in ("BwXYZ", "Bw?", "@?"):
+            with pytest.raises(ParseError, match="past"):
+                parse_graph6(text)
 
     def test_long_size_header(self):
         # n >= 63 takes a 126 byte and three 6-bit size bytes; this is
