@@ -36,21 +36,15 @@ class BlockCutTree:
     """Bipartite incidence tree between blocks and cutvertices.
 
     ``blocks`` is in id order, and block_cut_tree numbers the blocks
-    by their sorted vertices, then sorted edges.  ``links`` holds
-    (block id, cutvertex label) pairs.  A restriction produced by
-    minimal_subtree keeps the original block ids.
+    from 0 by their sorted vertices, then sorted edges, so its
+    ``blocks[i]`` has id i.  ``links`` holds (block id, cutvertex
+    label) pairs.  A restriction produced by minimal_subtree keeps the
+    original block ids.
     """
 
-    host: Graph
     blocks: tuple[Block, ...]
     cutvertices: frozenset[str]
     links: frozenset[tuple[int, str]]
-
-    def block_by_id(self, bid: int) -> Block:
-        for b in self.blocks:
-            if b.id == bid:
-                return b
-        raise GraphError(f"no block with id {bid}")
 
     def block_ids(self) -> list[int]:
         return [b.id for b in self.blocks]
@@ -68,7 +62,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
         raise GraphError("block_cut_tree requires a connected graph")
     if len(g.vertices) == 1:
         only = Graph(g.vertices, frozenset())
-        return BlockCutTree(g, (Block(0, only, False),), frozenset(), frozenset())
+        return BlockCutTree((Block(0, only, False),), frozenset(), frozenset())
 
     # on vertex numbers from the root 0, neighbours in ascending order
     verts, nbr = g.index.verts, g.index.nbr
@@ -123,7 +117,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     blocks = tuple(Block(i, bg, len(bg.edges) == 1) for i, bg in enumerate(raw))
     links = frozenset((b.id, c) for b in blocks for c in cutvx
                       if c in b.graph.vertices)
-    return BlockCutTree(g, blocks, frozenset(cutvx), links)
+    return BlockCutTree(blocks, frozenset(cutvx), links)
 
 
 def minimal_subtree(t: BlockCutTree, marked: Iterable[int]) -> BlockCutTree:
@@ -151,7 +145,7 @@ def minimal_subtree(t: BlockCutTree, marked: Iterable[int]) -> BlockCutTree:
             if len(nbrs[y]) == 1 and y not in want:
                 leaves.append(y)
     return BlockCutTree(
-        t.host, tuple(b for b in t.blocks if b.id in nbrs),
+        tuple(b for b in t.blocks if b.id in nbrs),
         frozenset(c for c in t.cutvertices if c in nbrs),
         frozenset((bid, c) for bid, c in t.links if bid in nbrs and c in nbrs))
 

@@ -143,40 +143,40 @@ def core_region(g: Graph) -> frozenset[str]:
     if g.provenance is None:
         raise GraphError("graph carries no provenance")
     return frozenset(v for v, tag in g.provenance.items()
-                     if any(t.startswith("core:") for t in tag.split("&")))
+                     if any(t.startswith("core:") for t in tag.split()))
 
 
-def assemble_component_counterexample(h: Graph, anchor: Graph,
+def assemble_component_counterexample(h: Graph, anchor: str,
                                       spec: CoreSpec, r: int) -> Graph:
-    """Swap the anchor component of h for the core, replicate the rest.
+    """Swap the component of h holding vertex anchor for the core.
 
-    The anchor must be a component of h.  Other components where the
-    anchor is not a minor appear r times verbatim; those containing an
-    anchor minor are blown up, after all the copies.  All parts stay
-    disjoint.  The anchor must have a degree-3 vertex (a cycle, path, or
-    single vertex never needs this treatment).  Minor tests run through
-    is_minor, so BudgetExceeded may propagate.
+    Other components where the anchor component is not a minor appear r
+    times verbatim; those containing it as a minor are blown up, after
+    all the copies.  All parts stay disjoint.  The anchor component must
+    have a degree-3 vertex (a cycle, path, or single vertex never needs
+    this treatment).  Minor tests run through is_minor, so
+    BudgetExceeded may propagate.
     """
     if r < 1:
         raise GraphError("replication count must be at least 1")
     if spec.roots:
         raise GraphError("component assembly takes a spec without roots")
-    if classify_shape(anchor) is not Shape.HAS_DEGREE3_VERTEX:
-        raise GraphError("anchor component has maximum degree at most 2")
     comps = connected_components(h)
-    if anchor not in comps:
-        raise GraphError("anchor is not a component of the graph")
+    own = next((c for c in comps if anchor in c.vertices), None)
+    if own is None:
+        raise GraphError(f"no component contains vertex {anchor!r}")
+    if classify_shape(own) is not Shape.HAS_DEGREE3_VERTEX:
+        raise GraphError("anchor component has maximum degree at most 2")
     parts: list[Graph] = [_with_tag(spec.core, "core")]
     blowups: list[Graph] = []
     for comp in comps:
-        if comp.vertices == anchor.vertices:
+        if comp is own:
             continue
-        if is_minor(anchor, comp):
+        if is_minor(own, comp):
             blowups.append(segment_blowup(comp, h, r))
         else:
             parts.extend(_with_tag(comp, f"copy{j}") for j in range(r))
-    out, _ = relabeled_union(parts + blowups, ())
-    return out
+    return relabeled_union(parts + blowups)
 
 
 @dataclass(frozen=True)
@@ -226,8 +226,6 @@ def assemble_block_counterexample(h: Graph, predicate: MinorPredicate,
     """
     if r < 1:
         raise GraphError("replication count must be at least 1")
-    if not h.is_connected():
-        raise GraphError("block assembly requires a connected host")
     tree = block_cut_tree(h)
     marked = [b.id for b in tree.blocks if predicate.holds(b.graph)]
     if not marked:
@@ -283,7 +281,7 @@ def assemble_block_counterexample(h: Graph, predicate: MinorPredicate,
             raise GraphError("internal error: hanging component attaches at a "
                              "vertex with no copy in the assembly")
 
-    out, final_of = relabeled_union(parts, groups)
+    out = relabeled_union(parts, groups)
 
     trace = BuildTrace(
         mode="blocks",
@@ -296,6 +294,6 @@ def assemble_block_counterexample(h: Graph, predicate: MinorPredicate,
         trivial_paths=tuple(tuple(p.sorted_vertices()) for p in trivial_paths),
         roots=tuple(sorted(spec.roots.items())),
         identifications=tuple(sorted((min(gp), tuple(sorted(gp))) for gp in groups)),
-        core_vertices=tuple(sorted(final_of[(0, v)] for v in spec.core.vertices)),
+        core_vertices=tuple(sorted(core_region(out))),
     )
     return out, trace

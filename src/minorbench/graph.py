@@ -263,26 +263,31 @@ def parse_graph(text: str) -> Graph:
     return g
 
 
+def _dot_quote(s: str, what: str) -> str:
+    """s as a DOT quoted string, whose one escape is '\\"' for '"'."""
+    if s.endswith("\\"):
+        raise GraphError(f"{what} {s!r} ends in a backslash, "
+                         "which DOT cannot quote")
+    return '"' + s.replace('"', '\\"') + '"'
+
+
 def serialize(g: Graph, format: str = "edge-list") -> str:
     """Render a graph as edge-list or DOT text."""
     if format == "edge-list":
-        out = [f"{len(g.vertices)} {len(g.edges)}"]
-        out.extend(g.sorted_vertices())
+        out = [f"{len(g.vertices)} {len(g.edges)}", *g.sorted_vertices()]
+        for v in out[1:]:
+            if v[0] == "#":
+                raise GraphError(f"vertex label {v!r} starts with '#', which "
+                                 "the edge-list format reads as a comment")
         out.extend(f"{u} {v}" for u, v in g.sorted_edges())
         return "\n".join(out) + "\n"
     if format == "dot":
-        # a DOT quoted string escapes '"' as '\"' and cannot end in '\'
-        ids = {}
-        for v in g.sorted_vertices():
-            if v.endswith("\\"):
-                raise GraphError(f"vertex label {v!r} ends in a backslash, "
-                                 "which DOT cannot quote")
-            ids[v] = '"' + v.replace('"', '\\"') + '"'
+        ids = {v: _dot_quote(v, "vertex label") for v in g.sorted_vertices()}
         out = ["graph {"]
         for v, q in ids.items():
             if g.provenance is not None:
-                role = g.provenance[v].replace('"', "'")
-                out.append(f'  {q} [role="{role}"];')
+                role = _dot_quote(g.provenance[v], "role")
+                out.append(f'  {q} [role={role}];')
             else:
                 out.append(f'  {q};')
         for u, v in g.sorted_edges():
@@ -347,18 +352,17 @@ def derived_label(base: str, i: int) -> str:
     return f"{base}#{i}"
 
 
-def relabeled_union(
-        parts: list[Graph],
-        identify: Iterable[frozenset[str]] = ()
-) -> tuple[Graph, dict[tuple[int, str], str]]:
+def relabeled_union(parts: list[Graph],
+                    identify: Iterable[frozenset[str]] = ()) -> Graph:
     """Disjoint union of the parts, then merge each identification group.
 
     Part i is relabeled by appending ``#i`` to every vertex first; the
     identification groups refer to these relabeled names.  Each group is
     merged to a single vertex (its lexicographically smallest member)
-    inheriting all incident edges.  Groups must be pairwise disjoint.
-    Accidental parallel edges are collapsed with a warning.  Returns the
-    union and the map (part index, old label) -> final label.
+    inheriting all incident edges, whose provenance lists the members'
+    distinct tags, sorted and separated by spaces.  Groups must be
+    pairwise disjoint.  Accidental parallel edges are collapsed with a
+    warning.
     """
     if not parts:
         raise GraphError("need at least one part")
@@ -395,7 +399,7 @@ def relabeled_union(
             rename[v] = target
         if any_prov:
             tags = sorted({prov[v] for v in gp})
-            prov[target] = "&".join(tags)
+            prov[target] = " ".join(tags)
 
     new_vertices = {rename.get(v, v) for v in vertices}
     new_edges: set[Edge] = set()
@@ -410,12 +414,10 @@ def relabeled_union(
         new_edges.add(e)
     if dropped:
         log.warning("union collapsed %d parallel edge(s)", dropped)
-    final_of = {(i, v): rename.get(derived_label(v, i), derived_label(v, i))
-                for i, part in enumerate(parts) for v in part.vertices}
     if any_prov:
         prov = {v: t for v, t in prov.items() if v in new_vertices}
-        return Graph(frozenset(new_vertices), frozenset(new_edges), prov), final_of
-    return Graph(frozenset(new_vertices), frozenset(new_edges)), final_of
+        return Graph(frozenset(new_vertices), frozenset(new_edges), prov)
+    return Graph(frozenset(new_vertices), frozenset(new_edges))
 
 
 def connected_components(g: Graph) -> list[Graph]:

@@ -341,7 +341,7 @@ def reference_block_cut_tree(g: Graph) -> BlockCutTree:
     blocks = tuple(Block(i, bg, len(bg.edges) == 1) for i, bg in enumerate(raw))
     links = frozenset((b.id, c) for b in blocks for c in sorted(cutvx)
                       if c in b.graph.vertices)
-    return BlockCutTree(g, blocks, frozenset(cutvx), links)
+    return BlockCutTree(blocks, frozenset(cutvx), links)
 
 
 def reference_minimal_subtree(t: BlockCutTree, marked) -> BlockCutTree:
@@ -376,7 +376,7 @@ def reference_minimal_subtree(t: BlockCutTree, marked) -> BlockCutTree:
     keep_cuts = frozenset(c for c in t.cutvertices if ("c", c) in nodes)
     keep_links = frozenset((bid, c) for bid, c in t.links
                            if ("b", bid) in nodes and ("c", c) in nodes)
-    return BlockCutTree(t.host, keep_blocks, keep_cuts, keep_links)
+    return BlockCutTree(keep_blocks, keep_cuts, keep_links)
 
 
 def reference_choose_leaf_block(t: BlockCutTree) -> Block:

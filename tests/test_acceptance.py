@@ -88,7 +88,7 @@ def component_build():
     host = two_part_host()
     anchor = next(c for c in connected_components(host) if "p" in c.vertices)
     spec = k5_spec()
-    built = assemble_component_counterexample(host, anchor, spec, spec.r)
+    built = assemble_component_counterexample(host, "p", spec, spec.r)
     reports = {
         "generic": check_generic_counterexample(anchor, spec),
         "robustness": check_assembly_robustness(host, built, spec.r),

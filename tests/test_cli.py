@@ -10,7 +10,8 @@ from itertools import combinations
 
 import pytest
 
-from minorbench import cli, decompose, embed, gadgets, parse_graph, serialize
+from minorbench import (Graph, cli, decompose, embed, gadgets, parse_graph,
+                        serialize)
 from minorbench import verify
 from minorbench.cli import main
 from helpers import SAMPLES, seeded_host
@@ -182,7 +183,7 @@ class TestConstruction:
 
     def test_gtimes_dot_quotes_labels(self, capsys, tmp_path):
         code, out, _ = self.gtimes_dot_of_star(capsys, tmp_path, 'x"y')
-        assert code == 0 and '"x\\"y" [role="branch:x\'y"];' in out
+        assert code == 0 and '"x\\"y" [role="branch:x\\"y"];' in out
         code, out, err = self.gtimes_dot_of_star(capsys, tmp_path, "x\\")
         assert code == 65 and out == "" and "backslash" in err
 
@@ -286,6 +287,55 @@ class TestConstruction:
         code, _, err = run(capsys, "hstar2", TWT, CORE, "--predicate", TRI,
                            "-r", "2")
         assert code == 65 and "roots" in err
+
+    def test_hstar2_rejects_disconnected_host(self, capsys):
+        code, out, err = run(capsys, "hstar2", HOST2, RCORE, "--predicate",
+                             TRI, "-r", "2")
+        assert code == 65 and out == "" and "connected" in err
+
+    def test_hstar1_splits_components_once(self, capsys, monkeypatch):
+        h = parse_graph((SAMPLES / "k4-and-gadget.el").read_text())
+        seen = []
+        real = gadgets.connected_components
+
+        def counted(g):
+            seen.append(g)
+            return real(g)
+
+        for mod in (cli, gadgets):
+            monkeypatch.setattr(mod, "connected_components", counted)
+        assert run(capsys, "hstar1", K4_AND_GADGET, CORE, "--anchor", "p",
+                   "-r", "2")[0] == 0
+        assert seen.count(h) == 1
+
+    def test_hstar2_checks_connectivity_once(self, capsys, monkeypatch):
+        h = parse_graph((SAMPLES / "triangle-with-tail.el").read_text())
+        seen = []
+        real = Graph.is_connected
+
+        def counted(g):
+            seen.append(g)
+            return real(g)
+
+        monkeypatch.setattr(Graph, "is_connected", counted)
+        assert run(capsys, "hstar2", TWT, RCORE, "--predicate", TRI,
+                   "-r", "2")[0] == 0
+        assert seen.count(h) == 1
+
+    def test_hstar1_dot_refuses_a_role_ending_in_backslash(self, capsys,
+                                                          tmp_path):
+        # the edge d\--e is copied, so the role of d\#1 is copy0:d\, which
+        # DOT cannot quote
+        host = tmp_path / "host.el"
+        host.write_text("6 5\na\nb\nc\nd\nd\\\ne\n"
+                        "a b\na c\nb c\nc d\nd\\ e\n")
+        spec = tmp_path / "core.txt"
+        spec.write_text("3 3\nx\ny\nz\nx y\nx z\ny z\nk 1\nr 1\n")
+        argv = ["hstar1", str(host), str(spec), "--anchor", "a", "-r", "1"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "d\\#1\n" in out
+        code, out, err = run(capsys, *argv, "--format", "dot")
+        assert code == 65 and out == "" and "role 'copy0:d\\\\'" in err
 
 
 class TestQueries:

@@ -84,12 +84,6 @@ class TestBlockCutTree:
         assert keys == sorted(keys)
         assert t.block_ids() == list(range(len(t.blocks)))
 
-    def test_block_by_id(self):
-        t = block_cut_tree(caterpillar())
-        assert t.block_by_id(0) is t.blocks[0]
-        with pytest.raises(GraphError):
-            t.block_by_id(99)
-
     def test_rejects_empty_and_disconnected(self):
         with pytest.raises(GraphError):
             block_cut_tree(Graph.build([], []))
@@ -111,9 +105,11 @@ class TestBlockCutTree:
         # every edge in exactly one block
         claimed = [e for b in t.blocks for e in b.graph.edges]
         assert sorted(claimed) == g.sorted_edges()
-        # links touch real vertices, cutvertices sit in >= 2 blocks
+        # blocks sit at their ids, links touch real vertices,
+        # cutvertices sit in >= 2 blocks
+        assert all(b.id == i for i, b in enumerate(t.blocks))
         for bid, c in t.links:
-            assert c in t.block_by_id(bid).graph.vertices
+            assert c in t.blocks[bid].graph.vertices
         for c in t.cutvertices:
             assert sum(1 for _, x in t.links if x == c) >= 2
         # the incidence structure is a tree
@@ -248,7 +244,7 @@ class TestChooseLeafBlock:
 
     def test_rejects_empty_tree(self):
         t = block_cut_tree(complete("ab"))
-        empty = type(t)(t.host, (), frozenset(), frozenset())
+        empty = type(t)((), frozenset(), frozenset())
         with pytest.raises(GraphError):
             choose_leaf_block(empty)
 

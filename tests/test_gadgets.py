@@ -1,17 +1,22 @@
 """Blowup gadget, core-spec documents, and the two assembly builders."""
 
+import random
+
 import pytest
 
 from minorbench import (BudgetExceeded, CoreSpec, Graph, GraphError,
                         MinorPredicate, ParseError, SearchStatus,
                         assemble_block_counterexample,
                         assemble_component_counterexample, block_cut_tree,
-                        check_branch_count, connected_components,
-                        core_region, delete_edges, find_expansion, is_minor,
-                        load_core_spec, parse_graph, segment_blowup)
+                        check_branch_count, choose_leaf_block,
+                        connected_components, core_region, delete_edges,
+                        find_expansion, is_minor,
+                        load_core_spec, minimal_subtree, parse_graph,
+                        segment_blowup)
 from minorbench import embed
 from helpers import (SAMPLES, complete, cycle_graph, k5_spec, path_graph,
-                     petalled_wheel, reference_branch_count, reference_host,
+                     petalled_wheel, random_connected_graph,
+                     reference_branch_count, reference_host,
                      reference_segment_blowup, rooted_spec, subdivided,
                      tailed_square, triangle_with_tail, two_part_host)
 
@@ -231,9 +236,7 @@ class TestLoadCoreSpec:
 class TestComponentAssembly:
     def test_two_part_host_frozen(self):
         h = two_part_host()
-        anchor = connected_components(h)[0]
-        assert anchor.vertices == frozenset("pqst")
-        out = assemble_component_counterexample(h, anchor, k5_spec(), 2)
+        out = assemble_component_counterexample(h, "p", k5_spec(), 2)
         assert out.vertices == {"1#0", "2#0", "3#0", "4#0", "5#0",
                                 "y#1", "z#1", "y#2", "z#2"}
         assert len(out.edges) == 12
@@ -247,7 +250,7 @@ class TestComponentAssembly:
                               ("b", "d"), ("c", "d")]])
         anchor = connected_components(h)[1]
         assert anchor.vertices == frozenset("pqst")
-        out = assemble_component_counterexample(h, anchor, k5_spec(), 2)
+        out = assemble_component_counterexample(h, "q", k5_spec(), 2)
         # core K5 plus a blowup of the other K4: 4 branch vertices and
         # 6 segments, each 2 copies of a length-2 path
         assert len(out.vertices) == 5 + 4 + 12
@@ -260,16 +263,15 @@ class TestComponentAssembly:
         tail = [(f"m{i}", f"m{i+1}") for i in range(12)]
         h = Graph.build([], [("p", "q"), ("p", "s"), ("p", "t"), ("q", "s"),
                              ("q", "t"), ("s", "t")] + tail)
-        anchor = connected_components(h)[1]
-        out = assemble_component_counterexample(h, anchor, k5_spec(), 2)
+        out = assemble_component_counterexample(h, "p", k5_spec(), 2)
         assert len(out.vertices) == 5 + 2 * 13
 
     def test_k4_gadget_component_is_blown_up(self):
         h = parse_graph((SAMPLES / "k4-and-gadget.el").read_text())
-        anchor, gadget = sorted(connected_components(h),
-                                key=lambda c: "p" not in c.vertices)
+        gadget = next(c for c in connected_components(h)
+                      if "p" not in c.vertices)
         assert len(gadget.vertices) == 22
-        out = assemble_component_counterexample(h, anchor, k5_spec(), 2)
+        out = assemble_component_counterexample(h, "p", k5_spec(), 2)
         # core K5 plus the gadget's 18 paths, each copied twice
         assert (len(out.vertices), len(out.edges)) == (5 + 4 + 36, 10 + 72)
         assert not any(t.startswith("copy") for t in out.provenance.values())
@@ -279,8 +281,7 @@ class TestComponentAssembly:
         # and the triangle lack it and are copied r times, in order
         h = Graph.build([], complete("abcd").edges | complete("pqrst").edges
                         | complete("uv").edges | complete("xyz").edges)
-        anchor = connected_components(h)[0]
-        out = assemble_component_counterexample(h, anchor, k5_spec(), 2)
+        out = assemble_component_counterexample(h, "b", k5_spec(), 2)
         tags = out.provenance
         assert {v for v, t in tags.items() if t.startswith("copy")} == {
             "u#1", "v#1", "u#2", "v#2",
@@ -293,7 +294,7 @@ class TestComponentAssembly:
 
     def test_sole_component_is_replaced_by_the_core(self):
         h = complete("pqst")
-        out = assemble_component_counterexample(h, h, k5_spec(), 2)
+        out = assemble_component_counterexample(h, "p", k5_spec(), 2)
         assert out == Graph(frozenset(f"{i}#0" for i in "12345"),
                             frozenset((f"{a}#0", f"{b}#0")
                                       for a, b in complete("12345").edges))
@@ -301,35 +302,43 @@ class TestComponentAssembly:
 
     def test_budget_exhaustion_propagates(self, monkeypatch):
         h = parse_graph((SAMPLES / "k4-and-gadget.el").read_text())
-        anchor = next(c for c in connected_components(h) if "p" in c.vertices)
         monkeypatch.setattr(embed, "DEFAULT_NODE_BUDGET", 1)
         with pytest.raises(BudgetExceeded):
-            assemble_component_counterexample(h, anchor, k5_spec(), 2)
+            assemble_component_counterexample(h, "p", k5_spec(), 2)
 
     def test_rejects_anchor_without_degree3_vertex(self):
         h = Graph.build([], [("a", "b"), ("b", "c"), ("c", "a"), ("y", "z")])
-        anchor = connected_components(h)[0]
-        with pytest.raises(GraphError):
-            assemble_component_counterexample(h, anchor, k5_spec(), 2)
+        with pytest.raises(GraphError, match="degree at most 2"):
+            assemble_component_counterexample(h, "a", k5_spec(), 2)
 
     def test_rejects_rooted_spec(self):
-        h = two_part_host()
-        anchor = connected_components(h)[0]
         spec = CoreSpec(complete("12"), {"s": "1"}, k=2, r=2)
         with pytest.raises(GraphError):
-            assemble_component_counterexample(h, anchor, spec, 2)
+            assemble_component_counterexample(two_part_host(), "p", spec, 2)
 
     def test_rejects_r_below_one(self):
-        h = two_part_host()
-        anchor = connected_components(h)[0]
         with pytest.raises(GraphError):
-            assemble_component_counterexample(h, anchor, k5_spec(), 0)
+            assemble_component_counterexample(two_part_host(), "p",
+                                              k5_spec(), 0)
 
-    def test_rejects_non_component_anchor(self):
-        # a K4 inside a K5 has a degree-3 vertex but is no component
-        with pytest.raises(GraphError, match="not a component"):
+    def test_rejects_unknown_anchor_vertex(self):
+        with pytest.raises(GraphError,
+                           match="no component contains vertex 'zz'"):
             assemble_component_counterexample(
-                complete("pqstu"), complete("pqst"), k5_spec(), 2)
+                two_part_host(), "zz", k5_spec(), 2)
+
+    def test_anchor_names_its_component_by_any_vertex(self):
+        h = two_part_host()
+        outs = {assemble_component_counterexample(h, v, k5_spec(), 2)
+                for v in "pqst"}
+        assert len(outs) == 1
+
+    def test_core_region_ignores_ampersands_in_labels(self):
+        # a copied vertex whose label holds "&core:" is not a core vertex
+        h = Graph.build([], complete("pqst").edges | {("x", "y&core:q")})
+        out = assemble_component_counterexample(h, "p", k5_spec(), 2)
+        assert core_region(out) == {f"{i}#0" for i in "12345"}
+        assert out.provenance["y&core:q#1"] == "copy0:y&core:q"
 
 
 class TestBlockAssembly:
@@ -473,9 +482,45 @@ class TestBlockAssembly:
 
     def test_rejects_disconnected_host(self):
         pred = MinorPredicate("contains-K3", complete("xyz"))
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match="requires a connected graph"):
             assemble_block_counterexample(two_part_host(), pred,
                                           rooted_spec(), 2)
+
+    def test_core_region_ignores_ampersands_in_labels(self):
+        # the hanger copies d&core:z#1 and d&core:z#2 are not core vertices
+        h = Graph.build([], [("b", "c"), ("b", "s"), ("c", "s"),
+                             ("s", "d&core:z")])
+        out, trace = assemble_block_counterexample(
+            h, MinorPredicate("k3", complete("xyz")), rooted_spec(), 2)
+        assert {"d&core:z#1", "d&core:z#2"} <= out.vertices
+        assert core_region(out) == {"c1#0", "c2#0", "c3#0", "c4#0", "s#1"}
+        assert trace.core_vertices == tuple(sorted(core_region(out)))
+        assert out.provenance["s#1"] == "copy0:s copy1:s core:s'"
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_core_vertices_follow_the_identifications(self, seed):
+        # each core vertex v ends as v#0, or as the least member of the
+        # identification group that holds v#0
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(4, 12), extra=4)
+        u, v = rng.choice(g.sorted_edges())  # a triangle on u, v, t
+        g = Graph.build([], [*g.edges, (u, "t"), (v, "t")])
+        if seed % 2:  # labels that hold "&core:" must not read as core
+            g = Graph.build([], ((f"{u}&core:{u}", f"{v}&core:{v}")
+                                 for u, v in g.edges))
+        tree = block_cut_tree(g)
+        pred = MinorPredicate("k3", complete("xyz"))
+        marked = [b.id for b in tree.blocks if pred.holds(b.graph)]
+        anchor = choose_leaf_block(minimal_subtree(tree, marked))
+        cuts = sorted(tree.cutvertices & anchor.graph.vertices)
+        core = complete([f"k{i}" for i in range(max(4, len(cuts)))])
+        spec = CoreSpec(core, {c: f"k{i}" for i, c in enumerate(cuts)}, 2, 2)
+        out, trace = assemble_block_counterexample(g, pred, spec, 2)
+        want = sorted(next((m for m, gp in trace.identifications
+                            if f"{v}#0" in gp), f"{v}#0")
+                      for v in core.vertices)
+        assert trace.core_vertices == tuple(want)
+        assert core_region(out) == set(want)
 
     def test_rejects_r_below_one(self):
         pred = MinorPredicate("contains-K3", complete("xyz"))

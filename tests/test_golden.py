@@ -121,6 +121,10 @@ CASES = [
      ["robust", K4, "--host", str(GOLDEN / "hstar1-k4-gadget.out"),
       "-r", "10"]),
     ("hit-k4-hstar1", 0, ["hit", K4, str(GOLDEN / "hstar1-k4-gadget.out")]),
+    # the block assembly in DOT: s#1 merges two hanger copies of s and the
+    # core root s', and its role lists their three tags
+    ("hstar2-dot", 0, ["hstar2", TWT, RCORE, "--predicate", TRI, "-r", "2",
+                       "--format", "dot"]),
 ]
 
 

@@ -458,8 +458,7 @@ class TestGadgetRobustness:
 class TestAssemblyRobustness:
     def test_component_assembly_survives_single_deletions(self):
         h = two_part_host()
-        anchor = connected_components(h)[0]
-        hstar = assemble_component_counterexample(h, anchor, k5_spec(), 2)
+        hstar = assemble_component_counterexample(h, "p", k5_spec(), 2)
         rep = check_assembly_robustness(h, hstar, 2)
         assert rep.outcome is Outcome.HOLDS
         assert rep.stats["subsets_checked"] == 12
@@ -977,7 +976,7 @@ def component_locality_case():
     assembly with the K5 core."""
     h = two_part_host()
     anchor = connected_components(h)[0]
-    hstar = assemble_component_counterexample(h, anchor, k5_spec(), 2)
+    hstar = assemble_component_counterexample(h, "p", k5_spec(), 2)
     return h, hstar, anchor, core_region(hstar)
 
 
