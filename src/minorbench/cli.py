@@ -145,10 +145,9 @@ def cmd_components(args) -> int:
         _write_out(canonical_json(
             {"components": [graph_json(c) for c in comps]}), args)
         return 0
-    lines = [f"component {i}: n={len(c.vertices)} m={len(c.edges)} "
-             f"vertices: {' '.join(c.sorted_vertices())}"
-             for i, c in enumerate(comps, start=1)]
-    _write_out("\n".join(lines) + "\n", args)
+    _write_out("".join(f"component {i}: n={len(c.vertices)} m={len(c.edges)} "
+                       f"vertices: {' '.join(c.sorted_vertices())}\n"
+                       for i, c in enumerate(comps, start=1)), args)
     return 0
 
 
@@ -199,7 +198,7 @@ def cmd_classify(args) -> int:
     comps = connected_components(_load_graph(args.file))
     if not comps:
         raise GraphError("cannot classify the empty graph")
-    _write_out("".join(classify_shape(c).label + "\n" for c in comps), args)
+    _write_out("".join(classify_shape(c).value + "\n" for c in comps), args)
     return 0
 
 
@@ -312,8 +311,7 @@ def cmd_robust(args) -> int:
 def cmd_locality(args) -> int:
     h, hstar, anchor = _load_graphs(args.pattern, args.host, args.anchor)
     region = _parse_region(args.region)
-    rep = check_expansion_locality(h, hstar, anchor, region,
-                                   Budget(nodes=args.budget))
+    rep = check_expansion_locality(h, hstar, anchor, region, args.budget)
     return _emit_report(rep, args)
 
 

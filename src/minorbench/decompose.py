@@ -28,7 +28,11 @@ class Block:
 
     id: int
     graph: Graph
-    is_trivial: bool  # exactly one edge
+
+    @property
+    def is_trivial(self) -> bool:
+        """Whether the block is a bridge: exactly one edge."""
+        return len(self.graph.edges) == 1
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
         raise GraphError("block_cut_tree requires a connected graph")
     if len(g.vertices) == 1:
         only = Graph(g.vertices, frozenset())
-        return BlockCutTree((Block(0, only, False),), frozenset(), frozenset())
+        return BlockCutTree((Block(0, only),), frozenset(), frozenset())
 
     # on vertex numbers from the root 0, neighbours in ascending order
     verts, nbr = g.index.verts, g.index.nbr
@@ -114,7 +118,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
 
     raw = [g.edge_subgraph(es) for es in block_edge_sets]
     raw.sort(key=lambda b: (tuple(b.sorted_vertices()), tuple(b.sorted_edges())))
-    blocks = tuple(Block(i, bg, len(bg.edges) == 1) for i, bg in enumerate(raw))
+    blocks = tuple(Block(i, bg) for i, bg in enumerate(raw))
     links = frozenset((b.id, c) for b in blocks for c in cutvx
                       if c in b.graph.vertices)
     return BlockCutTree(blocks, frozenset(cutvx), links)
@@ -246,10 +250,6 @@ class Shape(enum.Enum):
     PATH = "Path"
     ISOLATED_VERTEX = "IsolatedVertex"
     HAS_DEGREE3_VERTEX = "HasDegree3Vertex"
-
-    @property
-    def label(self) -> str:
-        return self.value
 
 
 def classify_shape(g: Graph) -> Shape:

@@ -23,6 +23,13 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .graph import Edge, Graph, GraphError, Index, _bits, _reach, edge
 
+__all__ = [
+    "DEFAULT_NODE_BUDGET", "BudgetExceeded", "MinorEmbedding",
+    "MinorPredicate", "NodeCounter", "SearchResult", "SearchStatus",
+    "enumerate_expansions", "find_expansion", "iter_expansion_footprints",
+    "is_minor", "verify_embedding",
+]
+
 DEFAULT_NODE_BUDGET = 10**7
 
 

@@ -17,6 +17,12 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+__all__ = [
+    "Edge", "Graph", "GraphError", "ParseError", "connected_components",
+    "contract_edge", "delete_edges", "edge", "parse_graph", "parse_graph6",
+    "relabeled_union", "serialize",
+]
+
 log = logging.getLogger("minorbench")
 
 Edge = tuple[str, str]
@@ -142,9 +148,6 @@ class Graph:
             vs.add(v)
         prov = dict(provenance) if provenance is not None else None
         return Graph(frozenset(vs), frozenset(es), prov)
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
 
     # -- basic queries -------------------------------------------------
 
@@ -304,6 +307,8 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise ParseError("empty graph6 input")
+    if s.split() != [s]:
+        raise ParseError("graph6 input must be one line without whitespace")
     data = [ord(c) - 63 for c in s]
     if any(b < 0 or b > 63 for b in data):
         raise ParseError("graph6 byte out of range")

@@ -421,7 +421,9 @@ def _first_without_model(pattern: Graph, host: Graph,
     and X[j] is then fixed.  Each i is asked once, and a question
     covers only sets before X, so no set is searched twice.  After the
     first search that runs out of nodes, or once the searches are
-    spent, none is made, and each set the tree yields counts as found.
+    spent, none is made: search returns BUDGET, so first returns the
+    first set the tree yields, which the descent takes as a set
+    without a model.
     """
     ix = host.index
     m = len(ix.edges)
@@ -571,7 +573,8 @@ def check_generic_counterexample(anchor: Graph, spec: CoreSpec,
 
 def check_expansion_locality(h: Graph, hstar: Graph, anchor: Graph,
                              region: Iterable[str],
-                             budget: Budget | None = None) -> Report:
+                             node_budget: int | None = DEFAULT_NODE_BUDGET
+                             ) -> Report:
     """Every h expansion in hstar realizes the anchor inside the region.
 
     For each footprint of _footprints on hstar's Index, which include
@@ -582,7 +585,6 @@ def check_expansion_locality(h: Graph, hstar: Graph, anchor: Graph,
     The restricted search is _find on the mask of the branch sets'
     vertices in the region, with the footprint's edges among them.
     """
-    budget = budget or Budget()
     if not anchor.vertices <= h.vertices or not anchor.edges <= h.edges:
         raise GraphError("anchor must be a subgraph of the pattern")
     reg = frozenset(region)
@@ -593,7 +595,7 @@ def check_expansion_locality(h: Graph, hstar: Graph, anchor: Graph,
     ix = hstar.index
     inside = sum(1 << ix.vidx[v] for v in reg)
     parts = [h.index.vidx[u] for u in anchor.vertices]
-    counter = NodeCounter(cap=budget.nodes)
+    counter = NodeCounter(cap=node_budget)
     footprints = searches = inner_nodes = 0
     outcome = Outcome.HOLDS
     details: dict = {"pattern": graph_json(h), "anchor": graph_json(anchor),
@@ -611,7 +613,7 @@ def check_expansion_locality(h: Graph, hstar: Graph, anchor: Graph,
                     nbr[a] |= 1 << b
                     nbr[b] |= 1 << a
             searches += 1
-            status, _, nodes = _find(anchor, nbr, used, {}, budget.nodes)
+            status, _, nodes = _find(anchor, nbr, used, {}, node_budget)
             inner_nodes += nodes
             if status is not SearchStatus.FOUND:
                 outcome = _OUTCOME[status]

@@ -25,7 +25,7 @@ from itertools import combinations, permutations, product
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from minorbench import (DEFAULT_NODE_BUDGET, Block, BlockCutTree, Budget,
+from minorbench import (DEFAULT_NODE_BUDGET, Block, BlockCutTree,
                         BudgetExceeded, Graph, GraphError, MinorEmbedding,
                         NodeCounter, Outcome, PackingResult, Report,
                         SearchResult, SearchStatus, Segment, branch_vertices,
@@ -338,7 +338,7 @@ def reference_block_cut_tree(g: Graph) -> BlockCutTree:
 
     raw = [g.edge_subgraph(es) for es in block_edge_sets]
     raw.sort(key=lambda b: (tuple(b.sorted_vertices()), tuple(b.sorted_edges())))
-    blocks = tuple(Block(i, bg, len(bg.edges) == 1) for i, bg in enumerate(raw))
+    blocks = tuple(Block(i, bg) for i, bg in enumerate(raw))
     links = frozenset((b.id, c) for b in blocks for c in sorted(cutvx)
                       if c in b.graph.vertices)
     return BlockCutTree(blocks, frozenset(cutvx), links)
@@ -898,13 +898,13 @@ def reference_packing(pattern: Graph, host: Graph, cap: int | None = None,
 # -- locality reference ----------------------------------------------------------
 
 def reference_locality(h: Graph, hstar: Graph, anchor: Graph, region,
-                       budget: Budget | None = None) -> Report:
+                       node_budget: int | None = DEFAULT_NODE_BUDGET
+                       ) -> Report:
     """The reference for verify.check_expansion_locality: the labelled
     check it replaced.  Each footprint of iter_expansion_footprints is
     read in labels, and a footprint whose anchor part leaves the region
     gets a find_expansion on a Graph built from its edges inside the
     region and its branch sets."""
-    budget = budget or Budget()
     if not anchor.vertices <= h.vertices or not anchor.edges <= h.edges:
         raise GraphError("anchor must be a subgraph of the pattern")
     reg = frozenset(region)
@@ -912,7 +912,7 @@ def reference_locality(h: Graph, hstar: Graph, anchor: Graph, region,
     if unknown:
         raise GraphError(f"region outside the host: {sorted(unknown)!r}")
 
-    counter = NodeCounter(cap=budget.nodes)
+    counter = NodeCounter(cap=node_budget)
     footprints = searches = inner_nodes = 0
     outcome = Outcome.HOLDS
     details: dict = {"pattern": graph_json(h), "anchor": graph_json(anchor),
@@ -930,8 +930,7 @@ def reference_locality(h: Graph, hstar: Graph, anchor: Graph, region,
                                                if e[0] in used
                                                and e[1] in used))
             searches += 1
-            res = find_expansion(anchor, restricted,
-                                 node_budget=budget.nodes)
+            res = find_expansion(anchor, restricted, node_budget=node_budget)
             inner_nodes += res.nodes
             if res.status is SearchStatus.NONE:
                 outcome = Outcome.REFUTED

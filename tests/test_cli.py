@@ -51,6 +51,12 @@ class TestInspection:
             "component 2: n=2 m=1 vertices: y z",
         ]
 
+    def test_components_of_the_empty_graph_print_nothing(self, capsys,
+                                                         tmp_path):
+        f = tmp_path / "empty.el"
+        f.write_text("0 0\n")
+        assert run(capsys, "components", str(f)) == (0, "", "")
+
     def test_components_json(self, capsys):
         code, obj, _ = run_json(capsys, "components", HOST2,
                                 "--format", "json")
@@ -118,6 +124,16 @@ class TestInspection:
         f.write_text("BwXYZ\n")
         code, out, err = run(capsys, "components", str(f))
         assert code == 65 and out == "" and "past" in err
+
+    @pytest.mark.parametrize("text", ["Bw\nBw\n", "B w\n"])
+    def test_graph6_is_one_line_without_whitespace(self, capsys, tmp_path,
+                                                   text):
+        f = tmp_path / "two.g6"
+        f.write_text(text)
+        code, out, err = run(capsys, "components", str(f))
+        assert (code, out) == (65, "")
+        assert err == ("error: graph6 input must be one line without "
+                       "whitespace\n")
 
     @pytest.mark.parametrize("argv", [
         ["segments", SQ, "--ctx", SQ_CTX],

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from minorbench import (Graph, GraphError, MinorPredicate, Segment, Shape,
-                        block_cut_tree, branch_vertices, choose_leaf_block,
-                        classify_shape, connected_components, minimal_subtree,
+from minorbench import (Block, Graph, GraphError, MinorPredicate, Segment,
+                        Shape, block_cut_tree, branch_vertices,
+                        choose_leaf_block, classify_shape,
+                        connected_components, minimal_subtree,
                         segment_decomposition)
 from helpers import (complete, cycle_graph, oracle_blocks, oracle_cutvertices,
                      path_graph, petalled_wheel, random_connected_graph,
@@ -36,6 +37,16 @@ def caterpillar():
     """Two triangles joined by a bridge: blocks T(a,b,c) - [c,d] - T(d,e,f)."""
     return Graph.build([], [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"),
                             ("d", "e"), ("e", "f"), ("d", "f")])
+
+
+class TestBlock:
+    def test_triviality_is_read_from_the_graph(self):
+        # a single vertex has no edge, so it is not a bridge
+        assert not Block(0, Graph.build("a", [])).is_trivial
+        assert Block(0, Graph.build([], [("a", "b")])).is_trivial
+        assert not Block(0, complete("abc")).is_trivial
+        with pytest.raises(TypeError):
+            Block(0, Graph.build([], [("a", "b")]), False)
 
 
 class TestBlockCutTree:
@@ -382,10 +393,10 @@ class TestShape:
         assert classify_shape(g) is shape
 
     def test_labels(self):
-        assert Shape.CYCLE.label == "Cycle"
-        assert Shape.PATH.label == "Path"
-        assert Shape.ISOLATED_VERTEX.label == "IsolatedVertex"
-        assert Shape.HAS_DEGREE3_VERTEX.label == "HasDegree3Vertex"
+        assert Shape.CYCLE.value == "Cycle"
+        assert Shape.PATH.value == "Path"
+        assert Shape.ISOLATED_VERTEX.value == "IsolatedVertex"
+        assert Shape.HAS_DEGREE3_VERTEX.value == "HasDegree3Vertex"
 
     def test_rejects_empty_and_disconnected(self):
         with pytest.raises(GraphError):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from minorbench import (BudgetExceeded, Graph, GraphError, MinorEmbedding,
                         MinorPredicate, NodeCounter, Outcome, SearchStatus,
-                        assemble_component_counterexample,
                         check_assembly_robustness, connected_components,
                         delete_edges, edge, enumerate_expansions,
                         find_expansion, is_minor, iter_expansion_footprints,
@@ -19,9 +18,8 @@ from minorbench import (BudgetExceeded, Graph, GraphError, MinorEmbedding,
 from minorbench import embed
 from minorbench.embed import _labelled, _lift, _reduce_host, _unlabelled
 from minorbench.graph import _bits
-from helpers import (SAMPLES, brute_force_models, complete, cycle_graph,
+from helpers import (brute_force_models, complete, cycle_graph,
                      footprint_cases, graphs_up_to_iso, inclusion_minimal,
-                     k5_spec,
                      labelled_adjacency, masks_graph, naive_is_minor_oracle,
                      oracle_footprints, path_graph, pattern_automorphisms,
                      random_connected_graph, random_graph,
@@ -366,30 +364,6 @@ class TestIsMinorBudget:
         monkeypatch.setattr(embed, "DEFAULT_NODE_BUDGET", 1)
         with pytest.raises(BudgetExceeded):
             MinorPredicate("contains-K4", complete("pqst")).holds(self.GADGET)
-
-
-class TestPartitionComponents:
-    """The split of a host's components by whether they hold an anchor
-    minor, as assemble_component_counterexample makes it."""
-
-    def test_anchor_vertex_must_be_in_the_host(self):
-        h = Graph.build([], complete("pqst").edges | {("y", "z")})
-        with pytest.raises(GraphError, match="no component contains vertex"):
-            assemble_component_counterexample(h, "x", k5_spec(), 2)
-
-    def test_k4_gadget_component_contains_the_anchor(self):
-        h = parse_graph((SAMPLES / "k4-and-gadget.el").read_text())
-        anchor, gadget = sorted(connected_components(h),
-                                key=lambda c: "p" not in c.vertices)
-        assert len(gadget.vertices) == 22 and is_minor(anchor, gadget)
-        out = assemble_component_counterexample(h, "p", k5_spec(), 2)
-        tags = out.provenance
-        # nothing lacks the anchor, so nothing is copied; the gadget is
-        # the one part after the core, blown up around its branch vertices
-        assert not any(t.startswith("copy") for t in tags.values())
-        assert {v.rsplit("#", 1)[1] for v in out.vertices} == {"0", "1"}
-        assert {t.split(":")[1] for t in tags.values()
-                if t.startswith("branch:")} <= gadget.vertices
 
 
 class TestFootprints:

@@ -1,5 +1,5 @@
-"""Export lists: each module's ``__all__`` names what it defines, and the
-package's ``__all__`` resolves without duplicates."""
+"""Export lists: each library module's ``__all__`` names what it defines,
+and the package's ``__all__`` is those lists joined, without duplicates."""
 
 import ast
 import importlib
@@ -14,6 +14,8 @@ import minorbench
 MODULES = [importlib.import_module(f"minorbench.{m.name}")
            for m in pkgutil.iter_modules(minorbench.__path__)
            if m.name != "__main__"]
+# every submodule but the command line declares the public names
+LIBRARY = [m for m in MODULES if m.__name__ != "minorbench.cli"]
 
 
 def defined_names(module) -> set[str]:
@@ -31,9 +33,7 @@ def defined_names(module) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("module",
-                         [m for m in MODULES if hasattr(m, "__all__")],
-                         ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", LIBRARY, ids=lambda m: m.__name__)
 def test_module_exports_only_its_own_names(module):
     assert set(module.__all__) <= defined_names(module)
     assert len(module.__all__) == len(set(module.__all__))
@@ -44,3 +44,17 @@ def test_package_exports_resolve_once():
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(minorbench, n)] == []
 
+
+def test_package_exports_are_the_module_lists_joined():
+    assert sorted(minorbench.__all__) == sorted(n for m in LIBRARY
+                                                for n in m.__all__)
+
+
+def test_star_import_binds_each_module_object():
+    ns: dict = {}
+    exec("from minorbench import *", ns)
+    del ns["__builtins__"]
+    assert set(ns) == set(minorbench.__all__)
+    for module in LIBRARY:
+        for name in module.__all__:
+            assert ns[name] is getattr(module, name), name

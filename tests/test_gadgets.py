@@ -340,6 +340,25 @@ class TestComponentAssembly:
         assert core_region(out) == {f"{i}#0" for i in "12345"}
         assert out.provenance["y&core:q#1"] == "copy0:y&core:q"
 
+    def test_anchor_vertex_must_be_in_the_host(self):
+        h = Graph.build([], complete("pqst").edges | {("y", "z")})
+        with pytest.raises(GraphError, match="no component contains vertex"):
+            assemble_component_counterexample(h, "x", k5_spec(), 2)
+
+    def test_k4_gadget_component_contains_the_anchor(self):
+        h = parse_graph((SAMPLES / "k4-and-gadget.el").read_text())
+        anchor, gadget = sorted(connected_components(h),
+                                key=lambda c: "p" not in c.vertices)
+        assert len(gadget.vertices) == 22 and is_minor(anchor, gadget)
+        out = assemble_component_counterexample(h, "p", k5_spec(), 2)
+        tags = out.provenance
+        # nothing lacks the anchor, so nothing is copied; the gadget is
+        # the one part after the core, blown up around its branch vertices
+        assert not any(t.startswith("copy") for t in tags.values())
+        assert {v.rsplit("#", 1)[1] for v in out.vertices} == {"0", "1"}
+        assert {t.split(":")[1] for t in tags.values()
+                if t.startswith("branch:")} <= gadget.vertices
+
 
 class TestBlockAssembly:
     def test_triangle_with_tail_frozen(self):

@@ -391,6 +391,12 @@ class TestGraph6:
         with pytest.raises(ParseError):
             parse_graph6("C\x1c")
 
+    @pytest.mark.parametrize("text", ["Bw\nBw\n", "B w", "C~\tC~",
+                                      ">>graph6<< Bw"])
+    def test_more_than_one_token_rejected(self, text):
+        with pytest.raises(ParseError, match="one line without whitespace"):
+            parse_graph6(text)
+
 
 class TestOperations:
     def test_delete_edges(self):

@@ -1048,7 +1048,7 @@ class TestExpansionLocality:
 
     def test_budget_outcome(self):
         rep = check_expansion_locality(*component_locality_case(),
-                                       budget=Budget(nodes=2))
+                                       node_budget=2)
         assert rep.outcome is Outcome.BUDGET
 
     def test_rejects_bad_anchor_and_region(self):
@@ -1110,7 +1110,7 @@ def seeded_locality_cases(seed):
         for anchor in anchors:
             region = rng.sample(vs, round(2 * len(vs) / 3))
             for nodes in (20000, 40):
-                yield h, host, anchor, region, Budget(nodes=nodes)
+                yield h, host, anchor, region, nodes
 
 
 class TestLocalityReference:
