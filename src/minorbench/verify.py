@@ -395,7 +395,7 @@ def _hitting_sets(m: int, s: int, known: list[int], chosen: int = 0,
 
 def _first_without_model(pattern: Graph, host: Graph,
                          roots: Mapping[str, str] | None, budget: Budget,
-                         sizes: Iterable[int]
+                         sizes: Sequence[int]
                          ) -> tuple[SearchStatus, tuple[Edge, ...] | None,
                                     int, int, int]:
     """The first edge set X, by size in sizes and then in
@@ -424,6 +424,16 @@ def _first_without_model(pattern: Graph, host: Graph,
     spent, none is made: search returns BUDGET, so first returns the
     first set the tree yields, which the descent takes as a set
     without a model.
+
+    The masks are seeded first with pairwise edge-disjoint models: each
+    seed search deletes the union of the footprints found so far, until
+    one finds no model or max(sizes) + 1 are found, and t such models
+    leave no hitting set below size t.  A seed search runs under a node
+    cap of max(64, 4 * the most nodes an earlier one spent), at most
+    budget.nodes; running out of it ends the seed, not the command.
+    The last seed search's answer is kept for its set when it is final
+    (not a stop at a cap below budget.nodes), so the tree's search of
+    that set reads it instead of searching again.
     """
     ix = host.index
     m = len(ix.edges)
@@ -431,17 +441,39 @@ def _first_without_model(pattern: Graph, host: Graph,
     known: list[int] = []
     decided = searches = nodes = 0
     stopped = False
+    union = most = 0
+    kept: tuple[int, SearchStatus] | None = None
+    while sizes and len(known) <= sizes[-1] and searches < budget.searches:
+        cap = max(64, 4 * most)
+        if budget.nodes is not None:
+            cap = min(cap, budget.nodes)
+        status, fp, spent = _probe(pattern, ix, union, pins, cap)
+        searches += 1
+        nodes += spent
+        most = max(most, spent)
+        if status is not SearchStatus.BUDGET or cap == budget.nodes:
+            kept = union, status
+        if status is not SearchStatus.FOUND:
+            break
+        known.append(fp)
+        union |= fp
 
     def search(X: tuple[int, ...]) -> SearchStatus:
         nonlocal searches, nodes, stopped
-        if stopped or searches == budget.searches:
+        deleted = sum(1 << i for i in X)
+        if stopped:
             return SearchStatus.BUDGET
-        status, fp, spent = _probe(pattern, ix, sum(1 << i for i in X), pins,
-                                   budget.nodes)
-        searches += 1
-        nodes += spent
-        if status is SearchStatus.FOUND:
-            known.append(fp)
+        if kept is not None and deleted == kept[0]:
+            status = kept[1]
+        elif searches == budget.searches:
+            return SearchStatus.BUDGET
+        else:
+            status, fp, spent = _probe(pattern, ix, deleted, pins,
+                                       budget.nodes)
+            searches += 1
+            nodes += spent
+            if status is SearchStatus.FOUND:
+                known.append(fp)
         stopped = status is SearchStatus.BUDGET
         return status
 

@@ -8,7 +8,8 @@ reference_packing, which reads the footprints that enumerator yields,
 reference_locality, which reads them too and searches with
 find_expansion, reference_search, the first model of
 enumerate_expansions, and reference_segment_blowup, which reads the segments and branch
-vertices of the decomposition.
+vertices of the decomposition, and reference_first_without_model, which
+runs the deletion probe and hitting-set tree of the loop it checks.
 The oracles read a graph's neighbours from labelled_adjacency, built
 from its edges, never from its Index.  The branch-set search references
 read bit masks with graph._bits.
@@ -22,6 +23,7 @@ import random
 from collections import Counter
 from functools import cache, lru_cache
 from itertools import combinations, permutations, product
+from math import comb
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -33,6 +35,7 @@ from minorbench import (DEFAULT_NODE_BUDGET, Block, BlockCutTree,
                         graph_json, iter_expansion_footprints,
                         load_core_spec, segment_decomposition)
 from minorbench.graph import Edge, _bits
+from minorbench.verify import Budget, _hitting_sets, _probe, _rank
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -1134,3 +1137,58 @@ def random_regular_graph(rng: random.Random, n: int, d: int = 3) -> Graph:
         pairs = {edge(a, b) for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
         if len(pairs) == n * d // 2:
             return Graph.build(labels, pairs)
+
+
+def reference_first_without_model(pattern: Graph, host: Graph,
+                                  roots: Mapping[str, str] | None,
+                                  budget: Budget, sizes
+                                  ) -> tuple[SearchStatus, tuple | None,
+                                             int, int, int]:
+    """verify._first_without_model without its seed of edge-disjoint
+    models: the hitting-set tree starts from no known footprint and
+    every mask comes from a search of a set it yields.  Same arguments
+    and returns (status, X, sets decided, searches, nodes)."""
+    ix = host.index
+    m = len(ix.edges)
+    pins = {u: ix.vidx[v] for u, v in (roots or {}).items()}
+    known: list[int] = []
+    decided = searches = nodes = 0
+    stopped = False
+
+    def search(X: tuple[int, ...]) -> SearchStatus:
+        nonlocal searches, nodes, stopped
+        if stopped or searches == budget.searches:
+            return SearchStatus.BUDGET
+        status, fp, spent = _probe(pattern, ix, sum(1 << i for i in X), pins,
+                                   budget.nodes)
+        searches += 1
+        nodes += spent
+        if status is SearchStatus.FOUND:
+            known.append(fp)
+        stopped = status is SearchStatus.BUDGET
+        return status
+
+    def first(chosen: int, free: int):
+        for X in _hitting_sets(m, s, known, chosen, free):
+            status = search(X)
+            if status is not SearchStatus.FOUND:
+                return X, status
+        return None
+
+    for s in sizes:
+        got = first(0, -1)
+        if got is None:
+            decided += comb(m, s)
+            continue
+        X, status = got
+        prefix = 0
+        for j in range(s):
+            for i in range(prefix.bit_length(), X[j]):
+                got = first(prefix | 1 << i, -2 << i)
+                if got is not None:
+                    X, status = got
+                    break
+            prefix |= 1 << X[j]
+        return (status, tuple(ix.edges[i] for i in X),
+                decided + _rank(X, m), searches, nodes)
+    return SearchStatus.FOUND, None, decided, searches, nodes

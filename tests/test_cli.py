@@ -489,9 +489,8 @@ class TestQueries:
                                 "--budget", "10000000:7")
         assert code == 2 and obj["outcome"] == "budget-exhausted"
         assert obj["details"]["hitting_edges"] is None
-        assert obj["details"]["stopped_at"] == [["p", "q"], ["p", "s"],
-                                                ["q", "s"]]
-        assert obj["stats"]["subsets_checked"] == 24
+        assert obj["details"]["stopped_at"] == [["p", "t"], ["q", "s"]]
+        assert obj["stats"]["subsets_checked"] == 17
 
     def test_hit_rejects_negative_bound(self):
         with pytest.raises(SystemExit) as exc:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -27,7 +28,8 @@ from pathlib import Path
 
 import pytest
 
-from minorbench import cli
+from minorbench import (SearchStatus, cli, delete_edges, find_expansion,
+                        parse_graph)
 from minorbench.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,9 +108,10 @@ CASES = [
     # path leaves no path on three vertices
     ("robust-path3-refuted", 1,
      ["robust", "samples/path3.el", "--host", "samples/path3.el", "-r", "2"]),
-    # five searches are not enough: the scan names where it stopped
+    # three searches find three edge-disjoint models, one short of the
+    # radius, so the scan names where it stopped
     ("robust-k4-gadget-search-budget", 2,
-     ["robust", K4, "--ctx", K4, "-r", "4", "--budget", "10000000:5"]),
+     ["robust", K4, "--ctx", K4, "-r", "4", "--budget", "10000000:3"]),
     ("hit-search-budget", 2, ["hit", TRI, K4, "--budget", "10000000:7"]),
     # the 16-vertex K4 gadget at r = 2 and its exact packing: footprints
     # are listed by size only as far as the search can use them
@@ -125,6 +128,15 @@ CASES = [
     # core root s', and its role lists their three tags
     ("hstar2-dot", 0, ["hstar2", TWT, RCORE, "--predicate", TRI, "-r", "2",
                        "--format", "dot"]),
+    # the paper's gadgets at radii where r edge-disjoint models, found
+    # before the search tree starts, leave no deletion set to search
+    ("robust-k5-gadget-r8", 0, ["robust", K5, "--ctx", K5, "-r", "8"]),
+    ("robust-k4-gadget-r10", 0, ["robust", K4, "--ctx", K4, "-r", "10"]),
+    # the 81-vertex hstar1 host at r = 4 and its smallest K4 hitting set
+    ("hstar1-k4-gadget-r4", 0, ["hstar1", "samples/k4-and-gadget.el", CORE,
+                                "--anchor", "p", "-r", "4"]),
+    ("hit-k4-hstar1-r4", 0,
+     ["hit", K4, str(GOLDEN / "hstar1-k4-gadget-r4.out")]),
 ]
 
 
@@ -168,6 +180,19 @@ def test_no_path_is_read_twice(name, code, argv, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_read_text", counted)
     assert run_case(argv, tmp_path)[0] == code
     assert reads and max(reads.values()) == 1, reads
+
+
+@pytest.mark.parametrize("name, host", [
+    ("hit-k4-hstar1", "hstar1-k4-gadget.out"),
+    ("hit-k4-hstar1-r4", "hstar1-k4-gadget-r4.out")])
+def test_hit_witness_leaves_no_model(name, host):
+    # deleting the witness of a golden hit leaves no K4 model in its host
+    report = json.loads((ROOT / GOLDEN / f"{name}.out").read_text("utf-8"))
+    X = [tuple(e) for e in report["details"]["hitting_edges"]]
+    assert len(X) == report["details"]["size"]
+    g = parse_graph((ROOT / GOLDEN / host).read_text("utf-8"))
+    k4 = parse_graph((ROOT / K4).read_text("utf-8"))
+    assert find_expansion(k4, delete_edges(g, X)).status is SearchStatus.NONE
 
 
 COUNT_KEYS = ('"nodes"', '"searches"')

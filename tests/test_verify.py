@@ -31,7 +31,8 @@ from helpers import (complete, cycle_graph, edge_labels, footprint_cases,
                      oracle_footprints, oracle_min_hitting, oracle_packing,
                      p3_star, path_graph, random_connected_graph,
                      random_graph, reference_canonical_json,
-                     reference_locality, reference_packing, rooted_spec,
+                     reference_first_without_model, reference_locality,
+                     reference_packing, rooted_spec,
                      satisfies_leaf_rule, seeded_host, tailed_square,
                      triangle_with_tail, two_part_host, wheel_graph)
 
@@ -315,10 +316,12 @@ class TestHitting:
         assert res.size is None and not res.exact
         assert res.searches == 2
 
-    @pytest.mark.parametrize("searches, exact", [(3, True), (2, False)])
+    @pytest.mark.parametrize("searches, exact",
+                             [(4, True), (3, False), (2, False)])
     def test_search_budget_boundary_with_bound(self, searches, exact):
-        # bound 1 leaves 1 + 6 subsets, every one keeping a triangle;
-        # the tree needs 3 searches to show it
+        # bound 1 leaves 1 + 6 subsets, every one keeping a triangle:
+        # the seed finds one triangle in 2 searches (K4 less a triangle
+        # is a star), and the tree needs 2 more to show it
         res = min_edge_hitting_set(complete("xyz"), complete("pqst"),
                                    bound=1, budget=Budget(searches=searches))
         assert res.size is None and res.exact is exact
@@ -327,7 +330,9 @@ class TestHitting:
 
     @pytest.mark.parametrize("searches, exact", [(8, True), (7, False)])
     def test_search_budget_boundary_at_the_answer(self, searches, exact):
-        # the witness is subset 1 + 6 + 15 + 2 = 24, found in 8 searches
+        # the witness is subset 1 + 6 + 15 + 2 = 24, the first triangle
+        # the seed found; its second search found no model without it,
+        # so the tree reads that answer, and the run makes 8 searches
         res = min_edge_hitting_set(complete("xyz"), complete("pqst"),
                                    budget=Budget(searches=searches))
         assert res.exact is exact
@@ -337,10 +342,11 @@ class TestHitting:
             assert res.hitting_edges == (("p", "q"), ("p", "s"), ("q", "s"))
             assert res.stopped_at is None
         else:
-            # the stop is the witness set, left without a search
+            # the stop is the last set of size 2 the tree yields,
+            # subset 1 + 6 + 10, left without a search
             assert res.size is None and res.hitting_edges is None
-            assert res.subsets == 24
-            assert res.stopped_at == (("p", "q"), ("p", "s"), ("q", "s"))
+            assert res.subsets == 17
+            assert res.stopped_at == (("p", "t"), ("q", "s"))
 
     @pytest.mark.parametrize("searches", range(1, 8))
     def test_search_budget_names_the_stop(self, searches):
@@ -353,6 +359,28 @@ class TestHitting:
         sets = [X for s in range(len(host.edges) + 1)
                 for X in combinations(host.sorted_edges(), s)]
         assert sets.index(res.stopped_at) + 1 == res.subsets
+
+    def test_seed_search_stopped_at_its_cap_is_searched_again(self,
+                                                               monkeypatch):
+        # W6 is planar, so it holds no K5 model.  The seed's search of it
+        # with nothing deleted runs out of its 64-node cap, and the empty
+        # set, which size 0's tree yields, is searched once more under the
+        # full node budget: the one set a run may search twice
+        calls = []
+        real = verify._probe
+
+        def probe(pattern, ix, deleted, pins, node_budget):
+            got = real(pattern, ix, deleted, pins, node_budget)
+            calls.append((deleted, node_budget, got[0], got[2]))
+            return got
+
+        monkeypatch.setattr(verify, "_probe", probe)
+        res = min_edge_hitting_set(complete("vwxyz"),
+                                   wheel_graph("h", "abcdef"))
+        assert (res.size, res.hitting_edges, res.exact) == (0, (), True)
+        assert calls == [(0, 64, SearchStatus.BUDGET, 65),
+                         (0, Budget().nodes, SearchStatus.NONE, 172)]
+        assert (res.searches, res.nodes, res.subsets) == (2, 65 + 172, 1)
 
     def test_deterministic(self):
         a = min_edge_hitting_set(complete("xyz"), complete("pqst"))
@@ -401,20 +429,21 @@ class TestGadgetRobustness:
         assert rep.outcome is Outcome.HOLDS
         assert rep.stats["subsets_checked"] == 376992
         assert rep.stats["subsets_planned"] == 376992
-        assert rep.stats["searches"] == 56
+        assert rep.stats["searches"] == 23
 
     @pytest.mark.parametrize("searches, outcome", [
-        (1, Outcome.BUDGET), (10, Outcome.BUDGET), (19, Outcome.BUDGET),
-        (20, Outcome.HOLDS)])
+        (1, Outcome.BUDGET), (5, Outcome.BUDGET), (9, Outcome.BUDGET),
+        (10, Outcome.HOLDS), (20, Outcome.HOLDS)])
     def test_search_budget_boundary(self, searches, outcome):
-        # the scan needs 20 searches; with fewer it names where it stops
+        # the seed falls short of 4 disjoint models and the scan needs
+        # 10 searches; with fewer it names where it stops
         g, ctx = tailed_square()
         host = segment_blowup(g, ctx, 4)
         rep = check_gadget_robustness(g, ctx, 4,
                                       budget=Budget(searches=searches))
         assert rep.outcome is outcome
         assert rep.details["mode"] == "exhaustive"
-        assert rep.stats["searches"] == searches
+        assert rep.stats["searches"] == min(searches, 10)
         assert rep.stats["subsets_planned"] == 2024
         if outcome is Outcome.HOLDS:
             assert "stopped_at" not in rep.details
@@ -427,13 +456,13 @@ class TestGadgetRobustness:
             is SearchStatus.FOUND  # a set with a model, left undecided
 
     def test_one_search_stops_at_the_first_candidate(self):
-        # the first set is searched; the stop is the first set in order
-        # that meets the footprint of the model found there
+        # the one search is the seed's, of the host with nothing deleted;
+        # the stop is the first set in order that meets the footprint of
+        # the model found there
         g, ctx = tailed_square()
         host = segment_blowup(g, ctx, 4)
         sets = list(combinations(host.sorted_edges(), 3))
-        left = delete_edges(host, sets[0])
-        fp = label_footprint(left, find_expansion(g, left).embedding)
+        fp = label_footprint(host, find_expansion(g, host).embedding)
         rank, first = next((i, X) for i, X in enumerate(sets, 1)
                            if not fp.isdisjoint(X))
         rep = check_gadget_robustness(g, ctx, 4, budget=Budget(searches=1))
@@ -702,8 +731,9 @@ class TestModelReuse:
                     assert status(sets[rank - 1]) is SearchStatus.NONE
 
     def test_sparse_host_refuted_without_search(self):
-        # a tree plus one chord: deleting a cycle edge leaves a forest,
-        # which host reduction empties before the search starts
+        # a tree plus one chord: the seed's first search finds the one
+        # cycle in 4 nodes; deleting a cycle edge leaves a forest, which
+        # host reduction empties before the search starts
         host = seeded_host(random.Random(11), chords=(1, 12))
         assert len(host.edges) == len(host.vertices) == 24
         t0 = perf_counter()
@@ -711,7 +741,7 @@ class TestModelReuse:
                                         budget=Budget(nodes=None))
         assert perf_counter() - t0 < 1.0
         assert rep.outcome is Outcome.REFUTED
-        assert rep.stats["nodes"] == 0
+        assert rep.stats["nodes"] == 4
 
     @staticmethod
     def assert_scan_matches(pattern, host, r, roots, node_budget):
@@ -732,14 +762,14 @@ class TestModelReuse:
         g, ctx = tailed_square()
         searches = [check_gadget_robustness(g, ctx, r).stats["searches"]
                     for r in (3, 4)]
-        assert searches == [10, 20]
+        assert searches == [9, 10]
 
     def test_refutation_search_count(self):
-        # the searches of the tree, and then those of the descent that
-        # names the first refuting set (rank 666)
+        # the searches of the seed and the tree, and then those of the
+        # descent that names the first refuting set (rank 666)
         pattern, host, r, _, budget, _ = SCAN_CASES["late-refutation"]
         rep = check_assembly_robustness(pattern, host, r, budget=budget)
-        assert rep.stats["searches"] == 38
+        assert rep.stats["searches"] == 31
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_hitting_complete_hosts_match_per_probe_oracle(self, n,
@@ -782,6 +812,45 @@ class TestModelReuse:
         assert res.exact
         assert res.hitting_edges == X
         assert res.subsets == checked
+
+
+class TestSeededLoop:
+    """The deletion loop against reference_first_without_model, the same
+    loop without the seed of edge-disjoint models: with no budget stop
+    the seed moves only searches and nodes."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_reference_on_seeded_hosts(self, seed):
+        # robust (one size) and hit (every size), with one pattern
+        # vertex pinned on odd seeds
+        rng = random.Random(seed)
+        host = seeded_host(rng, chords=(1, 8))
+        for pattern in (complete("xyz"), cycle_graph("wxyz"),
+                        complete("wxyz")):
+            roots = None
+            if seed % 2:
+                roots = {rng.choice(pattern.sorted_vertices()):
+                         rng.choice(host.sorted_vertices())}
+            for sizes in ([rng.randint(1, 3)], range(len(host.edges) + 1)):
+                self.assert_matches(pattern, host, roots, sizes)
+
+    @pytest.mark.parametrize("roots", [None, {"p": "p"}])
+    def test_matches_reference_on_the_k4_gadget(self, roots):
+        k4 = complete("pqst")
+        host = segment_blowup(k4, k4, 3)
+        for sizes, searches in (([2], 3), (range(len(host.edges) + 1), 5)):
+            got = self.assert_matches(k4, host, roots, sizes)
+            assert got[3] == searches
+
+    @staticmethod
+    def assert_matches(pattern, host, roots, sizes):
+        got = verify._first_without_model(pattern, host, roots, Budget(),
+                                          sizes)
+        want = reference_first_without_model(pattern, host, roots, Budget(),
+                                             sizes)
+        assert want[0] is not SearchStatus.BUDGET
+        assert got[:3] == want[:3]
+        return got
 
 
 # stops K3 footprint enumeration on seeded host 0 (22 vertices) early
