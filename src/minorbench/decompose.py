@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .graph import Edge, Graph, GraphError, _bits
 
@@ -22,8 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """A block of the host: maximal 2-connected subgraph or bridge."""
 
     id: int
@@ -35,8 +33,7 @@ class Block:
         return len(self.graph.edges) == 1
 
 
-@dataclass(frozen=True)
-class BlockCutTree:
+class BlockCutTree(NamedTuple):
     """Bipartite incidence tree between blocks and cutvertices.
 
     ``blocks`` is in id order, and block_cut_tree numbers the blocks
@@ -178,8 +175,7 @@ def branch_vertices(g: Graph, ctx: Graph) -> frozenset[str]:
 _KIND_RANK = {"between": 0, "closed": 1, "pendant": 2}
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """One replicable chain of g.
 
     kind 'between': ends = (a, b) branch vertices, a <= b, interior

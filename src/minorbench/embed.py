@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graph import Edge, Graph, GraphError, Index, _bits, _reach, edge
 
@@ -60,8 +59,7 @@ def _is_pair(x) -> bool:
     return isinstance(x, list) and len(x) == 2
 
 
-@dataclass(frozen=True)
-class MinorEmbedding:
+class MinorEmbedding(NamedTuple):
     """Branch sets plus an injective pattern-edge to host-edge map."""
 
     branch_sets: Mapping[str, frozenset[str]]
@@ -98,8 +96,7 @@ class SearchStatus(enum.Enum):
     BUDGET = "budget-exhausted"
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     status: SearchStatus
     embedding: MinorEmbedding | None
     nodes: int
@@ -552,8 +549,7 @@ def is_minor(h: Graph, g: Graph) -> bool:
     return status is SearchStatus.FOUND
 
 
-@dataclass(frozen=True)
-class MinorPredicate:
+class MinorPredicate(NamedTuple):
     """Hereditary-style property 'contains ``target`` as a minor'."""
 
     name: str

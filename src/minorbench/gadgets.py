@@ -13,8 +13,8 @@ the vertices contributed by the core are retrievable via core_region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .graph import (Edge, Graph, GraphError, ParseError, _parse_edge_block,
                     connected_components, derived_label, relabeled_union)
@@ -68,8 +68,16 @@ def segment_blowup(g: Graph, ctx: Graph, r: int) -> Graph:
     return Graph(frozenset(prov), frozenset(edges), prov)
 
 
-@dataclass(frozen=True)
-class CoreSpec:
+class _Spec(NamedTuple):
+    """The fields of a CoreSpec, which checks them when it is made."""
+
+    core: Graph
+    roots: Mapping[str, str] = MappingProxyType({})
+    k: int = 1
+    r: int = 1
+
+
+class CoreSpec(_Spec):
     """Externally supplied robust core graph with its claimed parameters.
 
     roots maps cutvertex labels of the host's distinguished block to
@@ -77,17 +85,20 @@ class CoreSpec:
     and r the deletion robustness it claims to survive.
     """
 
-    core: Graph
-    roots: Mapping[str, str] = field(default_factory=dict)
-    k: int = 1
-    r: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1 or self.r < 1:
+    def __new__(cls, *args, **kwargs):
+        spec = super().__new__(cls, *args, **kwargs)
+        if spec.k < 1 or spec.r < 1:
             raise GraphError("spec parameters k and r must be positive")
-        for s, sp in self.roots.items():
-            if sp not in self.core.vertices:
+        for s, sp in spec.roots.items():
+            if sp not in spec.core.vertices:
                 raise GraphError(f"dangling root target {sp!r}")
+        return spec
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks as well
+        return cls(*iterable)
 
 
 def load_core_spec(text: str) -> CoreSpec:
@@ -179,8 +190,7 @@ def assemble_component_counterexample(h: Graph, anchor: str,
     return relabeled_union(parts + blowups)
 
 
-@dataclass(frozen=True)
-class BuildTrace:
+class BuildTrace(NamedTuple):
     """Audit record of a block assembly: classifications and gluing."""
 
     mode: str

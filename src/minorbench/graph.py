@@ -13,8 +13,6 @@ equal regardless of it.
 from __future__ import annotations
 
 import functools
-import logging
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -22,8 +20,6 @@ __all__ = [
     "contract_edge", "delete_edges", "edge", "parse_graph", "parse_graph6",
     "relabeled_union", "serialize",
 ]
-
-log = logging.getLogger("minorbench")
 
 Edge = tuple[str, str]
 
@@ -112,29 +108,50 @@ class Index:
         return tuple(inc)
 
 
-@dataclass(frozen=True)
 class Graph:
-    """An immutable finite simple graph."""
+    """An immutable finite simple graph.  Its fields cannot be assigned
+    or deleted, and equality and hash read the vertices and edges only."""
 
     vertices: frozenset[str]
     edges: frozenset[Edge]
-    provenance: Mapping[str, str] | None = field(default=None, compare=False)
+    provenance: Mapping[str, str] | None
 
-    def __post_init__(self):
-        for v in self.vertices:
+    def __init__(self, vertices: frozenset[str], edges: frozenset[Edge],
+                 provenance: Mapping[str, str] | None = None):
+        for v in vertices:
             if v.split() != [v]:  # empty, or holds whitespace
                 raise GraphError(f"bad vertex label {v!r}")
-        for e in self.edges:
+        for e in edges:
             u, v = e
             if u == v:
                 raise GraphError(f"self-loop at {u!r}")
             if u > v:
                 raise GraphError(f"edge {e!r} not normalized")
-            if u not in self.vertices or v not in self.vertices:
+            if u not in vertices or v not in vertices:
                 raise GraphError(f"edge {e!r} has endpoint outside vertex set")
-        if self.provenance is not None:
-            if set(self.provenance) != set(self.vertices):
-                raise GraphError("provenance must cover every vertex exactly once")
+        if provenance is not None and set(provenance) != set(vertices):
+            raise GraphError("provenance must cover every vertex exactly once")
+        # __setattr__ refuses; cached_property stores index this way too
+        self.__dict__.update(vertices=vertices, edges=edges,
+                             provenance=provenance)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self) -> str:
+        return (f"Graph(vertices={self.vertices!r}, edges={self.edges!r}, "
+                f"provenance={self.provenance!r})")
 
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[tuple[str, str]],
@@ -418,7 +435,9 @@ def relabeled_union(parts: list[Graph],
             dropped += 1
         new_edges.add(e)
     if dropped:
-        log.warning("union collapsed %d parallel edge(s)", dropped)
+        import logging  # here only: it is slow to import
+        logging.getLogger("minorbench").warning(
+            "union collapsed %d parallel edge(s)", dropped)
     if any_prov:
         prov = {v: t for v, t in prov.items() if v in new_vertices}
         return Graph(frozenset(new_vertices), frozenset(new_edges), prov)

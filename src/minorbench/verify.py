@@ -11,11 +11,11 @@ from __future__ import annotations
 import enum
 import json
 import random
-from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from json.encoder import encode_basestring
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graph import (Edge, Graph, GraphError, Index, _bits, contract_edge,
                     delete_edges)
@@ -37,8 +37,7 @@ __all__ = [
 DEFAULT_SEED = 1729
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     """Resource limits: search nodes per expansion search, and
     expansion searches (deletion probes) per command."""
 
@@ -100,14 +99,16 @@ def graph_json(g: Graph) -> dict:
             "edges": [[u, v] for u, v in g.sorted_edges()]}
 
 
-@dataclass(frozen=True)
-class Report:
+_NOTHING: Mapping = MappingProxyType({})  # the default details and stats
+
+
+class Report(NamedTuple):
     """Outcome of one check plus its witness data and search statistics."""
 
     check: str
     outcome: Outcome
-    details: Mapping = field(default_factory=dict)
-    stats: Mapping = field(default_factory=dict)
+    details: Mapping = _NOTHING
+    stats: Mapping = _NOTHING
 
     @property
     def exit_code(self) -> int:
@@ -123,8 +124,7 @@ class Report:
 
 # -- packing and hitting ---------------------------------------------------
 
-@dataclass(frozen=True)
-class PackingResult:
+class PackingResult(NamedTuple):
     """Largest found family of pairwise edge-disjoint expansion footprints."""
 
     count: int
@@ -245,8 +245,7 @@ def max_edge_disjoint_packing(pattern: Graph, host: Graph,
                          exact, listing.nodes + counter.nodes)
 
 
-@dataclass(frozen=True)
-class HitResult:
+class HitResult(NamedTuple):
     """Smallest found edge set meeting every pattern expansion.
 
     size is None when no hitting set at most the bound exists (exact)
@@ -436,6 +435,7 @@ def _first_without_model(pattern: Graph, host: Graph,
     that set reads it instead of searching again.
     """
     ix = host.index
+    node_cap, search_cap = budget  # read once, not per search
     m = len(ix.edges)
     pins = {u: ix.vidx[v] for u, v in (roots or {}).items()}
     known: list[int] = []
@@ -443,15 +443,15 @@ def _first_without_model(pattern: Graph, host: Graph,
     stopped = False
     union = most = 0
     kept: tuple[int, SearchStatus] | None = None
-    while sizes and len(known) <= sizes[-1] and searches < budget.searches:
+    while sizes and len(known) <= sizes[-1] and searches < search_cap:
         cap = max(64, 4 * most)
-        if budget.nodes is not None:
-            cap = min(cap, budget.nodes)
+        if node_cap is not None:
+            cap = min(cap, node_cap)
         status, fp, spent = _probe(pattern, ix, union, pins, cap)
         searches += 1
         nodes += spent
         most = max(most, spent)
-        if status is not SearchStatus.BUDGET or cap == budget.nodes:
+        if status is not SearchStatus.BUDGET or cap == node_cap:
             kept = union, status
         if status is not SearchStatus.FOUND:
             break
@@ -465,11 +465,11 @@ def _first_without_model(pattern: Graph, host: Graph,
             return SearchStatus.BUDGET
         if kept is not None and deleted == kept[0]:
             status = kept[1]
-        elif searches == budget.searches:
+        elif searches == search_cap:
             return SearchStatus.BUDGET
         else:
             status, fp, spent = _probe(pattern, ix, deleted, pins,
-                                       budget.nodes)
+                                       node_cap)
             searches += 1
             nodes += spent
             if status is SearchStatus.FOUND:
@@ -697,9 +697,10 @@ def check_hereditary_sampled(predicate: MinorPredicate,
     rng = random.Random(seed)
     checked = 0
     skipped = 0
+    holds = cache(predicate.holds)  # draws repeat: test each graph once
     for _ in range(trials):
         start = corpus[rng.randrange(len(corpus))]
-        if predicate.holds(start):
+        if holds(start):
             skipped += 1
             continue
         checked += 1
@@ -723,7 +724,7 @@ def check_hereditary_sampled(predicate: MinorPredicate,
                 ops.append(f"{kind} {u} {v}")
                 cur = (contract_edge(cur, (u, v)) if kind == "contract-edge"
                        else delete_edges(cur, [(u, v)]))
-            if predicate.holds(cur):
+            if holds(cur):
                 details = {"predicate": predicate.name,
                            "start": graph_json(start),
                            "operations": ops, "result": graph_json(cur)}

@@ -4,7 +4,11 @@ and the package's ``__all__`` is those lists joined, without duplicates."""
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +62,17 @@ def test_star_import_binds_each_module_object():
     for module in LIBRARY:
         for name in module.__all__:
             assert ns[name] is getattr(module, name), name
+
+
+def test_cli_import_loads_no_slow_helper_module():
+    # dataclasses (with inspect, ast and dis) and logging cost a fresh
+    # process over 10 ms to import, and no command needs them
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "import minorbench.cli\n"
+            "print([m for m in ('dataclasses', 'inspect', 'logging') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

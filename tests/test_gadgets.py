@@ -177,6 +177,21 @@ class TestCoreSpec:
         with pytest.raises(GraphError):
             CoreSpec(complete("ab"), {"s": "zz"}, k=1, r=1)
 
+    def test_default_roots_are_no_shared_dict(self):
+        a, b = CoreSpec(complete("ab")), CoreSpec(complete("xy"))
+        for spec in (a, b):
+            with pytest.raises(TypeError):
+                spec.roots["s"] = "a"
+        assert a.roots == b.roots == {} and (a.k, a.r) == (1, 1)
+
+    def test_replace_checks_again(self):
+        spec = CoreSpec(complete("ab"), {"s": "a"}, k=2, r=2)
+        assert spec._replace(k=3) == CoreSpec(complete("ab"), {"s": "a"}, 3, 2)
+        with pytest.raises(GraphError):
+            spec._replace(r=0)
+        with pytest.raises(GraphError):
+            spec._replace(core=complete("xy"))
+
 
 class TestLoadCoreSpec:
     def test_sample_without_roots(self):

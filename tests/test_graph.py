@@ -109,6 +109,27 @@ class TestGraph:
         b = Graph(frozenset("ab"), frozenset([("a", "b")]))
         assert a == b and hash(a) == hash(b)
 
+    @pytest.mark.parametrize("name", ["vertices", "edges", "provenance"])
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        g = Graph(frozenset("ab"), frozenset([("a", "b")]), {"a": "x", "b": "y"})
+        before = getattr(g, name)
+        with pytest.raises(AttributeError):
+            setattr(g, name, frozenset())
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+        assert getattr(g, name) is before
+
+    def test_index_is_built_once_and_kept_out_of_equality(self):
+        g = path_graph("abc")
+        with pytest.raises(AttributeError):
+            g.index = None
+        ix = g.index
+        assert g.index is ix and g.__dict__["index"] is ix
+        with pytest.raises(AttributeError):
+            del g.index
+        assert g == path_graph("abc") and hash(g) == hash(path_graph("abc"))
+        assert g.index is ix
+
     def test_degree_and_neighbors(self):
         g = path_graph("abc")
         assert g.degree("b") == 2

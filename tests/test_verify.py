@@ -22,12 +22,12 @@ from minorbench import (Budget, BudgetExceeded, CoreSpec, Graph, GraphError,
                         core_region, delete_edges, find_expansion, graph_json,
                         is_minor, iter_expansion_footprints,
                         max_edge_disjoint_packing, min_edge_hitting_set,
-                        segment_blowup, verify_embedding)
-from minorbench import verify
+                        parse_graph, segment_blowup, verify_embedding)
+from minorbench import embed, verify
 from minorbench.embed import _unlabelled
 from minorbench.verify import _footprint, _hitting_sets, _rank
-from helpers import (complete, cycle_graph, edge_labels, footprint_cases,
-                     graphs_up_to_iso, k5_spec, naive_is_minor_oracle,
+from helpers import (SAMPLES, complete, cycle_graph, edge_labels,
+                     footprint_cases, graphs_up_to_iso, k5_spec, naive_is_minor_oracle,
                      oracle_footprints, oracle_min_hitting, oracle_packing,
                      p3_star, path_graph, random_connected_graph,
                      random_graph, reference_canonical_json,
@@ -57,6 +57,14 @@ class TestReportPlumbing:
         (Outcome.HOLDS, 0), (Outcome.REFUTED, 1), (Outcome.BUDGET, 2)])
     def test_exit_codes(self, outcome, code):
         assert Report("x", outcome).exit_code == code
+
+    def test_default_details_and_stats_are_no_shared_dict(self):
+        a, b = Report("x", Outcome.HOLDS), Report("y", Outcome.REFUTED)
+        for mapping in (a.details, a.stats, b.details, b.stats):
+            with pytest.raises(TypeError):
+                mapping["k"] = 1
+        assert a.to_json_obj() == {"check": "x", "outcome": "holds",
+                                   "details": {}, "stats": {}}
 
 
 class Text(str):
@@ -1249,6 +1257,23 @@ class TestHereditary:
         a = check_hereditary_sampled(pred, corpus, trials=30, seed=9)
         b = check_hereditary_sampled(pred, corpus, trials=30, seed=9)
         assert a.to_json() == b.to_json()
+
+    def test_each_distinct_graph_is_tested_once(self, monkeypatch):
+        tested = []
+
+        def counting_is_minor(h, g):
+            tested.append(g)
+            return is_minor(h, g)
+
+        monkeypatch.setattr(embed, "is_minor", counting_is_minor)
+        corpus = [parse_graph((SAMPLES / name).read_text()) for name in
+                  ("triangle.el", "path3.el", "square-with-tail.el")]
+        pred = MinorPredicate("contains-K4", complete("abcd"))
+        rep = check_hereditary_sampled(pred, corpus, trials=100)
+        # 333 draws, of 95 distinct graphs
+        assert len(tested) == len(set(tested)) == 95
+        assert rep.outcome is Outcome.HOLDS
+        assert rep.stats == {"trials": 100, "checked": 100, "skipped": 0}
 
     def test_rejects_empty_corpus(self):
         pred = MinorPredicate("contains-K3", complete("xyz"))
