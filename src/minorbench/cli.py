@@ -166,7 +166,8 @@ def cmd_blocks(args) -> int:
         return 0
     lines = []
     for b in tree.blocks:
-        kind = "trivial" if b.is_trivial else "2-connected"
+        kind = ("trivial" if b.is_trivial else
+                "2-connected" if b.graph.edges else "isolated")
         lines.append(f"block {b.id} ({kind}): "
                      f"{' '.join(b.graph.sorted_vertices())}")
     lines.append("cutvertices: " + " ".join(sorted(tree.cutvertices)))

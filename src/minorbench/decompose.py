@@ -9,7 +9,6 @@ have g-degree 2; segments are what the gadget builder replicates.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from typing import Iterable, Iterator, NamedTuple
 
 from .graph import Edge, Graph, GraphError, _bits
@@ -38,14 +37,28 @@ class BlockCutTree(NamedTuple):
 
     ``blocks`` is in id order, and block_cut_tree numbers the blocks
     from 0 by their sorted vertices, then sorted edges, so its
-    ``blocks[i]`` has id i.  ``links`` holds (block id, cutvertex
-    label) pairs.  A restriction produced by minimal_subtree keeps the
-    original block ids.
+    ``blocks[i]`` has id i.  A restriction produced by minimal_subtree
+    keeps the original block ids.  The cutvertices and links are read
+    from the blocks.
     """
 
     blocks: tuple[Block, ...]
-    cutvertices: frozenset[str]
-    links: frozenset[tuple[int, str]]
+
+    @property
+    def cutvertices(self) -> frozenset[str]:
+        """The vertices in two or more blocks."""
+        seen, cuts = set(), set()
+        for b in self.blocks:
+            cuts |= seen & b.graph.vertices
+            seen |= b.graph.vertices
+        return frozenset(cuts)
+
+    @property
+    def links(self) -> frozenset[tuple[int, str]]:
+        """(block id, cutvertex label) for each cutvertex of each block."""
+        cuts = self.cutvertices
+        return frozenset((b.id, c) for b in self.blocks
+                         for c in cuts & b.graph.vertices)
 
     def block_ids(self) -> list[int]:
         return [b.id for b in self.blocks]
@@ -62,8 +75,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     if not g.is_connected():
         raise GraphError("block_cut_tree requires a connected graph")
     if len(g.vertices) == 1:
-        only = Graph(g.vertices, frozenset())
-        return BlockCutTree((Block(0, only),), frozenset(), frozenset())
+        return BlockCutTree((Block(0, Graph(g.vertices, frozenset())),))
 
     # on vertex numbers from the root 0, neighbours in ascending order
     verts, nbr = g.index.verts, g.index.nbr
@@ -72,8 +84,6 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     clock = 1
     estack: list[tuple[int, int]] = []
     block_edge_sets: list[set[Edge]] = []
-    cutvx: set[str] = set()
-    root_children = 0
 
     stack: list[tuple[int, int, Iterator[int]]] = [(0, -1, iter(_bits(nbr[0])))]
     while stack:
@@ -89,8 +99,6 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
             estack.append((v, w))
             disc[w] = low[w] = clock
             clock += 1
-            if v == 0:
-                root_children += 1
             stack.append((w, v, iter(_bits(nbr[w]))))
             break
         else:  # every neighbour of v is seen: v is done
@@ -106,19 +114,12 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
                     if e == (parent, v):
                         break
                 block_edge_sets.append(blk)
-                if parent != 0:
-                    cutvx.add(verts[parent])
-    if root_children >= 2:
-        cutvx.add(verts[0])
     if estack:
         raise GraphError("internal error: unassigned edges after block scan")
 
     raw = [g.edge_subgraph(es) for es in block_edge_sets]
     raw.sort(key=lambda b: (tuple(b.sorted_vertices()), tuple(b.sorted_edges())))
-    blocks = tuple(Block(i, bg) for i, bg in enumerate(raw))
-    links = frozenset((b.id, c) for b in blocks for c in cutvx
-                      if c in b.graph.vertices)
-    return BlockCutTree(blocks, frozenset(cutvx), links)
+    return BlockCutTree(tuple(Block(i, bg) for i, bg in enumerate(raw)))
 
 
 def minimal_subtree(t: BlockCutTree, marked: Iterable[int]) -> BlockCutTree:
@@ -132,10 +133,9 @@ def minimal_subtree(t: BlockCutTree, marked: Iterable[int]) -> BlockCutTree:
 
     # tree nodes: a block by its id, a cutvertex by its label
     nbrs: dict[object, set[object]] = {b.id: set() for b in t.blocks}
-    nbrs.update((c, set()) for c in t.cutvertices)
     for bid, c in t.links:
         nbrs[bid].add(c)
-        nbrs[c].add(bid)
+        nbrs.setdefault(c, set()).add(bid)
 
     # peel unmarked leaves; a node whose degree falls to one is a new leaf
     leaves = [x for x, ns in nbrs.items() if len(ns) <= 1 and x not in want]
@@ -145,19 +145,16 @@ def minimal_subtree(t: BlockCutTree, marked: Iterable[int]) -> BlockCutTree:
             nbrs[y].discard(x)
             if len(nbrs[y]) == 1 and y not in want:
                 leaves.append(y)
-    return BlockCutTree(
-        tuple(b for b in t.blocks if b.id in nbrs),
-        frozenset(c for c in t.cutvertices if c in nbrs),
-        frozenset((bid, c) for bid, c in t.links if bid in nbrs and c in nbrs))
+    return BlockCutTree(tuple(b for b in t.blocks if b.id in nbrs))
 
 
 def choose_leaf_block(t: BlockCutTree) -> Block:
     """The first block, in id order, that is a leaf of the tree."""
     if not t.blocks:
         raise GraphError("empty block tree")
-    degree = Counter(bid for bid, _ in t.links)
+    cuts = t.cutvertices
     for b in t.blocks:
-        if degree[b.id] <= 1:
+        if len(cuts & b.graph.vertices) <= 1:
             return b
     raise GraphError("internal error: tree without leaf blocks")
 
@@ -188,7 +185,10 @@ class Segment(NamedTuple):
     kind: str
     ends: tuple[str, ...]
     interior: tuple[str, ...]
-    length: int
+
+    @property
+    def length(self) -> int:
+        return len(self.interior) + 1
 
     def sort_key(self):
         return (_KIND_RANK[self.kind], self.ends, self.interior)
@@ -225,16 +225,15 @@ def _segments(g: Graph, branch: frozenset[str]) -> list[Segment]:
             if at_branch >> cur & 1:
                 if cur == b:
                     # the walk leaves b by its lower neighbour first
-                    segments.append(Segment("closed", (verts[b],), inner,
-                                            len(inner) + 1))
+                    segments.append(Segment("closed", (verts[b],), inner))
                 else:
                     segments.append(Segment(
                         "between", (verts[min(b, cur)], verts[max(b, cur)]),
-                        inner if b < cur else inner[::-1], len(inner) + 1))
+                        inner if b < cur else inner[::-1]))
             else:
                 # non-branch, degree != 2 can only be a tip of g-degree 1
-                segments.append(Segment("pendant", (verts[b], verts[cur]),
-                                        inner, len(inner) + 1))
+                segments.append(
+                    Segment("pendant", (verts[b], verts[cur]), inner))
     if len(visited) != len(g.edges):
         raise GraphError("internal error: segment walk missed edges")
     segments.sort(key=Segment.sort_key)

@@ -193,7 +193,7 @@ def assemble_component_counterexample(h: Graph, anchor: str,
 class BuildTrace(NamedTuple):
     """Audit record of a block assembly: classifications and gluing."""
 
-    mode: str
+    mode = "blocks"
     anchor_block: tuple[str, ...]
     predicate_blocks: tuple[tuple[str, ...], ...]
     containing_blocks: tuple[tuple[str, ...], ...]
@@ -244,8 +244,8 @@ def assemble_block_counterexample(h: Graph, predicate: MinorPredicate,
     if anchor.is_trivial or len(anchor.graph.vertices) < 3:
         raise GraphError("chosen block is trivial; nothing to replace")
 
-    cut_in_anchor = frozenset(tree.cutvertices & anchor.graph.vertices)
-    if set(spec.roots) != set(cut_in_anchor):
+    cut_in_anchor = tree.cutvertices & anchor.graph.vertices
+    if set(spec.roots) != cut_in_anchor:
         raise GraphError(
             f"spec roots {sorted(spec.roots)} do not match the cutvertices "
             f"{sorted(cut_in_anchor)} of the chosen block")
@@ -294,7 +294,6 @@ def assemble_block_counterexample(h: Graph, predicate: MinorPredicate,
     out = relabeled_union(parts, groups)
 
     trace = BuildTrace(
-        mode="blocks",
         anchor_block=tuple(anchor.graph.sorted_vertices()),
         predicate_blocks=tuple(tuple(tree.blocks[i].graph.sorted_vertices())
                                for i in marked),

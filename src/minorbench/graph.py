@@ -5,14 +5,15 @@ operations relabel their inputs apart by appending ``#i`` with the part
 index, so derived labels never collide with each other.
 
 An optional provenance map records, per vertex, which construction role
-produced it (branch copy, replicated path interior, ...).  Provenance is
-carried metadata: two graphs with equal vertex and edge sets compare
-equal regardless of it.
+produced it (branch copy, replicated path interior, ...).  A graph keeps
+a read-only copy of it.  Provenance is carried metadata: two graphs with
+equal vertex and edge sets compare equal regardless of it.
 """
 
 from __future__ import annotations
 
 import functools
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -110,7 +111,8 @@ class Index:
 
 class Graph:
     """An immutable finite simple graph.  Its fields cannot be assigned
-    or deleted, and equality and hash read the vertices and edges only."""
+    or deleted, its provenance is a read-only copy of the one it was
+    given, and equality and hash read the vertices and edges only."""
 
     vertices: frozenset[str]
     edges: frozenset[Edge]
@@ -129,8 +131,10 @@ class Graph:
                 raise GraphError(f"edge {e!r} not normalized")
             if u not in vertices or v not in vertices:
                 raise GraphError(f"edge {e!r} has endpoint outside vertex set")
-        if provenance is not None and set(provenance) != set(vertices):
-            raise GraphError("provenance must cover every vertex exactly once")
+        if provenance is not None:  # kept as a read-only copy
+            provenance = MappingProxyType(dict(provenance))
+            if provenance.keys() != set(vertices):
+                raise GraphError("provenance must cover every vertex exactly once")
         # __setattr__ refuses; cached_property stores index this way too
         self.__dict__.update(vertices=vertices, edges=edges,
                              provenance=provenance)
@@ -149,6 +153,13 @@ class Graph:
     def __hash__(self) -> int:
         return hash((self.vertices, self.edges))
 
+    def __reduce__(self):
+        # a mappingproxy does not pickle: rebuild from a dict, and keep
+        # the cached index if there is one
+        prov = None if self.provenance is None else dict(self.provenance)
+        index = {"index": self.index} if "index" in self.__dict__ else None
+        return Graph, (self.vertices, self.edges, prov), index
+
     def __repr__(self) -> str:
         return (f"Graph(vertices={self.vertices!r}, edges={self.edges!r}, "
                 f"provenance={self.provenance!r})")
@@ -163,8 +174,7 @@ class Graph:
             es.add(edge(u, v))
             vs.add(u)
             vs.add(v)
-        prov = dict(provenance) if provenance is not None else None
-        return Graph(frozenset(vs), frozenset(es), prov)
+        return Graph(frozenset(vs), frozenset(es), provenance)
 
     # -- basic queries -------------------------------------------------
 
@@ -366,8 +376,7 @@ def delete_edges(g: Graph, x: Iterable[Edge]) -> Graph:
     missing = xs - g.edges
     if missing:
         raise GraphError(f"cannot delete absent edges {sorted(missing)!r}")
-    return Graph(g.vertices, g.edges - xs,
-                 dict(g.provenance) if g.provenance is not None else None)
+    return Graph(g.vertices, g.edges - xs, g.provenance)
 
 
 def derived_label(base: str, i: int) -> str:

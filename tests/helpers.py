@@ -25,10 +25,9 @@ from functools import cache, lru_cache
 from itertools import combinations, permutations, product
 from math import comb
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
-from minorbench import (DEFAULT_NODE_BUDGET, Block, BlockCutTree,
-                        BudgetExceeded, Graph, GraphError, MinorEmbedding,
+from minorbench import (DEFAULT_NODE_BUDGET, Block, BudgetExceeded, Graph, GraphError, MinorEmbedding,
                         NodeCounter, Outcome, PackingResult, Report,
                         SearchResult, SearchStatus, Segment, branch_vertices,
                         edge, enumerate_expansions, find_expansion,
@@ -284,10 +283,26 @@ def oracle_blocks(g: Graph) -> set[tuple[frozenset, frozenset]]:
 
 # -- decomposition references ---------------------------------------------------
 
-def reference_block_cut_tree(g: Graph) -> BlockCutTree:
-    """The reference for decompose.block_cut_tree on a connected host of
-    two or more vertices: the labelled DFS it replaced, from the
-    smallest label, neighbours in sorted order."""
+class ReferenceTree(NamedTuple):
+    """A block-cut tree as the references build it: the blocks with
+    cutvertex and link sets of their own, where decompose.BlockCutTree
+    reads both from its blocks."""
+
+    blocks: tuple[Block, ...]
+    cutvertices: frozenset[str]
+    links: frozenset[tuple[int, str]]
+
+    def block_ids(self) -> list[int]:
+        return [b.id for b in self.blocks]
+
+
+def reference_block_cut_tree(g: Graph) -> ReferenceTree:
+    """The reference for decompose.block_cut_tree on a connected host:
+    the labelled DFS it replaced, from the smallest label, neighbours in
+    sorted order, with Tarjan's articulation points as cutvertices."""
+    if len(g.vertices) == 1:
+        only = Graph(g.vertices, frozenset())
+        return ReferenceTree((Block(0, only),), frozenset(), frozenset())
     adj = {v: sorted(ns) for v, ns in labelled_adjacency(g).items()}
     root = min(g.vertices)
     disc: dict[str, int] = {root: 0}
@@ -344,10 +359,10 @@ def reference_block_cut_tree(g: Graph) -> BlockCutTree:
     blocks = tuple(Block(i, bg) for i, bg in enumerate(raw))
     links = frozenset((b.id, c) for b in blocks for c in sorted(cutvx)
                       if c in b.graph.vertices)
-    return BlockCutTree(blocks, frozenset(cutvx), links)
+    return ReferenceTree(blocks, frozenset(cutvx), links)
 
 
-def reference_minimal_subtree(t: BlockCutTree, marked) -> BlockCutTree:
+def reference_minimal_subtree(t: ReferenceTree, marked) -> ReferenceTree:
     """The reference for decompose.minimal_subtree: prune unmarked
     leaves, re-sorting every tree node on each pass, until nothing
     changes."""
@@ -379,10 +394,10 @@ def reference_minimal_subtree(t: BlockCutTree, marked) -> BlockCutTree:
     keep_cuts = frozenset(c for c in t.cutvertices if ("c", c) in nodes)
     keep_links = frozenset((bid, c) for bid, c in t.links
                            if ("b", bid) in nodes and ("c", c) in nodes)
-    return BlockCutTree(keep_blocks, keep_cuts, keep_links)
+    return ReferenceTree(keep_blocks, keep_cuts, keep_links)
 
 
-def reference_choose_leaf_block(t: BlockCutTree) -> Block:
+def reference_choose_leaf_block(t: ReferenceTree) -> Block:
     """The reference for decompose.choose_leaf_block: the leaf block
     with the smallest sorted vertices, then sorted edges, each block's
     degree by a scan over all links."""
@@ -423,16 +438,13 @@ def reference_segments(g: Graph, ctx: Graph) -> list[Segment]:
                 if cur == b:
                     fwd = tuple(interior)
                     rev = tuple(reversed(interior))
-                    segments.append(Segment("closed", (b,), min(fwd, rev),
-                                            len(interior) + 1))
+                    segments.append(Segment("closed", (b,), min(fwd, rev)))
                 else:
                     a, z = sorted((b, cur))
                     inner = tuple(interior) if a == b else tuple(reversed(interior))
-                    segments.append(Segment("between", (a, z), inner,
-                                            len(interior) + 1))
+                    segments.append(Segment("between", (a, z), inner))
             else:
-                segments.append(Segment("pendant", (b, cur), tuple(interior),
-                                        len(interior) + 1))
+                segments.append(Segment("pendant", (b, cur), tuple(interior)))
     assert visited == g.edges
     segments.sort(key=Segment.sort_key)
     return segments

@@ -77,6 +77,17 @@ class TestInspection:
         assert len(trivials) == 1
         assert trivials[0]["vertices"] == ["w", "w1"]
 
+    def test_blocks_single_vertex_is_isolated(self, capsys, tmp_path):
+        # K1 is one edgeless block: neither a bridge nor 2-connected
+        f = tmp_path / "k1.el"
+        f.write_text("1 0\nv\n")
+        assert run(capsys, "blocks", str(f)) == (
+            0, "block 0 (isolated): v\ncutvertices: \n", "")
+        code, obj, _ = run_json(capsys, "blocks", str(f), "--format", "json")
+        assert code == 0
+        assert obj["blocks"] == [{"edges": [], "id": 0, "trivial": False,
+                                  "vertices": ["v"]}]
+
     def test_blocks_rejects_disconnected(self, capsys):
         code, out, err = run(capsys, "blocks", HOST2)
         assert code == 65

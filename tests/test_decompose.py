@@ -6,9 +6,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from minorbench import (Block, Graph, GraphError, MinorPredicate, Segment,
-                        Shape, block_cut_tree, branch_vertices,
-                        choose_leaf_block, classify_shape,
+from minorbench import (Block, BlockCutTree, BuildTrace, Graph, GraphError,
+                        MinorPredicate, Segment, Shape, block_cut_tree,
+                        branch_vertices, choose_leaf_block, classify_shape,
                         connected_components, minimal_subtree,
                         segment_decomposition)
 from helpers import (complete, cycle_graph, oracle_blocks, oracle_cutvertices,
@@ -47,6 +47,19 @@ class TestBlock:
         assert not Block(0, complete("abc")).is_trivial
         with pytest.raises(TypeError):
             Block(0, Graph.build([], [("a", "b")]), False)
+
+
+class TestRecords:
+    def test_stored_fields(self):
+        # cutvertices, links and a segment's length are read from the
+        # fields, so no caller can set them to contradict the record
+        assert BlockCutTree._fields == ("blocks",)
+        assert Segment._fields == ("kind", "ends", "interior")
+        assert "mode" not in BuildTrace._fields
+        t = block_cut_tree(caterpillar())
+        assert t.cutvertices == {"c", "d"}
+        assert t.links == {(0, "c"), (1, "c"), (1, "d"), (2, "d")}
+        assert Segment("pendant", ("b", "t"), ("m",)).length == 2
 
 
 class TestBlockCutTree:
@@ -132,7 +145,7 @@ def check_block_reference(g: Graph):
     t, ref = block_cut_tree(g), reference_block_cut_tree(g)
     assert t.block_ids() == ref.block_ids()
     assert t.cutvertices == ref.cutvertices and t.links == ref.links
-    assert t == ref  # block graphs and host too
+    assert t.blocks == ref.blocks  # block graphs too
 
 
 def check_segment_reference(g: Graph, ctx: Graph):
@@ -255,16 +268,19 @@ class TestChooseLeafBlock:
 
     def test_rejects_empty_tree(self):
         t = block_cut_tree(complete("ab"))
-        empty = type(t)((), frozenset(), frozenset())
+        empty = type(t)(())
         with pytest.raises(GraphError):
             choose_leaf_block(empty)
 
 
-def check_tree_reference(t, marked):
-    sub, ref = minimal_subtree(t, marked), reference_minimal_subtree(t, marked)
+def check_tree_reference(t, ref_tree, marked):
+    """Check minimal_subtree and choose_leaf_block on t against the
+    references on ref_tree, the reference tree of the same host."""
+    sub = minimal_subtree(t, marked)
+    ref = reference_minimal_subtree(ref_tree, marked)
     assert sub.block_ids() == ref.block_ids()
     assert sub.cutvertices == ref.cutvertices and sub.links == ref.links
-    assert choose_leaf_block(sub) is reference_choose_leaf_block(ref)
+    assert choose_leaf_block(sub) == reference_choose_leaf_block(ref)
     return sub
 
 
@@ -281,20 +297,22 @@ class TestTreeReference:
     @pytest.mark.parametrize("seed", range(24))
     def test_reference_hosts(self, seed):
         rng = random.Random(seed)
-        t = block_cut_tree(reference_host(seed))
-        assert choose_leaf_block(t) is reference_choose_leaf_block(t)
+        g = reference_host(seed)
+        t, ref_tree = block_cut_tree(g), reference_block_cut_tree(g)
+        assert choose_leaf_block(t) == reference_choose_leaf_block(ref_tree)
         for marked in random_marks(rng, t):
-            check_tree_reference(t, marked)
+            check_tree_reference(t, ref_tree, marked)
 
     def test_seeded_hosts(self):
         rng = random.Random(2501)
         shapes = set()
         for _ in range(300):
-            t = block_cut_tree(random_connected_graph(
-                rng, rng.randint(1, 14), extra=rng.randint(0, 4)))
-            assert choose_leaf_block(t) is reference_choose_leaf_block(t)
+            g = random_connected_graph(
+                rng, rng.randint(1, 14), extra=rng.randint(0, 4))
+            t, ref_tree = block_cut_tree(g), reference_block_cut_tree(g)
+            assert choose_leaf_block(t) == reference_choose_leaf_block(ref_tree)
             for marked in random_marks(rng, t):
-                sub = check_tree_reference(t, marked)
+                sub = check_tree_reference(t, ref_tree, marked)
                 shapes.add((len(sub.blocks) == len(t.blocks),
                             len(sub.blocks) == 1))
         # cases that keep the whole tree, one block, and a proper part
@@ -320,22 +338,25 @@ class TestSegments:
         g, ctx = tailed_square()
         segs = segment_decomposition(g, ctx)
         assert segs == [
-            Segment("between", ("v", "w"), (), 1),
-            Segment("between", ("v", "w"), ("u1", "u2"), 3),
-            Segment("pendant", ("w", "w1"), (), 1),
+            Segment("between", ("v", "w"), ()),
+            Segment("between", ("v", "w"), ("u1", "u2")),
+            Segment("pendant", ("w", "w1"), ()),
         ]
+        assert [s.length for s in segs] == [1, 3, 1]
 
     def test_closed_segment(self):
         g = cycle_graph(["b", "p", "q"])
         ctx = Graph.build([], list(g.edges) + [("b", "t")])
         segs = segment_decomposition(g, ctx)
-        assert segs == [Segment("closed", ("b",), ("p", "q"), 3)]
+        assert segs == [Segment("closed", ("b",), ("p", "q"))]
+        assert segs[0].length == 3
 
     def test_pendant_with_interior(self):
         g = path_graph(["b", "m", "t"])
         ctx = Graph.build([], list(g.edges) + [("b", "x"), ("b", "y")])
         segs = segment_decomposition(g, ctx)
-        assert segs == [Segment("pendant", ("b", "t"), ("m",), 2)]
+        assert segs == [Segment("pendant", ("b", "t"), ("m",))]
+        assert segs[0].length == 2
 
     def test_rejects_no_branch_vertices(self):
         g = cycle_graph("abcd")

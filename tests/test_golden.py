@@ -46,6 +46,7 @@ CORE = "samples/complete-core.txt"
 RCORE = "samples/rooted-core.txt"
 BUILT = str(GOLDEN / "hstar1.out")
 BUILT2 = str(GOLDEN / "hstar2.out")
+CHAIN = "samples/block-chain-host.el"
 
 # (golden name, expected exit code, argv); several cases may share a name
 CASES = [
@@ -137,6 +138,27 @@ CASES = [
                                 "--anchor", "p", "-r", "4"]),
     ("hit-k4-hstar1-r4", 0,
      ["hit", K4, str(GOLDEN / "hstar1-k4-gadget-r4.out")]),
+    # a block assembly around the K4 block abco that blows up the K4
+    # block efgi containing it, the square demn on the chain between
+    # them and the trivial path c-d, and copies the triangle gxy hanging
+    # off the chain; the tree has four cutvertices
+    ("hstar2-block-chain", 0,
+     ["hstar2", CHAIN, "samples/rooted-core-c.txt", "--predicate", K4,
+      "-r", "2", "--trace", "{tmp}/trace.json"]),
+    ("blocks-block-chain-json", 0, ["blocks", CHAIN, "--format", "json"]),
+    # the triangle gxy is a closed segment at g
+    ("segments-closed-json", 0,
+     ["segments", CHAIN, "--ctx", CHAIN, "--format", "json"]),
+    # a footprint whose anchor images lie in the region has no model
+    # inside it, found by the first restricted search
+    ("locality-refuted", 1, ["locality", TWT, BUILT2,
+                             "samples/anchor-triangle.el",
+                             "--region", "c1#0,c2#0,c3#0,s#1"]),
+    # every footprint anchored in the region has a model inside it
+    ("locality-restricted", 0, ["locality", K4, BUILT, "samples/edge-pq.el",
+                                "--region", "1#0,2#0,5#0"]),
+    # a core claiming k = 1 is refuted by the one K4 model it packs
+    ("gencheck-packs", 1, ["gencheck", K4, "samples/complete-core-k1.txt"]),
 ]
 
 

@@ -10,8 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from minorbench import (Graph, GraphError, ParseError, connected_components,
-                        contract_edge, delete_edges, edge, parse_graph,
-                        parse_graph6, relabeled_union, serialize)
+                        contract_edge, core_region, delete_edges, edge,
+                        parse_graph, parse_graph6, relabeled_union,
+                        serialize)
 from helpers import (complete, cycle_graph, labelled_adjacency, path_graph,
                      random_graph, seeded_host)
 
@@ -118,6 +119,39 @@ class TestGraph:
         with pytest.raises(AttributeError):
             delattr(g, name)
         assert getattr(g, name) is before
+
+    # a graph's roles are its own: the caller's dict and the graph's own
+    # mapping cannot change them after construction
+    MAKERS = {
+        "init": lambda p: Graph(frozenset("ab"), frozenset([("a", "b")]), p),
+        "build": lambda p: Graph.build("ab", [("a", "b")], p)}
+
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS.keys())
+    def test_editing_the_callers_roles_leaves_the_graph(self, make):
+        p = {"a": "core:a", "b": "copy0:b"}
+        g = make(p)
+        p["b"] = "core:b"
+        assert core_region(g) == {"a"}
+        assert serialize(g, "dot").count("core:") == 1
+
+    @pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS.keys())
+    def test_adding_a_callers_role_leaves_the_graph(self, make):
+        p = {"a": "core:a", "b": "copy0:b"}
+        g = make(p)
+        p["c"] = "x"
+        assert "c" not in g.provenance and g.provenance.keys() == g.vertices
+
+    @pytest.mark.parametrize("make", [
+        lambda g: g, lambda g: delete_edges(g, [("a", "b")])],
+        ids=["graph", "delete_edges"])
+    def test_roles_cannot_be_edited_through_the_graph(self, make):
+        g = make(Graph(frozenset("ab"), frozenset([("a", "b")]),
+                       {"a": "core:a", "b": "copy0:b"}))
+        with pytest.raises(TypeError):
+            g.provenance["b"] = "core:b"
+        with pytest.raises(TypeError):
+            del g.provenance["b"]
+        assert core_region(g) == {"a"}
 
     def test_index_is_built_once_and_kept_out_of_equality(self):
         g = path_graph("abc")
