@@ -170,7 +170,7 @@ def cmd_blocks(args) -> int:
                 "2-connected" if b.graph.edges else "isolated")
         lines.append(f"block {b.id} ({kind}): "
                      f"{' '.join(b.graph.sorted_vertices())}")
-    lines.append("cutvertices: " + " ".join(sorted(tree.cutvertices)))
+    lines.append(" ".join(["cutvertices:", *sorted(tree.cutvertices)]))
     _write_out("\n".join(lines) + "\n", args)
     return 0
 

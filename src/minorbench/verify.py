@@ -15,7 +15,8 @@ from functools import cache, reduce
 from json.encoder import encode_basestring
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
+                    Sequence)
 
 from .graph import (Edge, Graph, GraphError, Index, _bits, contract_edge,
                     delete_edges)
@@ -143,13 +144,16 @@ def max_edge_disjoint_packing(pattern: Graph, host: Graph,
                               ) -> PackingResult:
     """Maximum number of pairwise edge-disjoint pattern expansions in host.
 
-    Footprints are edge masks over host.index in one list sorted in
-    (size, edges) order.  For t = 1, 2, ..., a depth-first search places
-    t disjoint ones, each after the last one placed, so each set is
-    tried once and the witness is the first t-combination in that
-    order.  A footprint comes after, and succeeds only where, the
-    minimal ones inside it do, so all footprints would give the same
-    witness.  cap stops once that many copies are found.
+    Greedy models (_disjoint_models) bound the count below, and
+    _packing_bound, cut to cap, above.  If the greedy models reach the
+    upper bound, or the first search finds none, they are the answer and
+    the witness, in the order found.  Else for t = greedy + 1, ..., upper
+    a depth-first search places t disjoint footprints, edge masks over
+    host.index in one list sorted in (size, edges) order, each after the
+    last one placed, so the witness is the first t-combination in that
+    order, or the greedy models if no greedy + 1 fit.  A footprint comes
+    after, and succeeds only where, the minimal ones inside it do, so
+    all footprints would give the same witness.
 
     A footprint's size fixes its branch sets' total size (_footprints),
     so the list grows by bands of sizes, each twice as wide as the last,
@@ -159,9 +163,9 @@ def max_edge_disjoint_packing(pattern: Graph, host: Graph,
     - (need - 1) * |E(pattern)| edges.  A bitset per host edge over the
     positions of the footprints holding it gives a node's fitting ones.
 
-    The band walks share one budget of node_budget nodes, and every
-    phase shares another.  When either runs out, exact is False and the
-    witness is the best packing among the footprints listed so far.
+    The band walks share one budget of node_budget nodes, and the greedy
+    searches and every phase share another.  When either runs out, exact
+    is False and the witness is the best packing found so far.
     """
     if not pattern.edges:
         raise GraphError("packing needs a pattern with at least one edge")
@@ -169,12 +173,17 @@ def max_edge_disjoint_packing(pattern: Graph, host: Graph,
     mh = len(pattern.edges)
     shift = len(pattern.vertices) - mh  # s edges: s + shift branch vertices
     listing, counter = NodeCounter(node_budget), NodeCounter(node_budget)
+    upper = min(_packing_bound(pattern, ix), len(ix.edges) if cap is None
+                else cap)
+    best, status, counter.nodes, _ = _disjoint_models(
+        pattern, ix, {}, upper,
+        lambda _, spent: None if node_budget is None else node_budget - spent)
     footprints: list[int] = []
     holding = [0] * len(ix.edges)  # bitsets over positions, per host edge
     listed = mh - 1  # every footprint of at most this many edges is listed
     width = 1
     done = False  # nothing is left to list, or the listing budget ran out
-    exact = True
+    exact = status is not SearchStatus.BUDGET
 
     def grow(room: int, need: int) -> bool:
         """List bands until one adds footprints: True if one did."""
@@ -229,8 +238,7 @@ def max_edge_disjoint_packing(pattern: Graph, host: Graph,
             elif not grow(room, need):
                 return None
 
-    best: list[int] = []
-    while cap is None or len(best) < cap:
+    while status is SearchStatus.NONE and 0 < len(best) < upper:
         try:
             got = extend(0, (1 << len(ix.edges)) - 1, len(best) + 1)
         except BudgetExceeded:
@@ -243,6 +251,30 @@ def max_edge_disjoint_packing(pattern: Graph, host: Graph,
                          tuple(frozenset(map(ix.edges.__getitem__, _bits(fp)))
                                for fp in best),
                          exact, listing.nodes + counter.nodes)
+
+
+def _packing_bound(pattern: Graph, ix: Index) -> int:
+    """The largest count nu of edge-disjoint pattern models in the host
+    indexed by ix that passes three counts, D_v the host's degrees, p3
+    the pattern's vertices of degree 3 or more and exc the sum of its
+    degrees above 2: (e) nu * |E(pattern)| <= |E(host)|; (h) p3 * nu <=
+    sum(D_v // 3), as the branch set of a vertex of degree 3 or more
+    holds a hub, a vertex of footprint degree 3 or more, and a vertex is
+    a hub in at most D_v // 3 copies; (x) exc * nu <= sum(D_v - 2 over
+    D_v >= 3) - 2 * max(0, p3 * nu - |{v: D_v >= 3}|), as a copy's hubs
+    carry exc footprint degree above 2, and a hub in j copies gives D_v
+    - 2j of it."""
+    degs = [n.bit_count() for n in pattern.index.nbr]
+    p3 = sum(d > 2 for d in degs)
+    exc = sum(d - 2 for d in degs if d > 2)
+    hubs = [d for d in (n.bit_count() for n in ix.nbr) if d > 2]
+    nu = len(ix.edges) // len(pattern.edges)
+    if p3:
+        nu = min(nu, sum(d // 3 for d in hubs) // p3)
+    while exc * nu > (sum(hubs) - 2 * len(hubs)
+                      - 2 * max(0, p3 * nu - len(hubs))):
+        nu -= 1
+    return nu
 
 
 class HitResult(NamedTuple):
@@ -323,6 +355,28 @@ def _probe(pattern: Graph, ix: Index, deleted: int,
     status, model, nodes = _find(pattern, nbr, (1 << len(nbr)) - 1, pins,
                                  node_budget)
     return status, 0 if model is None else _footprint(ix, nbr, model), nodes
+
+
+def _disjoint_models(pattern: Graph, ix: Index, pins: Mapping[str, int],
+                     stop: int, caps: Callable[[int, int], int | None]
+                     ) -> tuple[list[int], SearchStatus, int, int | None]:
+    """Greedy edge-disjoint models: _probes less the footprints found so
+    far, until stop are found or one finds none or runs out of its node
+    cap, caps(most nodes one spent, nodes).  Returns (footprints, the last
+    status or FOUND if none ran, nodes, the last cap)."""
+    known: list[int] = []
+    union = nodes = most = 0
+    status, cap = SearchStatus.FOUND, None
+    while len(known) < stop:
+        cap = caps(most, nodes)
+        status, fp, spent = _probe(pattern, ix, union, pins, cap)
+        nodes += spent
+        most = max(most, spent)
+        if status is not SearchStatus.FOUND:
+            break
+        known.append(fp)
+        union |= fp
+    return known, status, nodes, cap
 
 
 def _rank(X: tuple[int, ...], m: int) -> int:
@@ -424,39 +478,28 @@ def _first_without_model(pattern: Graph, host: Graph,
     first set the tree yields, which the descent takes as a set
     without a model.
 
-    The masks are seeded first with pairwise edge-disjoint models: each
-    seed search deletes the union of the footprints found so far, until
-    one finds no model or max(sizes) + 1 are found, and t such models
-    leave no hitting set below size t.  A seed search runs under a node
-    cap of max(64, 4 * the most nodes an earlier one spent), at most
-    budget.nodes; running out of it ends the seed, not the command.
-    The last seed search's answer is kept for its set when it is final
-    (not a stop at a cap below budget.nodes), so the tree's search of
-    that set reads it instead of searching again.
+    The masks are seeded with up to max(sizes) + 1 edge-disjoint models
+    (_disjoint_models), as t of them leave no hitting set below size t,
+    each search under a node cap of max(64, 4 * the most an earlier one
+    spent), at most budget.nodes; running out of it ends the seed, not
+    the command.  The last seed search's answer, if it found no model
+    and was not stopped by a cap below budget.nodes, is kept for its set,
+    so the tree reads it instead of searching again.
     """
     ix = host.index
     node_cap, search_cap = budget  # read once, not per search
     m = len(ix.edges)
     pins = {u: ix.vidx[v] for u, v in (roots or {}).items()}
-    known: list[int] = []
-    decided = searches = nodes = 0
-    stopped = False
-    union = most = 0
-    kept: tuple[int, SearchStatus] | None = None
-    while sizes and len(known) <= sizes[-1] and searches < search_cap:
-        cap = max(64, 4 * most)
-        if node_cap is not None:
-            cap = min(cap, node_cap)
-        status, fp, spent = _probe(pattern, ix, union, pins, cap)
-        searches += 1
-        nodes += spent
-        most = max(most, spent)
-        if status is not SearchStatus.BUDGET or cap == node_cap:
-            kept = union, status
-        if status is not SearchStatus.FOUND:
-            break
-        known.append(fp)
-        union |= fp
+    known, status, nodes, cap = _disjoint_models(
+        pattern, ix, pins, min(sizes[-1] + 1, search_cap) if sizes else 0,
+        lambda most, _: max(64, 4 * most) if node_cap is None
+        else min(node_cap, max(64, 4 * most)))
+    searches = len(known) + (status is not SearchStatus.FOUND)
+    decided, stopped = 0, False
+    kept = None
+    if status is SearchStatus.NONE or (status is SearchStatus.BUDGET
+                                       and cap == node_cap):
+        kept = reduce(int.__or__, known, 0), status
 
     def search(X: tuple[int, ...]) -> SearchStatus:
         nonlocal searches, nodes, stopped

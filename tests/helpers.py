@@ -6,7 +6,8 @@ product_footprints and reference_footprints, which share the branch-set
 enumeration with the footprint enumerator they check,
 reference_packing, which reads the footprints that enumerator yields,
 reference_locality, which reads them too and searches with
-find_expansion, reference_search, the first model of
+find_expansion, reference_greedy_packing, which searches with
+find_expansion too, reference_search, the first model of
 enumerate_expansions, and reference_segment_blowup, which reads the segments and branch
 vertices of the decomposition, and reference_first_without_model, which
 runs the deletion probe and hitting-set tree of the loop it checks.
@@ -30,8 +31,8 @@ from typing import Iterator, Mapping, NamedTuple
 from minorbench import (DEFAULT_NODE_BUDGET, Block, BudgetExceeded, Graph, GraphError, MinorEmbedding,
                         NodeCounter, Outcome, PackingResult, Report,
                         SearchResult, SearchStatus, Segment, branch_vertices,
-                        edge, enumerate_expansions, find_expansion,
-                        graph_json, iter_expansion_footprints,
+                        delete_edges, edge, enumerate_expansions,
+                        find_expansion, graph_json, iter_expansion_footprints,
                         load_core_spec, segment_decomposition)
 from minorbench.graph import Edge, _bits
 from minorbench.verify import Budget, _hitting_sets, _probe, _rank
@@ -594,7 +595,6 @@ def oracle_min_hitting(h: Graph, g: Graph) -> int | None:
     test, so it shares nothing with the engine's search or the hitting
     routine under test.
     """
-    from minorbench import delete_edges
     if not naive_is_minor_oracle(h, g):
         return 0
     es = g.sorted_edges()
@@ -908,6 +908,34 @@ def reference_packing(pattern: Graph, host: Graph, cap: int | None = None,
         t += 1
     return PackingResult(len(best), tuple(best), exact,
                          listing.nodes + counter.nodes)
+
+
+def reference_greedy_packing(pattern: Graph, host: Graph,
+                             cap: int | None = None
+                             ) -> tuple[frozenset[Edge], ...]:
+    """The greedy edge-disjoint models max_edge_disjoint_packing starts
+    from, as footprints in the order found: find_expansion on the host
+    less the footprints found so far, until it finds no model or cap
+    are found.  A footprint is a BFS spanning tree of each branch set,
+    from its smallest label with neighbours in label order, plus the
+    edge images."""
+    found: list[frozenset[Edge]] = []
+    rest = host
+    while cap is None or len(found) < cap:
+        emb = find_expansion(pattern, rest, node_budget=None).embedding
+        if emb is None:
+            break
+        adj = labelled_adjacency(rest)
+        fp = set(emb.edge_images.values())
+        for bs in emb.branch_sets.values():
+            order = [min(bs)]
+            for a in order:
+                for b in sorted(adj[a] & bs - set(order)):
+                    order.append(b)
+                    fp.add(edge(a, b))
+        found.append(frozenset(fp))
+        rest = delete_edges(rest, fp)
+    return tuple(found)
 
 
 # -- locality reference ----------------------------------------------------------

@@ -82,7 +82,7 @@ class TestInspection:
         f = tmp_path / "k1.el"
         f.write_text("1 0\nv\n")
         assert run(capsys, "blocks", str(f)) == (
-            0, "block 0 (isolated): v\ncutvertices: \n", "")
+            0, "block 0 (isolated): v\ncutvertices:\n", "")
         code, obj, _ = run_json(capsys, "blocks", str(f), "--format", "json")
         assert code == 0
         assert obj["blocks"] == [{"edges": [], "id": 0, "trivial": False,

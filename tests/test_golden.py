@@ -159,6 +159,24 @@ CASES = [
                                 "--region", "1#0,2#0,5#0"]),
     # a core claiming k = 1 is refuted by the one K4 model it packs
     ("gencheck-packs", 1, ["gencheck", K4, "samples/complete-core-k1.txt"]),
+    # the paper's gadgets pack r copies: r greedy models meet the degree
+    # counts' bound, so no footprint is listed
+    ("gtimes-k4-gadget-r3", 0, ["gtimes", K4, "--ctx", K4, "-r", "3"]),
+    ("pack-k4-gadget-r3", 0,
+     ["pack", K4, str(GOLDEN / "gtimes-k4-gadget-r3.out")]),
+    ("gtimes-k5-gadget-r3", 0, ["gtimes", K5, "--ctx", K5, "-r", "3"]),
+    ("pack-k5-gadget-r3", 0,
+     ["pack", K5, str(GOLDEN / "gtimes-k5-gadget-r3.out")]),
+    # the 45-vertex hstar1 host: 82 edges hold one copy of the 42-edge
+    # K4 and gadget pattern, and seven greedy K4 models meet the bound
+    ("pack-hstar1-k4-gadget", 0,
+     ["pack", "samples/k4-and-gadget.el",
+      str(GOLDEN / "hstar1-k4-gadget.out"), "--cap", "4"]),
+    ("pack-k4-hstar1", 0,
+     ["pack", K4, str(GOLDEN / "hstar1-k4-gadget.out")]),
+    # the K4 gadget at r = 3 as a core: it packs 3 < 4 copies of K4, and
+    # a K4 model survives every deletion of 2 edges
+    ("gencheck-k4-gadget", 0, ["gencheck", K4, "samples/k4-gadget-core.txt"]),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import enum
 import json
+import math
 import random
 from itertools import combinations
 from pathlib import Path
@@ -27,11 +28,13 @@ from minorbench import embed, verify
 from minorbench.embed import _unlabelled
 from minorbench.verify import _footprint, _hitting_sets, _rank
 from helpers import (SAMPLES, complete, cycle_graph, edge_labels,
-                     footprint_cases, graphs_up_to_iso, k5_spec, naive_is_minor_oracle,
+                     footprint_cases, graphs_up_to_iso, k5_spec,
+                     labelled_adjacency, naive_is_minor_oracle,
                      oracle_footprints, oracle_min_hitting, oracle_packing,
                      p3_star, path_graph, random_connected_graph,
                      random_graph, reference_canonical_json,
-                     reference_first_without_model, reference_locality,
+                     reference_first_without_model,
+                     reference_greedy_packing, reference_locality,
                      reference_packing, rooted_spec,
                      satisfies_leaf_rule, seeded_host, tailed_square,
                      triangle_with_tail, two_part_host, wheel_graph)
@@ -194,6 +197,14 @@ def packing_reference_cases():
 PACKING_REFERENCE_CASES = dict(packing_reference_cases())
 
 
+def canonical_witness(pattern, host, cap, count, first):
+    """The witness of an exact packing of count copies: the greedy
+    models where as many are found, else first, the first
+    count-combination in (size, edges) order."""
+    greedy = reference_greedy_packing(pattern, host, cap)
+    return greedy if len(greedy) == count else first
+
+
 class TestPacking:
     def test_triangles_in_k5(self):
         res = max_edge_disjoint_packing(complete("xyz"), complete("12345"))
@@ -239,15 +250,18 @@ class TestPacking:
 
     @pytest.mark.parametrize("name", sorted(PACKING_REFERENCE_CASES))
     def test_mask_search_matches_reference(self, name):
-        """Where the reference is exact, the banded search gives its
-        count and witness; node counts differ, as bands list fewer
-        footprints.  Under a budget both stop, at different places."""
+        """Where the reference is exact, the packing gives its count and
+        the canonical witness; node counts differ, as bounds and bands
+        list fewer footprints.  Under a budget both stop, at different
+        places."""
         pattern, host, cap, budget = PACKING_REFERENCE_CASES[name]
         got = max_edge_disjoint_packing(pattern, host, cap, budget)
         want = reference_packing(pattern, host, cap, budget)
         if want.exact:
             assert (got.count, got.witness, got.exact) == (
-                want.count, want.witness, True)
+                want.count,
+                canonical_witness(pattern, host, cap, want.count,
+                                  want.witness), True)
             return
         assert name == "K3-K6-budget"
         assert not got.exact and got.count <= 4
@@ -264,7 +278,9 @@ class TestPacking:
             pattern, host, NodeCounter(cap=None))]
         res = max_edge_disjoint_packing(pattern, host, node_budget=None)
         assert res.exact
-        assert (res.count, res.witness) == oracle_packing(listed)
+        count, witness = oracle_packing(listed)
+        assert (res.count, res.witness) == (
+            count, canonical_witness(pattern, host, None, count, witness))
 
 
 BANDED_CASES = {
@@ -289,13 +305,92 @@ class TestBands:
         got = max_edge_disjoint_packing(pattern, host, node_budget=None)
         want = reference_packing(pattern, host, node_budget=None)
         assert (got.count, got.witness, got.exact) == (
-            want.count, want.witness, True)
+            want.count,
+            canonical_witness(pattern, host, None, want.count, want.witness),
+            True)
 
     def test_fano_plane_lists_only_triangles(self):
         # seven triangles fill K7's 21 edges, so no longer cycle is listed
         res = max_edge_disjoint_packing(complete("xyz"), complete("1234567"))
         assert res.count == 7 and res.exact
         assert res.nodes < 200
+
+
+def reference_packing_counts(pattern, host):
+    """The largest count each of _packing_bound's three counts allows
+    alone, from degrees read off labelled_adjacency."""
+    degs = [len(ns) for ns in labelled_adjacency(pattern).values()]
+    host_degs = [len(ns) for ns in labelled_adjacency(host).values()]
+    p3 = sum(d >= 3 for d in degs)
+    exc = sum(max(0, d - 2) for d in degs)
+    hubs = [d for d in host_degs if d >= 3]
+    fits = [nu for nu in range(len(host.edges) + 1)
+            if exc * nu <= sum(d - 2 for d in hubs)
+            - 2 * max(0, p3 * nu - len(hubs))]
+    return {"e": len(host.edges) // len(pattern.edges),
+            "h": sum(d // 3 for d in host_degs) // p3 if p3 else math.inf,
+            "x": max(fits)}
+
+
+def two_core(g):
+    """g less its vertices of degree below 2, repeatedly.  A minimal
+    footprint of a pattern whose degrees are all 2 or more has no vertex
+    of degree below 2, so it lies in the 2-core, and the packing count
+    is the same."""
+    while True:
+        adj = labelled_adjacency(g)
+        low = {v for v, ns in adj.items() if len(ns) < 2}
+        if not low:
+            return g
+        g = g.induced(g.vertices - low)
+
+
+BOUND_PATTERNS = {
+    "K3": complete("xyz"), "C4": cycle_graph("wxyz"), "K4": complete("wxyz"),
+    "W4": wheel_graph("h", "abcd"),
+    "K4+K3": Graph.build([], list(complete("wxyz").edges)
+                         + list(complete("abc").edges))}
+
+
+class TestPackingBounds:
+    """The upper bound from degree counts and the greedy lower bound."""
+
+    @pytest.mark.parametrize("pattern,host,tight,want", [
+        (complete("xyz"), complete("1234567"), "e", 7),
+        (complete("wxyz"), complete("123456"), "h", 1),
+        (complete("abcde"),
+         segment_blowup(complete("abcde"), complete("abcde"), 3), "x", 3)],
+        ids=["edges-K3-K7", "hubs-K4-K6", "excess-K5-gadget-r3"])
+    def test_one_count_alone_is_tight(self, pattern, host, tight, want):
+        counts = reference_packing_counts(pattern, host)
+        assert counts[tight] == want
+        assert all(v > want for k, v in counts.items() if k != tight)
+        assert verify._packing_bound(pattern, host.index) == want
+        res = max_edge_disjoint_packing(pattern, host, node_budget=None)
+        assert (res.count, res.exact) == (want, True)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_greedy_and_bound_hold_the_count(self, seed):
+        """On a seeded 10-25 vertex host: greedy <= nu <= upper, with nu
+        from reference_packing on the host's 2-core where it finishes,
+        and the greedy models pairwise edge-disjoint models."""
+        host = seeded_host(random.Random(seed), chords=(1, 4))
+        core = two_core(host)
+        ix = host.index
+        for pattern in BOUND_PATTERNS.values():
+            greedy, _, _, _ = verify._disjoint_models(
+                pattern, ix, {}, len(ix.edges), lambda *_: None)
+            copies = [edge_labels(host, fp) for fp in greedy]
+            for a, b in combinations(copies, 2):
+                assert not a & b
+            for fp in copies:
+                sub = host.edge_subgraph(fp)
+                emb = find_expansion(pattern, sub, node_budget=None).embedding
+                assert verify_embedding(pattern, sub, emb)
+            want = reference_packing(pattern, core, node_budget=20000)
+            if want.exact:
+                assert (len(greedy) <= want.count
+                        <= verify._packing_bound(pattern, ix))
 
 
 class TestHitting:
