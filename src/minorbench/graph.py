@@ -139,6 +139,13 @@ class Graph:
         self.__dict__.update(vertices=vertices, edges=edges,
                              provenance=provenance)
 
+    @classmethod
+    def _checked(cls, vertices: frozenset[str], edges: frozenset[Edge]):
+        """A graph from sets the parsers checked as __init__ would."""
+        g = object.__new__(cls)
+        g.__dict__.update(vertices=vertices, edges=edges, provenance=None)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -276,7 +283,7 @@ def _parse_edge_block(text: str) -> tuple[Graph, list[tuple[int, str]]]:
         if e in edges:
             raise ParseError(f"duplicate edge {ln!r}", lineno)
         edges.add(e)
-    return Graph(frozenset(vertices), frozenset(edges)), lines[1 + n + m:]
+    return Graph._checked(frozenset(vertices), frozenset(edges)), lines[1 + n + m:]
 
 
 def parse_graph(text: str) -> Graph:
@@ -365,7 +372,7 @@ def parse_graph6(text: str) -> Graph:
             if bits[idx]:
                 edges.add(edge(str(i), str(j)))
             idx += 1
-    return Graph(frozenset(vertices), frozenset(edges))
+    return Graph._checked(frozenset(vertices), frozenset(edges))
 
 
 # -- operations ----------------------------------------------------------

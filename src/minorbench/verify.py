@@ -18,8 +18,8 @@ from types import MappingProxyType
 from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
                     Sequence)
 
-from .graph import (Edge, Graph, GraphError, Index, _bits, contract_edge,
-                    delete_edges)
+from .graph import (Edge, Graph, GraphError, Index, _bits, _reach,
+                    contract_edge, delete_edges)
 from .decompose import branch_vertices
 from .embed import (DEFAULT_NODE_BUDGET, BudgetExceeded, MinorPredicate,
                     Model, NodeCounter, SearchStatus, _check_roots, _find,
@@ -379,6 +379,27 @@ def _disjoint_models(pattern: Graph, ix: Index, pins: Mapping[str, int],
     return known, status, nodes, cap
 
 
+def _hitting_floor(pattern: Graph, ix: Index) -> int:
+    """A lower bound on the edges a deletion must take from the host
+    indexed by ix to leave no model of a pattern of 2 <= t <= 7 vertices
+    and some edge; 0 for any other.  By Mader's theorem (Math. Ann. 178,
+    1968), for t <= 7 a graph of n >= t - 1 vertices and more than (t -
+    2) * n - C(t - 1, 2) edges has a K_t minor, so a pattern model: the
+    floor sums each host component's edges above that bound."""
+    t = len(pattern.vertices)
+    if not pattern.edges or t > 7:
+        return 0
+    floor, unseen = 0, (1 << len(ix.verts)) - 1
+    while unseen:
+        comp = _reach(ix.nbr, unseen)
+        unseen ^= comp
+        n = comp.bit_count()
+        if n >= t:
+            m = sum(ix.nbr[v].bit_count() for v in _bits(comp)) // 2
+            floor += max(0, m - (t - 2) * n + comb(t - 1, 2))
+    return floor
+
+
 def _rank(X: tuple[int, ...], m: int) -> int:
     """1-based position of X in combinations(range(m), len(X))."""
     s = len(X)
@@ -485,17 +506,23 @@ def _first_without_model(pattern: Graph, host: Graph,
     the command.  The last seed search's answer, if it found no model
     and was not stopped by a cap below budget.nodes, is kept for its set,
     so the tree reads it instead of searching again.
+
+    With no root pins, the sizes below _hitting_floor are decided with
+    no search; if none is left, neither seed nor tree searches.
     """
     ix = host.index
     node_cap, search_cap = budget  # read once, not per search
     m = len(ix.edges)
     pins = {u: ix.vidx[v] for u, v in (roots or {}).items()}
+    floor = 0 if pins else _hitting_floor(pattern, ix)
+    decided = sum(comb(m, s) for s in sizes if s < floor)
+    sizes = [s for s in sizes if s >= floor]
     known, status, nodes, cap = _disjoint_models(
         pattern, ix, pins, min(sizes[-1] + 1, search_cap) if sizes else 0,
         lambda most, _: max(64, 4 * most) if node_cap is None
         else min(node_cap, max(64, 4 * most)))
     searches = len(known) + (status is not SearchStatus.FOUND)
-    decided, stopped = 0, False
+    stopped = False
     kept = None
     if status is SearchStatus.NONE or (status is SearchStatus.BUDGET
                                        and cap == node_cap):

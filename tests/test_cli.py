@@ -496,12 +496,15 @@ class TestQueries:
     def test_hit_search_budget_names_the_stop(self, capsys):
         code, obj, _ = run_json(capsys, "hit", TRI, K4)
         assert code == 0 and "stopped_at" not in obj["details"]
+        # the floor decides sizes 0-2 with no search, and the seed's 2
+        # searches leave the first set of size 3 unsearched
         code, obj, _ = run_json(capsys, "hit", TRI, K4,
-                                "--budget", "10000000:7")
+                                "--budget", "10000000:2")
         assert code == 2 and obj["outcome"] == "budget-exhausted"
         assert obj["details"]["hitting_edges"] is None
-        assert obj["details"]["stopped_at"] == [["p", "t"], ["q", "s"]]
-        assert obj["stats"]["subsets_checked"] == 17
+        assert obj["details"]["stopped_at"] == [["p", "q"], ["p", "s"],
+                                                ["p", "t"]]
+        assert obj["stats"]["subsets_checked"] == 23
 
     def test_hit_rejects_negative_bound(self):
         with pytest.raises(SystemExit) as exc:

@@ -113,7 +113,9 @@ CASES = [
     # radius, so the scan names where it stopped
     ("robust-k4-gadget-search-budget", 2,
      ["robust", K4, "--ctx", K4, "-r", "4", "--budget", "10000000:3"]),
-    ("hit-search-budget", 2, ["hit", TRI, K4, "--budget", "10000000:7"]),
+    # the floor decides sizes 0-2 of K3 in K4 with no search; the
+    # seed's 2 searches leave the first set of size 3 unsearched
+    ("hit-search-budget", 2, ["hit", TRI, K4, "--budget", "10000000:2"]),
     # the 16-vertex K4 gadget at r = 2 and its exact packing: footprints
     # are listed by size only as far as the search can use them
     ("gtimes-k4-gadget-r2", 0, ["gtimes", K4, "--ctx", K4, "-r", "2"]),
@@ -177,6 +179,12 @@ CASES = [
     # the K4 gadget at r = 3 as a core: it packs 3 < 4 copies of K4, and
     # a K4 model survives every deletion of 2 edges
     ("gencheck-k4-gadget", 0, ["gencheck", K4, "samples/k4-gadget-core.txt"]),
+    # K7 has 21 edges and at most 2 * 7 - 3 = 11 without a K4 minor
+    # (Mader), so every deletion of 9 edges keeps a K4 model, and the
+    # scan holds with no search; hit starts its tree at size 10
+    ("robust-k4-k7-r10", 0,
+     ["robust", K4, "--host", "samples/k7.el", "-r", "10"]),
+    ("hit-k4-k7", 0, ["hit", K4, "samples/k7.el"]),
 ]
 
 

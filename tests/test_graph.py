@@ -311,6 +311,17 @@ class TestParse:
     def test_round_trip_random(self, g):
         assert parse_graph(serialize(g)) == g
 
+    @PROPERTY
+    @given(small_graphs())
+    def test_parsed_graph_is_the_checked_graph(self, g):
+        # the parsers build without Graph's second pass of checks: the
+        # result is what Graph(...) gives from the same sets
+        for got in (parse_graph(serialize(g)), parse_graph6("Dhc")):
+            want = Graph(frozenset(got.vertices), frozenset(got.edges))
+            assert got == want and repr(got) == repr(want)
+            assert type(got) is Graph and got.provenance is None
+            assert got.index.nbr == want.index.nbr
+
     def test_comment_lines_and_blanks_ignored(self):
         g = parse_graph("# note\n\n2 1\na\nb\n\na b\n")
         assert g == Graph.build("ab", [("a", "b")])

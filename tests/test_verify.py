@@ -23,7 +23,8 @@ from minorbench import (Budget, BudgetExceeded, CoreSpec, Graph, GraphError,
                         core_region, delete_edges, find_expansion, graph_json,
                         is_minor, iter_expansion_footprints,
                         max_edge_disjoint_packing, min_edge_hitting_set,
-                        parse_graph, segment_blowup, verify_embedding)
+                        parse_graph, relabeled_union, segment_blowup,
+                        verify_embedding)
 from minorbench import embed, verify
 from minorbench.embed import _unlabelled
 from minorbench.verify import _footprint, _hitting_sets, _rank
@@ -422,20 +423,24 @@ class TestHitting:
     @pytest.mark.parametrize("searches, exact",
                              [(4, True), (3, False), (2, False)])
     def test_search_budget_boundary_with_bound(self, searches, exact):
-        # bound 1 leaves 1 + 6 subsets, every one keeping a triangle:
-        # the seed finds one triangle in 2 searches (K4 less a triangle
-        # is a star), and the tree needs 2 more to show it
-        res = min_edge_hitting_set(complete("xyz"), complete("pqst"),
+        # C4 in K4: the floor is 1 and tau 2.  Bound 1 leaves 1 + 6
+        # subsets, every one keeping a 4-cycle; the floor decides size 0
+        # with no search, the seed finds one 4-cycle in 2 searches (K4
+        # less a 4-cycle is a matching), and the tree needs 2 more, of
+        # pq and pt, to show that no edge meets all three 4-cycles
+        res = min_edge_hitting_set(cycle_graph("wxyz"), complete("pqst"),
                                    bound=1, budget=Budget(searches=searches))
         assert res.size is None and res.exact is exact
         assert res.searches == searches
         assert (res.subsets == 7) is exact
 
-    @pytest.mark.parametrize("searches, exact", [(8, True), (7, False)])
+    @pytest.mark.parametrize("searches, exact", [(3, True), (2, False)])
     def test_search_budget_boundary_at_the_answer(self, searches, exact):
-        # the witness is subset 1 + 6 + 15 + 2 = 24, the first triangle
-        # the seed found; its second search found no model without it,
-        # so the tree reads that answer, and the run makes 8 searches
+        # K3 in K4: the floor is 3 = tau, so sizes 0-2 are decided with
+        # no search.  The witness is subset 1 + 6 + 15 + 2 = 24, the
+        # first triangle the seed found; its second search found no
+        # model without it, so the tree reads that answer after one
+        # search of subset 23, and the run makes 3 searches
         res = min_edge_hitting_set(complete("xyz"), complete("pqst"),
                                    budget=Budget(searches=searches))
         assert res.exact is exact
@@ -445,20 +450,23 @@ class TestHitting:
             assert res.hitting_edges == (("p", "q"), ("p", "s"), ("q", "s"))
             assert res.stopped_at is None
         else:
-            # the stop is the last set of size 2 the tree yields,
-            # subset 1 + 6 + 10, left without a search
+            # the stop is the first set of size 3 the tree yields,
+            # subset 1 + 6 + 15 + 1, left without a search
             assert res.size is None and res.hitting_edges is None
-            assert res.subsets == 17
-            assert res.stopped_at == (("p", "t"), ("q", "s"))
+            assert res.subsets == 23
+            assert res.stopped_at == (("p", "q"), ("p", "s"), ("p", "t"))
 
-    @pytest.mark.parametrize("searches", range(1, 8))
+    @pytest.mark.parametrize("searches", range(1, 19))
     def test_search_budget_names_the_stop(self, searches):
         # subsets counts the sets by size, then in label order, up to
-        # and including the stop
-        host = complete("pqst")
-        res = min_edge_hitting_set(complete("xyz"), host,
+        # and including the stop.  C4 in K5 has floor 3 and tau 4, and
+        # takes 19 searches, so each of these budgets stops in the tree,
+        # at size 3 or 4
+        host = complete("12345")
+        res = min_edge_hitting_set(cycle_graph("wxyz"), host,
                                    budget=Budget(searches=searches))
         assert not res.exact and res.hitting_edges is None
+        assert len(res.stopped_at) in (3, 4)
         sets = [X for s in range(len(host.edges) + 1)
                 for X in combinations(host.sorted_edges(), s)]
         assert sets.index(res.stopped_at) + 1 == res.subsets
@@ -954,6 +962,111 @@ class TestSeededLoop:
         assert want[0] is not SearchStatus.BUDGET
         assert got[:3] == want[:3]
         return got
+
+
+FLOOR_PATTERNS = dict(BOUND_PATTERNS, K5=complete("abcde"))
+
+
+def floor_host(rng, pattern):
+    """A random host on as many vertices as the pattern has, or one more
+    for patterns of at most 5, dense enough to have a floor above 0."""
+    t = len(pattern.vertices)
+    return random_graph(rng, t + rng.randint(0, t <= 5), rng.uniform(0.7, 1))
+
+
+class TestHittingFloor:
+    """verify._hitting_floor, Mader's lower bound on the edges a
+    deletion needs to leave no pattern model, against the naive hitting
+    oracle, and the deletion loop that skips the sizes below it."""
+
+    @pytest.mark.parametrize("name", FLOOR_PATTERNS)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_floor_is_at_most_tau(self, name, seed):
+        pattern = FLOOR_PATTERNS[name]
+        host = floor_host(random.Random(seed), pattern)
+        floor = verify._hitting_floor(pattern, host.index)
+        assert floor <= oracle_min_hitting(pattern, host)
+
+    @pytest.mark.parametrize("name", FLOOR_PATTERNS)
+    def test_floor_sums_over_components(self, name):
+        pattern = FLOOR_PATTERNS[name]
+        rng = random.Random(len(name))
+        parts = [floor_host(rng, pattern) for _ in range(3)]
+        parts.append(complete("123456"))
+        floors = [verify._hitting_floor(pattern, g.index) for g in parts]
+        host = relabeled_union(parts)
+        assert verify._hitting_floor(pattern, host.index) == sum(floors)
+
+    def test_floor_is_tau_for_triangles(self):
+        # tau of K3 is the cycle rank m - n + c: the largest forest
+        # keeps n - c edges.  The oracle agrees on every graph of at
+        # most 5 vertices, and the cycle rank on seeded hosts
+        k3 = complete("xyz")
+        for n in range(1, 6):
+            for g in graphs_up_to_iso(n):
+                assert (verify._hitting_floor(k3, g.index)
+                        == oracle_min_hitting(k3, g))
+        for seed in range(20):
+            g = random_graph(random.Random(seed), 12, 0.3)
+            rank = (len(g.edges) - len(g.vertices)
+                    + len(connected_components(g)))
+            assert verify._hitting_floor(k3, g.index) == rank
+
+    def test_no_floor_for_eight_vertices(self):
+        # K_{2,2,2,2,2} has 10 vertices and 40 edges, one more than
+        # Mader's formula allows for t = 8, yet no K8 minor: the bound
+        # holds only for t <= 7
+        vs = [p + i for p in "abcde" for i in "01"]
+        host = Graph.build(vs, [(u, v) for u, v in combinations(vs, 2)
+                                if u[0] != v[0]])
+        k8 = complete("stuvwxyz")
+        assert len(host.edges) == (8 - 2) * 10 - math.comb(7, 2) + 1
+        assert is_minor(k8, host) is False
+        assert verify._hitting_floor(k8, host.index) == 0
+        assert verify._hitting_floor(path_graph("stuvwxyz"),
+                                     complete("0123456789").index) == 0
+
+    def test_no_floor_under_root_pins(self):
+        # K3 with x pinned to a pendant vertex p of K5: one deletion
+        # cuts p off, though unpinned K5 + p needs 11 - 5 = 6
+        host = Graph.build([], list(complete("12345").edges) + [("1", "p")])
+        assert verify._hitting_floor(complete("xyz"), host.index) == 6
+        rep = check_assembly_robustness(complete("xyz"), host, 2,
+                                        roots={"x": "p"})
+        assert rep.outcome is Outcome.REFUTED
+        assert rep.details["witness_deletion"] == [["1", "p"]]
+        # K3 in K4 pinned at p searches the sizes the floor would skip
+        free = check_assembly_robustness(complete("xyz"), complete("pqst"), 3)
+        assert free.stats["searches"] == 0
+        pinned = check_assembly_robustness(complete("xyz"), complete("pqst"),
+                                           3, roots={"x": "p"})
+        assert pinned.outcome is Outcome.HOLDS
+        assert pinned.stats["searches"] > 0
+
+    def test_scan_below_the_floor_searches_nothing(self, monkeypatch):
+        # K7 keeps at most 2 * 7 - 3 = 11 of its 21 edges without a K4
+        # model, so no deletion of 9 edges leaves none
+        monkeypatch.setattr(verify, "_probe", None)
+        k7 = complete("1234567")
+        rep = check_assembly_robustness(complete("wxyz"), k7, 10)
+        assert rep.outcome is Outcome.HOLDS
+        assert rep.stats == {"subsets_checked": math.comb(21, 9),
+                             "subsets_planned": math.comb(21, 9),
+                             "searches": 0, "nodes": 0}
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_hit_matches_reference_loop(self, seed):
+        # the loop with neither seed nor floor gives the same size,
+        # witness and subsets, on dense hosts where the floor is high
+        rng = random.Random(seed)
+        host = random_graph(rng, rng.randint(6, 8), rng.uniform(0.5, 0.8))
+        for pattern in FLOOR_PATTERNS.values():
+            got = min_edge_hitting_set(pattern, host)
+            want = reference_first_without_model(
+                pattern, host, None, Budget(), range(len(host.edges) + 1))
+            assert want[0] is SearchStatus.NONE and got.exact
+            assert (got.size, got.hitting_edges, got.subsets) == \
+                (len(want[1]), want[1], want[2])
 
 
 # stops K3 footprint enumeration on seeded host 0 (22 vertices) early
