@@ -341,17 +341,24 @@ def _footprint(ix: Index, nbr: Sequence[int], model: Model) -> int:
     return out
 
 
+def _less(ix: Index, deleted: int) -> list[int]:
+    """The adjacency masks of the host indexed by ix less the edges in
+    the mask deleted."""
+    nbr = list(ix.nbr)
+    for k in _bits(deleted):
+        a, b = ix.ends[k]
+        nbr[a] ^= 1 << b
+        nbr[b] ^= 1 << a
+    return nbr
+
+
 def _probe(pattern: Graph, ix: Index, deleted: int,
            pins: Mapping[str, int], node_budget: int | None
            ) -> tuple[SearchStatus, int, int]:
     """One expansion search on the host indexed by ix less the edges in
     the mask deleted, pins mapping pattern vertices to host vertex
     indices.  Returns (status, footprint mask or 0, nodes)."""
-    nbr = list(ix.nbr)
-    for k in _bits(deleted):
-        a, b = ix.ends[k]
-        nbr[a] ^= 1 << b
-        nbr[b] ^= 1 << a
+    nbr = _less(ix, deleted)
     status, model, nodes = _find(pattern, nbr, (1 << len(nbr)) - 1, pins,
                                  node_budget)
     return status, 0 if model is None else _footprint(ix, nbr, model), nodes
@@ -379,23 +386,32 @@ def _disjoint_models(pattern: Graph, ix: Index, pins: Mapping[str, int],
     return known, status, nodes, cap
 
 
-def _hitting_floor(pattern: Graph, ix: Index) -> int:
+def _hitting_floor(pattern: Graph, ix: Index, gone: int = 0) -> int:
     """A lower bound on the edges a deletion must take from the host
-    indexed by ix to leave no model of a pattern of 2 <= t <= 7 vertices
-    and some edge; 0 for any other.  By Mader's theorem (Math. Ann. 178,
-    1968), for t <= 7 a graph of n >= t - 1 vertices and more than (t -
-    2) * n - C(t - 1, 2) edges has a K_t minor, so a pattern model: the
-    floor sums each host component's edges above that bound."""
+    indexed by ix less the edges in the mask gone to leave no model of a
+    pattern of 2 <= t <= 7 vertices and some edge; 0 for any other.  By
+    Mader's theorem (Math. Ann. 178, 1968), for t <= 7 a graph of n >= t
+    - 1 vertices and more than (t - 2) * n - C(t - 1, 2) edges has a K_t
+    minor, so a pattern model: the floor sums each host component's
+    edges above that bound.  Vertices of degree below t - 2 are peeled
+    off first: each one raises m - (t - 2) * n, and a subgraph needs no
+    more deletions than its host."""
     t = len(pattern.vertices)
     if not pattern.edges or t > 7:
         return 0
-    floor, unseen = 0, (1 << len(ix.verts)) - 1
+    nbr = _less(ix, gone)
+    core = (1 << len(nbr)) - 1
+    while core.bit_count() >= t and (low := sum(
+            1 << v for v in _bits(core)
+            if (nbr[v] & core).bit_count() < t - 2)):
+        core ^= low
+    floor, unseen = 0, core if core.bit_count() >= t else 0
     while unseen:
-        comp = _reach(ix.nbr, unseen)
+        comp = _reach(nbr, unseen)
         unseen ^= comp
         n = comp.bit_count()
         if n >= t:
-            m = sum(ix.nbr[v].bit_count() for v in _bits(comp)) // 2
+            m = sum((nbr[v] & comp).bit_count() for v in _bits(comp)) // 2
             floor += max(0, m - (t - 2) * n + comb(t - 1, 2))
     return floor
 
@@ -508,7 +524,9 @@ def _first_without_model(pattern: Graph, host: Graph,
     so the tree reads it instead of searching again.
 
     With no root pins, the sizes below _hitting_floor are decided with
-    no search; if none is left, neither seed nor tree searches.
+    no search; if none is left, neither seed nor tree searches.  A
+    question whose chosen edges C leave a floor above s - |C| is
+    answered with no search: every set holding C keeps a model.
     """
     ix = host.index
     node_cap, search_cap = budget  # read once, not per search
@@ -549,6 +567,9 @@ def _first_without_model(pattern: Graph, host: Graph,
 
     def first(chosen: int, free: int
               ) -> tuple[tuple[int, ...], SearchStatus] | None:
+        if chosen and not pins and _hitting_floor(
+                pattern, ix, chosen) > s - chosen.bit_count():
+            return None
         for X in _hitting_sets(m, s, known, chosen, free):
             status = search(X)
             if status is not SearchStatus.FOUND:

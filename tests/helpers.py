@@ -605,6 +605,31 @@ def oracle_min_hitting(h: Graph, g: Graph) -> int | None:
     return None
 
 
+def reference_hitting_floor(h: Graph, g: Graph) -> int:
+    """Mader's floor on tau, recomputed on labels: peel vertices of
+    degree below t - 2 off g until none is left, then sum, over the
+    components of at least t vertices, the edges above (t - 2) * n -
+    C(t - 1, 2).  0 unless h has an edge and 2 <= t <= 7 vertices."""
+    t = len(h.vertices)
+    if not h.edges or t > 7:
+        return 0
+    adj = labelled_adjacency(g)
+    while low := {v for v, ns in adj.items() if len(ns) < t - 2}:
+        adj = {v: ns - low for v, ns in adj.items() if v not in low}
+    floor, unseen = 0, set(adj)
+    while unseen:
+        todo = [unseen.pop()]
+        comp = set(todo)
+        for u in todo:
+            todo += adj[u] - comp
+            comp |= adj[u]
+        unseen -= comp
+        if len(comp) >= t:
+            m = sum(len(adj[u]) for u in comp) // 2
+            floor += max(0, m - (t - 2) * len(comp) + comb(t - 1, 2))
+    return floor
+
+
 # -- packing oracle ------------------------------------------------------------
 
 def oracle_packing(footprints) -> tuple[int, tuple]:

@@ -185,6 +185,9 @@ CASES = [
     ("robust-k4-k7-r10", 0,
      ["robust", K4, "--host", "samples/k7.el", "-r", "10"]),
     ("hit-k4-k7", 0, ["hit", K4, "samples/k7.el"]),
+    # K7 has cycle rank 21 - 7 + 1 = 15, so hit starts its tree at size
+    # 15, and the floor of K7 less each prefix settles the descent
+    ("hit-k3-k7", 0, ["hit", TRI, "samples/k7.el"]),
 ]
 
 
@@ -230,17 +233,25 @@ def test_no_path_is_read_twice(name, code, argv, tmp_path, monkeypatch):
     assert reads and max(reads.values()) == 1, reads
 
 
-@pytest.mark.parametrize("name, host", [
-    ("hit-k4-hstar1", "hstar1-k4-gadget.out"),
-    ("hit-k4-hstar1-r4", "hstar1-k4-gadget-r4.out")])
-def test_hit_witness_leaves_no_model(name, host):
-    # deleting the witness of a golden hit leaves no K4 model in its host
+WITNESS_CASES = [
+    ("hit-k4-hstar1", K4, GOLDEN / "hstar1-k4-gadget.out"),
+    ("hit-k4-hstar1-r4", K4, GOLDEN / "hstar1-k4-gadget-r4.out"),
+    ("hit-k4-k7", K4, "samples/k7.el"),
+    ("hit-k3-k7", TRI, "samples/k7.el")]
+
+
+@pytest.mark.parametrize(
+    "name, pattern, host", WITNESS_CASES,
+    ids=[f"{name}-{Path(host).name}" for name, _, host in WITNESS_CASES])
+def test_hit_witness_leaves_no_model(name, pattern, host):
+    # deleting the witness of a golden hit leaves no pattern model in
+    # its host
     report = json.loads((ROOT / GOLDEN / f"{name}.out").read_text("utf-8"))
     X = [tuple(e) for e in report["details"]["hitting_edges"]]
     assert len(X) == report["details"]["size"]
-    g = parse_graph((ROOT / GOLDEN / host).read_text("utf-8"))
-    k4 = parse_graph((ROOT / K4).read_text("utf-8"))
-    assert find_expansion(k4, delete_edges(g, X)).status is SearchStatus.NONE
+    g = parse_graph((ROOT / host).read_text("utf-8"))
+    h = parse_graph((ROOT / pattern).read_text("utf-8"))
+    assert find_expansion(h, delete_edges(g, X)).status is SearchStatus.NONE
 
 
 COUNT_KEYS = ('"nodes"', '"searches"')

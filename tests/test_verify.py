@@ -34,7 +34,7 @@ from helpers import (SAMPLES, complete, cycle_graph, edge_labels,
                      oracle_footprints, oracle_min_hitting, oracle_packing,
                      p3_star, path_graph, random_connected_graph,
                      random_graph, reference_canonical_json,
-                     reference_first_without_model,
+                     reference_first_without_model, reference_hitting_floor,
                      reference_greedy_packing, reference_locality,
                      reference_packing, rooted_spec,
                      satisfies_leaf_rule, seeded_host, tailed_square,
@@ -470,6 +470,34 @@ class TestHitting:
         sets = [X for s in range(len(host.edges) + 1)
                 for X in combinations(host.sorted_edges(), s)]
         assert sets.index(res.stopped_at) + 1 == res.subsets
+
+    @pytest.mark.parametrize("pattern, host", [
+        (complete("xyz"), complete("123456")),
+        (complete("wxyz"), complete("1234567"))], ids=["K3-K6", "K4-K7"])
+    def test_every_search_budget_below_the_count_stops(self, pattern, host):
+        # a budget of fewer searches than the run makes ends it
+        # budget-exhausted, with subsets the rank of the stop, by size and
+        # then label order, and the stop no later than the witness; a
+        # budget of exactly as many gives the same exact answer
+        full = min_edge_hitting_set(pattern, host)
+        assert full.exact and full.searches <= 10
+        m = len(host.edges)
+        index = {e: i for i, e in enumerate(host.sorted_edges())}
+
+        def rank(X):
+            return (sum(math.comb(m, s) for s in range(len(X)))
+                    + _rank(tuple(index[e] for e in X), m))
+
+        assert rank(full.hitting_edges) == full.subsets
+        for searches in range(full.searches):
+            res = min_edge_hitting_set(pattern, host,
+                                       budget=Budget(searches=searches))
+            assert (res.size, res.hitting_edges, res.exact) == \
+                (None, None, False)
+            assert res.searches == searches
+            assert res.subsets == rank(res.stopped_at) <= full.subsets
+        assert min_edge_hitting_set(
+            pattern, host, budget=Budget(searches=full.searches)) == full
 
     def test_seed_search_stopped_at_its_cap_is_searched_again(self,
                                                                monkeypatch):
@@ -982,10 +1010,18 @@ class TestHittingFloor:
     @pytest.mark.parametrize("name", FLOOR_PATTERNS)
     @pytest.mark.parametrize("seed", range(8))
     def test_floor_is_at_most_tau(self, name, seed):
+        # of the host, and of the host less a random edge mask, as the
+        # descent reads it for the prefix it asks about
         pattern = FLOOR_PATTERNS[name]
-        host = floor_host(random.Random(seed), pattern)
+        rng = random.Random(seed)
+        host = floor_host(rng, pattern)
         floor = verify._hitting_floor(pattern, host.index)
         assert floor <= oracle_min_hitting(pattern, host)
+        gone = rng.getrandbits(len(host.edges)) & rng.getrandbits(
+            len(host.edges))
+        rest = delete_edges(host, edge_labels(host, gone))
+        assert (verify._hitting_floor(pattern, host.index, gone)
+                <= oracle_min_hitting(pattern, rest))
 
     @pytest.mark.parametrize("name", FLOOR_PATTERNS)
     def test_floor_sums_over_components(self, name):
@@ -1053,6 +1089,77 @@ class TestHittingFloor:
         assert rep.stats == {"subsets_checked": math.comb(21, 9),
                              "subsets_planned": math.comb(21, 9),
                              "searches": 0, "nodes": 0}
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_stripped_floor_matches_reference(self, seed):
+        # dense hosts and sparse ones, where the peeling of vertices of
+        # degree below t - 2 decides most of the floor, for 2 <= t <= 7
+        rng = random.Random(seed)
+        patterns = [complete("xy"), complete("uvwxyz"),
+                    path_graph("tuvwxyz"), *FLOOR_PATTERNS.values()]
+        for host in (random_graph(rng, rng.randint(6, 12),
+                                  rng.uniform(0.3, 0.9)),
+                     seeded_host(rng)):
+            for pattern in patterns:
+                gone = rng.getrandbits(len(host.edges)) & rng.getrandbits(
+                    len(host.edges))
+                rest = delete_edges(host, edge_labels(host, gone))
+                assert (verify._hitting_floor(pattern, host.index, gone)
+                        == reference_hitting_floor(pattern, rest))
+
+    def test_peeling_raises_the_floor(self):
+        # K5 with a 3-edge tail has 13 edges on 8 vertices, within 2 * 8 -
+        # 3 for K4, but the tail peels off and K5's floor 10 - 10 + 3 is
+        # tau.  K5 less (1,2), (1,3), (1,4) counts 7 - 10 + 3 = 0, but
+        # vertex 1 peels off and K4 on 2-5 leaves 6 - 8 + 3 = 1
+        k4, k5 = complete("wxyz"), complete("12345")
+        host = Graph.build([], list(k5.edges)
+                           + [("5", "a"), ("a", "b"), ("b", "c")])
+        assert verify._hitting_floor(k4, host.index) == 3
+        assert oracle_min_hitting(k4, k5) == 3
+        assert verify._hitting_floor(k4, k5.index, 0b111) == 1
+
+    @pytest.mark.parametrize("seed", range(13))
+    def test_pruned_questions_keep_a_model(self, seed, monkeypatch):
+        # a descent question asks for a set of the witness's size s that
+        # holds the prefix C and otherwise only edges after it.  It reads
+        # the floor of the host less C, and a question whose tree never
+        # runs is pruned: brute force finds a model left by every set it
+        # covers.  Seed 12 is K6; on 8 vertices one question can cover
+        # 10^5 sets, so the random hosts have 6 or 7.  Each host of 10 or
+        # more edges has a pruned question
+        rng = random.Random(seed)
+        host = (complete("123456") if seed == 12 else
+                random_graph(rng, rng.randint(6, 7), rng.uniform(0.6, 0.9)))
+        es, m = host.sorted_edges(), len(host.edges)
+        asked = []
+        real_floor, real_tree = verify._hitting_floor, verify._hitting_sets
+
+        def floor(pattern, ix, gone=0):
+            asked.append(("floor", gone))
+            return real_floor(pattern, ix, gone)
+
+        def tree(m, s, known, chosen=0, free=-1):
+            asked.append(("tree", chosen))
+            return real_tree(m, s, known, chosen, free)
+
+        monkeypatch.setattr(verify, "_hitting_floor", floor)
+        monkeypatch.setattr(verify, "_hitting_sets", tree)
+        pruned = 0
+        for pattern in FLOOR_PATTERNS.values():
+            asked.clear()
+            s = min_edge_hitting_set(pattern, host).size
+            for k, (kind, gone) in enumerate(asked):
+                if kind == "tree" or not gone or asked[k + 1:k + 2] == [
+                        ("tree", gone)]:
+                    continue
+                pruned += 1
+                C = [i for i in range(m) if gone >> i & 1]
+                for rest in combinations(range(C[-1] + 1, m), s - len(C)):
+                    X = [es[i] for i in C + list(rest)]
+                    assert find_expansion(pattern, delete_edges(
+                        host, X)).status is SearchStatus.FOUND
+        assert pruned or m < 10
 
     @pytest.mark.parametrize("seed", range(12))
     def test_hit_matches_reference_loop(self, seed):
