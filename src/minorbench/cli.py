@@ -346,11 +346,6 @@ def _add_scan_budget(p: argparse.ArgumentParser) -> None:
                    help="search nodes per search / searches per command")
 
 
-def _add_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-o", "--output", metavar="PATH",
-                   help="write to PATH instead of stdout")
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first main() call, not at
@@ -364,13 +359,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("components", help="list connected components")
     p.add_argument("file")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    _add_output(p)
     p.set_defaults(func=cmd_components)
 
     p = sub.add_parser("blocks", help="block-cut tree of a connected graph")
     p.add_argument("file")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    _add_output(p)
     p.set_defaults(func=cmd_blocks)
 
     p = sub.add_parser("segments",
@@ -378,13 +371,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--ctx", required=True, metavar="CTXFILE")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    _add_output(p)
     p.set_defaults(func=cmd_segments)
 
     p = sub.add_parser("classify",
                        help="shape of each component (Cycle, Path, ...)")
     p.add_argument("file")
-    _add_output(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("gtimes",
@@ -397,7 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="edge-list")
     p.add_argument("--check-branch-count", action="store_true",
                    help="report on the branch-vertex correspondence instead")
-    _add_output(p)
     p.set_defaults(func=cmd_gtimes)
 
     p = sub.add_parser("hstar1",
@@ -409,7 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", type=_int_at_least(1), required=True)
     p.add_argument("--format", choices=["edge-list", "dot"],
                    default="edge-list")
-    _add_output(p)
     p.set_defaults(func=cmd_hstar1)
 
     p = sub.add_parser("hstar2",
@@ -423,7 +412,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also write the build trace as JSON")
     p.add_argument("--format", choices=["edge-list", "dot"],
                    default="edge-list")
-    _add_output(p)
     p.set_defaults(func=cmd_hstar2)
 
     p = sub.add_parser("minor", help="test pattern <= host and emit a model")
@@ -432,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", metavar="WITNESS",
                    help="check a stored embedding instead of searching")
     _add_budget(p)
-    _add_output(p)
     p.set_defaults(func=cmd_minor)
 
     p = sub.add_parser("pack",
@@ -442,7 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=_int_at_least(1), default=None,
                    help="stop once this many disjoint copies are found")
     _add_budget(p)
-    _add_output(p)
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("hit", help="minimum expansion-hitting edge set")
@@ -451,7 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_int_at_least(0), default=None,
                    help="largest hitting-set size to try")
     _add_scan_budget(p)
-    _add_output(p)
     p.set_defaults(func=cmd_hit)
 
     p = sub.add_parser("robust",
@@ -469,7 +454,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_scan_budget(p)
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="accepted for compatibility; has no effect")
-    _add_output(p)
     p.set_defaults(func=cmd_robust)
 
     p = sub.add_parser("locality",
@@ -480,7 +464,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", required=True, metavar="V1,V2,..|@FILE",
                    help="host vertices forming the region")
     _add_budget(p)
-    _add_output(p)
     p.set_defaults(func=cmd_locality)
 
     p = sub.add_parser("gencheck",
@@ -489,7 +472,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("anchor", help="anchor pattern graph")
     p.add_argument("spec", help="core spec document")
     _add_scan_budget(p)
-    _add_output(p)
     p.set_defaults(func=cmd_gencheck)
 
     p = sub.add_parser("hereditary",
@@ -500,9 +482,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_int_at_least(1), default=4,
                    help="maximum minor operations per trial")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_output(p)
     p.set_defaults(func=cmd_hereditary)
 
+    for p in sub.choices.values():  # last in every subcommand's options
+        p.add_argument("-o", "--output", metavar="PATH",
+                       help="write to PATH instead of stdout")
     return parser
 
 

@@ -205,18 +205,9 @@ class BuildTrace(NamedTuple):
     core_vertices: tuple[str, ...]
 
     def to_json_obj(self) -> dict:
-        return {
-            "mode": self.mode,
-            "anchor_block": list(self.anchor_block),
-            "predicate_blocks": [list(b) for b in self.predicate_blocks],
-            "containing_blocks": [list(b) for b in self.containing_blocks],
-            "chain_blocks": [list(b) for b in self.chain_blocks],
-            "outside_components": [list(d) for d in self.outside_components],
-            "trivial_paths": [list(p) for p in self.trivial_paths],
-            "roots": [list(p) for p in self.roots],
-            "identifications": [[m, list(gp)] for m, gp in self.identifications],
-            "core_vertices": list(self.core_vertices),
-        }
+        """The fields by name, tuples left for canonical_json to write
+        as lists."""
+        return {"mode": self.mode, **self._asdict()}
 
 
 def assemble_block_counterexample(h: Graph, predicate: MinorPredicate,

@@ -136,6 +136,22 @@ class TestInspection:
         code, out, err = run(capsys, "components", str(f))
         assert code == 65 and out == "" and "past" in err
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("short.el", "2 1\na\n",
+         "line 1: expected 2 vertex lines and 1 edge lines, got 1"),
+        ("label.el", "2 0\na b\nc\n",
+         "line 2: expected a single vertex label, got 'a b'"),
+        ("empty.g6", "\n", "empty graph6 input"),
+        ("range.g6", "C\x7f\n", "graph6 byte out of range"),
+        ("k0.el", "0 0\n", "cannot classify the empty graph"),
+    ])
+    def test_classify_input_errors(self, capsys, tmp_path, name, text,
+                                   message):
+        f = tmp_path / name
+        f.write_text(text)
+        assert run(capsys, "classify", str(f)) == (65, "",
+                                                   f"error: {message}\n")
+
     @pytest.mark.parametrize("text", ["Bw\nBw\n", "B w\n"])
     def test_graph6_is_one_line_without_whitespace(self, capsys, tmp_path,
                                                    text):

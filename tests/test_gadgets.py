@@ -1,5 +1,6 @@
 """Blowup gadget, core-spec documents, and the two assembly builders."""
 
+import json
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from minorbench import (BudgetExceeded, CoreSpec, Graph, GraphError,
                         find_expansion, is_minor,
                         load_core_spec, minimal_subtree, parse_graph,
                         segment_blowup)
-from minorbench import embed
+from minorbench import canonical_json, embed
 from helpers import (SAMPLES, complete, cycle_graph, k5_spec, path_graph,
                      petalled_wheel, random_connected_graph,
                      reference_branch_count, reference_host,
@@ -400,11 +401,15 @@ class TestBlockAssembly:
         pred = MinorPredicate("contains-K3", complete("xyz"))
         _, trace = assemble_block_counterexample(
             triangle_with_tail(), pred, rooted_spec(), 2)
-        obj = trace.to_json_obj()
-        assert obj["mode"] == "blocks"
-        assert obj["anchor_block"] == ["b", "c", "s"]
-        assert obj["roots"] == [["s", "s'"]]
-        assert obj["identifications"] == [["s#1", ["s#1", "s#2", "s'#0"]]]
+        # the fields keep their tuples; the --trace text writes them as lists
+        obj = json.loads(canonical_json(trace.to_json_obj()))
+        assert obj == {
+            "mode": "blocks", "anchor_block": ["b", "c", "s"],
+            "predicate_blocks": [["b", "c", "s"]], "containing_blocks": [],
+            "chain_blocks": [], "outside_components": [["d", "s"]],
+            "trivial_paths": [], "roots": [["s", "s'"]],
+            "identifications": [["s#1", ["s#1", "s#2", "s'#0"]]],
+            "core_vertices": ["c1#0", "c2#0", "c3#0", "c4#0", "s#1"]}
 
     def test_rich_host_classification(self):
         # triangle abc, path c-d-e of two bridges, K4 on efgi, hanger g-x

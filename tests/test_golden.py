@@ -188,6 +188,12 @@ CASES = [
     # K7 has cycle rank 21 - 7 + 1 = 15, so hit starts its tree at size
     # 15, and the floor of K7 less each prefix settles the descent
     ("hit-k3-k7", 0, ["hit", TRI, "samples/k7.el"]),
+    # a 10-vertex tree with chords: the packing search uses footprint
+    # bands of up to 3, 5 and 6 edges before it proves two copies
+    ("pack-seeded-31", 0, ["pack", TRI, "samples/seeded-31.el"]),
+    # a search runs out of its 7 nodes, and the descent asks nothing more
+    ("robust-ctx-r4-node-budget", 2,
+     ["robust", SQ, "--ctx", SQ_CTX, "-r", "4", "--budget", "7"]),
 ]
 
 

@@ -80,6 +80,10 @@ class TestGraph:
         with pytest.raises(GraphError):
             Graph.build(["a b"], [])
 
+    def test_rejects_self_loop(self):
+        with pytest.raises(GraphError, match="^self-loop at 'a'$"):
+            Graph(frozenset("ab"), frozenset([("a", "a")]))
+
     def test_label_check_matches_isspace(self):
         spaces = [c for c in map(chr, range(0x110000)) if c.isspace()]
         assert len(spaces) == 29
@@ -334,6 +338,17 @@ class TestParse:
         with pytest.raises(ParseError, match="line 3"):
             parse_graph("2 1\na\na\na b\n")
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("2 1\na\n", 1, "expected 2 vertex lines and 1 edge lines, got 1"),
+        ("# note\n2 0\na b\nc\n", 3,
+         "expected a single vertex label, got 'a b'"),
+    ])
+    def test_error_message_and_line(self, text, line, message):
+        with pytest.raises(ParseError) as exc:
+            parse_graph(text)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
     def test_trailing_line_is_named(self):
         with pytest.raises(ParseError, match="line 4: unexpected line"):
             parse_graph("1 0\na\n\nb\n")
@@ -454,8 +469,19 @@ class TestGraph6:
                 parse_graph6(cut)
 
     def test_byte_out_of_range(self):
-        with pytest.raises(ParseError):
-            parse_graph6("C\x1c")
+        for text in ("C!", "C\x7f"):
+            with pytest.raises(ParseError, match="^graph6 byte out of range$"):
+                parse_graph6(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty graph6 input"), (" >>graph6<<\n", "empty graph6 input"),
+        # "\x1c" is whitespace to str.strip: "C\x1c" is a truncated "C"
+        ("C\x1c", "truncated graph6 bit data"),
+    ])
+    def test_error_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_graph6(text)
+        assert exc.value.line is None and str(exc.value) == message
 
     @pytest.mark.parametrize("text", ["Bw\nBw\n", "B w", "C~\tC~",
                                       ">>graph6<< Bw"])
@@ -512,6 +538,25 @@ class TestOperations:
             [g, g], [frozenset({"b#0", "b#1"})])
         assert "b#0" in out.vertices and "b#1" not in out.vertices
         assert out.degree("b#0") == 2
+
+    def test_union_needs_a_part(self):
+        with pytest.raises(GraphError, match="^need at least one part$"):
+            relabeled_union([])
+
+    def test_union_rejects_one_member_group(self):
+        g = Graph.build("ab", [("a", "b")])
+        with pytest.raises(GraphError, match="^identification group needs "
+                                             "at least two vertices$"):
+            relabeled_union([g], [frozenset({"a#0"})])
+
+    def test_union_tags_a_part_without_provenance(self):
+        # beside a part with roles, a part without them is tagged part{i}
+        g1 = Graph(frozenset("a"), frozenset(), {"a": "core:a"})
+        g2 = Graph.build("bc", [("b", "c")])
+        out = relabeled_union([g1, g2])
+        assert dict(out.provenance) == {"a#0": "core:a", "b#1": "part1",
+                                        "c#1": "part1"}
+        assert relabeled_union([g2, g2]).provenance is None
 
     def test_union_rejects_unknown_member(self):
         g = Graph.build("ab", [("a", "b")])

@@ -20,7 +20,8 @@ from minorbench import (Budget, BudgetExceeded, CoreSpec, Graph, GraphError,
                         check_expansion_locality, check_gadget_robustness,
                         check_generic_counterexample,
                         check_hereditary_sampled, connected_components,
-                        core_region, delete_edges, find_expansion, graph_json,
+                        contract_edge, core_region, delete_edges,
+                        find_expansion, graph_json,
                         is_minor, iter_expansion_footprints,
                         max_edge_disjoint_packing, min_edge_hitting_set,
                         parse_graph, relabeled_union, segment_blowup,
@@ -617,6 +618,23 @@ class TestGadgetRobustness:
         assert rep.exit_code == 2
         assert "stopped_at" in rep.details
 
+    def test_node_budget_stop_in_the_descent(self):
+        # a search runs out of its 7 nodes, and the questions after it
+        # are answered "budget" with no search: the stop is a set whose
+        # rank is subsets_checked, and every set before it keeps a model
+        g, ctx = tailed_square()
+        host = segment_blowup(g, ctx, 4)
+        rep = check_gadget_robustness(g, ctx, 4, budget=Budget(nodes=7))
+        assert rep.outcome is Outcome.BUDGET
+        assert (rep.stats["searches"], rep.stats["nodes"]) == (7, 47)
+        X = tuple(tuple(e) for e in rep.details["stopped_at"])
+        sets = list(combinations(host.sorted_edges(), 3))
+        rank = sets.index(X) + 1
+        assert rep.stats["subsets_checked"] == rank == 3
+        for Y in sets[:rank - 1]:
+            assert find_expansion(g, delete_edges(host, Y)).status \
+                is SearchStatus.FOUND
+
     def test_rejects_bad_parameters(self):
         g, ctx = tailed_square()
         with pytest.raises(GraphError):
@@ -624,6 +642,11 @@ class TestGadgetRobustness:
 
 
 class TestAssemblyRobustness:
+    def test_rejects_radius_zero(self):
+        with pytest.raises(GraphError,
+                           match="^deletion radius must be at least 1$"):
+            check_assembly_robustness(complete("ab"), complete("abc"), 0)
+
     def test_component_assembly_survives_single_deletions(self):
         h = two_part_host()
         hstar = assemble_component_counterexample(h, "p", k5_spec(), 2)
@@ -1594,3 +1617,30 @@ class TestHereditary:
         pred = MinorPredicate("contains-K3", complete("xyz"))
         with pytest.raises(GraphError):
             check_hereditary_sampled(pred, [])
+
+    def test_refutes_a_predicate_that_is_not_minor_closed(self):
+        # "exactly one edge" fails on a triangle and holds once a vertex
+        # is deleted or an edge contracted
+        class ExactlyOneEdge(MinorPredicate):
+            def holds(self, g):
+                return len(g.edges) == 1
+
+        pred = ExactlyOneEdge("exactly-one-edge", complete("xy"))
+        rep = check_hereditary_sampled(pred, [complete("abc")], trials=20)
+        assert rep.outcome is Outcome.REFUTED and rep.exit_code == 1
+        d = rep.details
+        assert d["predicate"] == "exactly-one-edge"
+        start, result = (Graph.build(x["vertices"], x["edges"])
+                         for x in (d["start"], d["result"]))
+        assert not pred.holds(start) and pred.holds(result)
+        cur = start
+        for op in d["operations"]:
+            kind, *ends = op.split()
+            if kind == "delete-vertex":
+                cur = cur.induced(cur.vertices - set(ends))
+            elif kind == "contract-edge":
+                cur = contract_edge(cur, tuple(ends))
+            else:
+                assert kind == "delete-edge"
+                cur = delete_edges(cur, [tuple(ends)])
+        assert graph_json(cur) == d["result"]
